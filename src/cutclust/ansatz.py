@@ -66,7 +66,10 @@ class WarmStart:
 
     @classmethod
     def from_cstar(cls, c_star) -> "WarmStart":
+        """Angles theta_i = 2 arcsin(sqrt(c_i)), monotone on [0, pi]."""
         c = np.asarray(c_star, dtype=float)
+        if np.any((c < 0.0) | (c > 1.0)):
+            raise ValidationError("c_star entries must lie in [0, 1]")
         return cls(c_star=c, thetas=2.0 * np.arcsin(np.sqrt(c)))
 
     @property

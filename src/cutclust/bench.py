@@ -22,14 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .ansatz import (
-    QaoaParams,
-    VqeParams,
-    WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
-)
+from .ansatz import WarmStart
 from .errors import ValidationError
 from .graph_model import (
     Dataset,
@@ -44,6 +37,7 @@ from .optimizer import (
     SpsaConfig,
     calibrate_step_gain,
     exact_solve,
+    make_ansatz,
     make_objective,
     spsa_minimize,
 )
@@ -142,11 +136,12 @@ def load_dataset(
 ) -> Dataset:
     """Read a CSV into a Dataset.
 
-    The header row names the columns; ``name`` and ``label`` are
-    reserved for row identifiers and ground-truth classes and are never
-    treated as features.  Features are z-scored per column when
-    ``normalize`` is set (population std; constant columns are centered
-    and left unscaled).
+    The header row names the columns, each at most once; ``name`` and
+    ``label`` are reserved for row identifiers and ground-truth classes
+    and are never treated as features.  The feature columns used are
+    recorded on the result as ``columns``.  Features are z-scored per
+    column when ``normalize`` is set (population std; constant columns
+    are centered and left unscaled).
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -156,6 +151,9 @@ def load_dataset(
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         rows = [row for row in reader if row]
+    for i, h in enumerate(header):
+        if h in header[:i]:
+            raise ValidationError(f"{path}: column {h!r} appears more than once in the header")
 
     feature_cols = columns if columns is not None else tuple(
         h for h in header if h not in ("name", "label")
@@ -206,6 +204,7 @@ def load_dataset(
         points=points,
         labels=tuple(labels) if labels else None,
         names=tuple(names) if names else None,
+        columns=tuple(feature_cols),
     )
 
 
@@ -340,18 +339,10 @@ def run_algorithm(
             result = spsa_minimize(objective, init, spsa_cfg)
             params = result.best_params
             evaluations = result.evaluations
-            if algorithm == "qaoa":
-                state = build_qaoa_state(
-                    ising, QaoaParams(betas=params[: config.p], gammas=params[config.p :])
-                )
-            elif algorithm == "ws-qaoa":
-                state = build_ws_qaoa_state(
-                    ising,
-                    warm,
-                    QaoaParams(betas=params[: config.p], gammas=params[config.p :]),
-                )
-            else:
-                state = build_vqe_state(n, VqeParams(angles=params, reps=config.vqe_reps))
+            prepare, _ = make_ansatz(
+                algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps
+            )
+            state = prepare(params)
             probs = probabilities(state)
             energy_expectation = expectation_diagonal(state, ising)
         timings["optimization"] = time.perf_counter() - t0
@@ -448,12 +439,6 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     )
     exact_labels = assign_clusters(exact_top, n)
 
-    used_columns = config.columns
-    if used_columns is None:
-        with open(path, encoding="utf-8") as fh:
-            header = [h.strip() for h in fh.readline().split(",")]
-        used_columns = tuple(h for h in header if h not in ("name", "label"))
-
     payload: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "conventions": dict(CONVENTIONS),
@@ -486,7 +471,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
             "file": path.name,
             "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             "n_rows": n,
-            "columns": list(used_columns),
+            "columns": list(dataset.columns),
             "normalize": config.normalize,
             "names": None if dataset.names is None else list(dataset.names),
             "labels": None if dataset.labels is None else list(dataset.labels),

@@ -8,13 +8,13 @@ Exit codes: 0 success, 1 invalid input, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 from .bench import (
     ALGORITHMS,
     RunConfig,
     emit_report,
+    load_dataset,
     run_benchmark,
     shipped_datasets,
 )
@@ -77,12 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_datasets() -> int:
     for name, path in shipped_datasets().items():
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = sum(1 for _ in reader)
-        features = [h for h in header if h not in ("name", "label")]
-        print(f"{name}: {rows} rows, {len(features)} feature columns ({', '.join(features)})")
+        ds = load_dataset(path)
+        print(f"{name}: {ds.n} rows, {len(ds.columns)} feature columns ({', '.join(ds.columns)})")
     return 0
 
 

@@ -37,11 +37,13 @@ def all_bitstrings(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N rows of d real features, with optional names and class labels."""
+    """N rows of d real features, with optional names, class labels and
+    feature column names."""
 
     points: np.ndarray
     labels: tuple[int, ...] | None = None
     names: tuple[str, ...] | None = None
+    columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
@@ -59,6 +61,8 @@ class Dataset:
             raise ValidationError("labels length must match row count")
         if self.names is not None and len(self.names) != n:
             raise ValidationError("names length must match row count")
+        if self.columns is not None and len(self.columns) != d:
+            raise ValidationError("columns length must match feature count")
         object.__setattr__(self, "points", points)
 
     @property

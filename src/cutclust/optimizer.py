@@ -10,7 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .ansatz import (
 )
 from .errors import EvaluationError, ValidationError
 from .graph_model import IsingDiagonal
-from .simulator import Statevector, expectation_diagonal, probabilities
+from .simulator import Statevector, expectation_diagonal
 
 Objective = Callable[[np.ndarray], float]
 
@@ -221,38 +221,22 @@ def exact_solve(ising: IsingDiagonal) -> ExactSolution:
     )
 
 
-AnsatzKind = Literal["qaoa", "ws-qaoa", "vqe"]
-
-
-def _sampled_energy(
-    state: Statevector, ising: IsingDiagonal, shots: int, rng: np.random.Generator
-) -> float:
-    counts = rng.multinomial(shots, probabilities(state))
-    return float(counts @ ising.energies) / shots
-
-
-def make_objective(
-    kind: AnsatzKind,
+def make_ansatz(
+    kind: str,
     ising: IsingDiagonal,
     *,
     p: int = 1,
     warm: WarmStart | None = None,
     vqe_reps: int = 5,
-    shots: int | None = None,
-    seed: int = 0,
-) -> tuple[Objective, int]:
-    """Build an energy objective over a flat parameter vector.
+) -> tuple[Callable[[np.ndarray], Statevector], int]:
+    """Map an algorithm name to its trial-state builder.
 
-    Returns ``(objective, dimension)``.  QAOA and ws-QAOA take
+    Returns ``(prepare, dimension)``, where ``prepare`` turns a flat
+    parameter vector into the final state.  QAOA and ws-QAOA take
     ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked
-    rotation angles.  ``shots=None`` evaluates the exact expectation;
-    otherwise each call draws a fresh multinomial sample of that size
-    from a deterministic per-call stream, so repeated calls at the same
-    point fluctuate the way hardware estimates would.
+    rotation angles.  This is the only place that knows which builder
+    belongs to which algorithm.
     """
-    if shots is not None and shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
-
     if kind == "qaoa":
         dim = 2 * p
 
@@ -284,7 +268,23 @@ def make_objective(
     else:
         raise ValidationError(f"unknown ansatz kind {kind!r}")
 
-    shot_rng = np.random.default_rng(seed) if shots is not None else None
+    return prepare, dim
+
+
+def make_objective(
+    kind: str,
+    ising: IsingDiagonal,
+    *,
+    p: int = 1,
+    warm: WarmStart | None = None,
+    vqe_reps: int = 5,
+) -> tuple[Objective, int]:
+    """Build the exact energy objective over a flat parameter vector.
+
+    Returns ``(objective, dimension)``; the parameter layout is that of
+    :func:`make_ansatz`.
+    """
+    prepare, dim = make_ansatz(kind, ising, p=p, warm=warm, vqe_reps=vqe_reps)
 
     def objective(params: np.ndarray) -> float:
         params = np.asarray(params, dtype=float)
@@ -292,9 +292,6 @@ def make_objective(
             raise ValidationError(
                 f"{kind} objective expects {dim} parameters, got shape {params.shape}"
             )
-        state = prepare(params)
-        if shot_rng is None:
-            return expectation_diagonal(state, ising)
-        return _sampled_energy(state, ising, shots, shot_rng)
+        return expectation_diagonal(prepare(params), ising)
 
     return objective, dim

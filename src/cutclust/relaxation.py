@@ -1,4 +1,4 @@
-"""Box relaxation of the MAXCUT QUBO and conversion to warm-start angles.
+"""Box relaxation of the MAXCUT QUBO and clipping of its solution.
 
 The binary variables are relaxed to the unit box [0,1]^n and the (generally
 indefinite) quadratic objective is maximized by projected gradient ascent
@@ -34,8 +34,10 @@ class RelaxConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        if not 0.0 <= self.epsilon < 0.5:
-            raise ValidationError("epsilon must lie in [0, 0.5)")
+        # epsilon = 0 would leave binary entries that the warm-start mixer
+        # rejects, so every ws-QAOA run would fail after the relaxation
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValidationError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -91,11 +93,3 @@ def clip_cstar(c_star, epsilon: float) -> np.ndarray:
     """Pull entries away from {0, 1} by the given margin."""
     c = np.asarray(c_star, dtype=float)
     return np.clip(c, epsilon, 1.0 - epsilon)
-
-
-def thetas_from_cstar(c_star) -> np.ndarray:
-    """Rotation angles theta_i = 2 arcsin(sqrt(c_i)), monotone on [0, pi]."""
-    c = np.asarray(c_star, dtype=float)
-    if np.any((c < 0.0) | (c > 1.0)):
-        raise ValidationError("c_star entries must lie in [0, 1]")
-    return 2.0 * np.arcsin(np.sqrt(c))

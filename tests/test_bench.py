@@ -116,6 +116,10 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset(p)
 
+    def test_columns_recorded(self, cars_path):
+        assert load_dataset(cars_path).columns == ("mpg", "hp", "wt")
+        assert load_dataset(cars_path, columns=("wt", "mpg")).columns == ("wt", "mpg")
+
 
 class TestClusterAssignment:
     def test_bits_follow_row_order(self):
@@ -319,6 +323,11 @@ class TestRunBenchmark:
         assert block["failed"] == [{"seed": 2, "error": "injected failure"}]
         files = emit_report(report, tmp_path / "out")
         assert (tmp_path / "out" / "report.json") in files
+
+    def test_quoted_header_columns_recorded_as_read(self, tmp_path):
+        p = write_csv(tmp_path, '"x,y",b,label\n0.0,1.0,0\n2.0,0.5,1\n1.0,3.0,0\n')
+        report = run_benchmark(RunConfig(dataset=str(p), algorithm="exact", seeds=(1,)))
+        assert report.payload["dataset"]["columns"] == ["x,y", "b"]
 
     def test_deterministic_payload(self, small_report):
         cfg, report = small_report

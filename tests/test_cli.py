@@ -83,6 +83,18 @@ class TestExitCodes:
         assert main(run_args(tmp_path, "--columns", "mpg,cylinders")) == 1
         assert "cylinders" in capsys.readouterr().err
 
+    def test_zero_epsilon_rejected_before_compute(self, tmp_path, capsys):
+        assert main(run_args(tmp_path, "--epsilon", "0")) == 1
+        assert "epsilon" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_duplicate_header_is_validation_error(self, tmp_path, capsys):
+        dup = tmp_path / "dup.csv"
+        dup.write_text("a,a,b\n1.0,2.0,3.0\n4.0,5.0,6.0\n", encoding="utf-8")
+        assert main(run_args(tmp_path, "--dataset", str(dup))) == 1
+        err = capsys.readouterr().err
+        assert "dup.csv" in err and "'a'" in err
+
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1
 

@@ -313,34 +313,6 @@ class TestMakeObjective:
         with pytest.raises(ValidationError, match="parameters"):
             obj(np.zeros(5))
 
-    def test_shot_estimate_near_expectation(self):
-        obj_exact, _ = make_objective("qaoa", self.ising, p=1)
-        obj_shots, _ = make_objective("qaoa", self.ising, p=1, shots=1_000_000, seed=4)
-        params = np.array([0.4, 0.7])
-        exact = obj_exact(params)
-        est = obj_shots(params)
-        # 3 sigma of the sample mean at this shot count
-        from cutclust.ansatz import QaoaParams, build_qaoa_state
-        from cutclust.simulator import probabilities
-
-        state = build_qaoa_state(self.ising, QaoaParams(betas=[0.4], gammas=[0.7]))
-        probs = probabilities(state)
-        var = float(probs @ self.ising.energies**2) - exact**2
-        assert abs(est - exact) < 3 * np.sqrt(var / 1_000_000)
-
-    def test_shot_estimates_vary_between_calls_but_rerun_identically(self):
-        obj1, _ = make_objective("qaoa", self.ising, p=1, shots=256, seed=11)
-        obj2, _ = make_objective("qaoa", self.ising, p=1, shots=256, seed=11)
-        params = np.array([0.3, 0.5])
-        seq1 = [obj1(params) for _ in range(4)]
-        seq2 = [obj2(params) for _ in range(4)]
-        assert seq1 == seq2
-        assert len(set(seq1)) > 1
-
-    def test_rejects_bad_shots(self):
-        with pytest.raises(ValidationError):
-            make_objective("qaoa", self.ising, shots=0)
-
     def test_variational_bound(self):
         sol = exact_solve(self.ising)
         rng = np.random.default_rng(0)

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from cutclust.ansatz import WarmStart
 from cutclust.errors import ValidationError
 from cutclust.graph_model import WeightedGraph, qubo_from_graph
 from cutclust.relaxation import (
     RelaxConfig,
     clip_cstar,
     relax_qubo,
-    thetas_from_cstar,
 )
 
 
@@ -104,10 +104,9 @@ class TestRelaxQubo:
 
 class TestRelaxConfig:
     def test_epsilon_range(self):
-        with pytest.raises(ValidationError):
-            RelaxConfig(epsilon=0.5)
-        with pytest.raises(ValidationError):
-            RelaxConfig(epsilon=-0.01)
+        for eps in (0.5, -0.01, 0.0):
+            with pytest.raises(ValidationError, match="epsilon"):
+                RelaxConfig(epsilon=eps)
 
     def test_restarts_positive(self):
         with pytest.raises(ValidationError):
@@ -128,20 +127,24 @@ class TestClipCstar:
 
 
 class TestThetasFromCstar:
+    """Angles of WarmStart.from_cstar: theta_i = 2 arcsin(sqrt(c_i))."""
+
     def test_endpoints_and_middle(self):
-        thetas = thetas_from_cstar([0.0, 0.5, 1.0])
+        thetas = WarmStart.from_cstar([0.0, 0.5, 1.0]).thetas
         assert np.allclose(thetas, [0.0, np.pi / 2.0, np.pi])
 
     def test_monotone(self):
         grid = np.linspace(0.0, 1.0, 101)
-        thetas = thetas_from_cstar(grid)
+        thetas = WarmStart.from_cstar(grid).thetas
         assert np.all(np.diff(thetas) > 0.0)
 
     def test_round_trip(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        thetas = thetas_from_cstar(grid)
+        thetas = WarmStart.from_cstar(grid).thetas
         assert np.allclose(np.sin(thetas / 2.0) ** 2, grid, atol=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(ValidationError):
-            thetas_from_cstar([1.2])
+        # checked before arcsin, so no invalid-value warning is emitted
+        for c in ([1.2], [-0.1]):
+            with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+                WarmStart.from_cstar(c)
