@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +22,15 @@ from .errors import ValidationError
 from .graph_model import IsingDiagonal
 from .simulator import (
     Statevector,
-    apply_1q,
-    apply_cnot,
-    apply_diagonal_phase,
-    new_state,
-    rx,
+    _gate,
+    apply_1q_rows,
+    apply_diagonal_phase_rows,
+    cnot_chain_perm,
+    gather_rows,
     ry,
 )
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -90,48 +93,114 @@ class VqeParams:
             raise ValidationError("reps must be >= 0")
 
 
-def build_qaoa_state(ising: IsingDiagonal, params: QaoaParams) -> Statevector:
-    """Alternate exp(-i gamma H_C) and R_x(2 beta) layers on |+...+>."""
-    state = new_state(ising.n, "plus")
-    for beta, gamma in zip(params.betas, params.gammas):
-        state = apply_diagonal_phase(state, gamma, ising)
-        mixer = rx(2.0 * beta)
-        for q in range(ising.n):
-            state = apply_1q(state, q, mixer)
-    return state
+# row builders ----------------------------------------------------------------
+#
+# Each builder prepares one state per row of its parameter arrays, through
+# the row kernels of the simulator; the build_*_state functions are one-row
+# calls into them.
 
-
-def ws_mixer_hamiltonian(c: float) -> np.ndarray:
+def ws_mixer_hamiltonian(c) -> np.ndarray:
+    """Per-qubit warm-start mixer H(c); an array of c gives a stack of them."""
+    c = np.asarray(c, dtype=float)
     off = -2.0 * np.sqrt(c * (1.0 - c))
-    return np.array([[2.0 * c - 1.0, off], [off, 1.0 - 2.0 * c]], dtype=complex)
+    return _gate(2.0 * c - 1.0, off, off, 1.0 - 2.0 * c)
+
+
+def _check_interior(c) -> None:
+    c = np.asarray(c, dtype=float)
+    bad = c[~((c > 0.0) & (c < 1.0))]
+    if bad.size:
+        raise ValidationError(f"c={bad[0]} must lie strictly inside (0, 1); clip first")
+
+
+def _mixer_unitaries(hams: np.ndarray, betas) -> np.ndarray:
+    """exp(-i beta H) = cos(beta) I - i sin(beta) H, since H^2 = I; betas
+    broadcast against the leading axes of the (..., 2, 2) Hamiltonians."""
+    betas = np.asarray(betas)[..., None, None]
+    return np.cos(betas) * np.eye(2) - 1j * np.sin(betas) * hams
 
 
 def ws_mixer_unitary(c: float, beta: float) -> np.ndarray:
     """exp(-i beta H) for the per-qubit warm-start mixer H (H^2 = I)."""
-    if not 0.0 < c < 1.0:
-        raise ValidationError(f"c={c} must lie strictly inside (0, 1); clip first")
-    h = ws_mixer_hamiltonian(c)
-    return np.cos(beta) * np.eye(2) - 1j * np.sin(beta) * h
+    _check_interior(c)
+    return _mixer_unitaries(ws_mixer_hamiltonian(c), beta)
+
+
+def transverse_field(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard QAOA's per-qubit mixer Hamiltonian X and start |+...+>, as
+    one row each for :func:`qaoa_rows`; exp(-i beta X) = R_x(2 beta)."""
+    uniform = np.full((1, 2**n), 2.0 ** (-n / 2.0))
+    return np.broadcast_to(PAULI_X, (1, n, 2, 2)), uniform
+
+
+def warm_start_rows(warms: Sequence[WarmStart], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """ws-QAOA's per-qubit mixer Hamiltonians and R_y(theta_i) product
+    start state, one row per warm start, for :func:`qaoa_rows`."""
+    for w in warms:
+        if w.n != n:
+            raise ValidationError(f"warm start has {w.n} qubits but Hamiltonian has {n}")
+    c_star = np.stack([w.c_star for w in warms])
+    _check_interior(c_star)
+    thetas = np.stack([w.thetas for w in warms])
+    return ws_mixer_hamiltonian(c_star), vqe_rows(thetas[:, None], cnot_chain_perm(n))
+
+
+def qaoa_rows(
+    ising: IsingDiagonal,
+    hams: np.ndarray,
+    initial: np.ndarray,
+    betas: np.ndarray,
+    gammas: np.ndarray,
+) -> np.ndarray:
+    """Alternate exp(-i gamma H_C) and exp(-i beta H_q) on every qubit q,
+    starting from the rows of ``initial``; one state per row of the
+    (rows, p) angle arrays.  Row r uses the (n, 2, 2) mixer Hamiltonians
+    ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row."""
+    psi = initial
+    for layer in range(betas.shape[1]):
+        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising.energies)
+        mixers = _mixer_unitaries(hams, betas[:, layer, None])
+        for q in range(ising.n):
+            psi = apply_1q_rows(psi, q, mixers[:, q])
+    return psi
+
+
+def vqe_param_count(n: int, reps: int) -> int:
+    return n * (reps + 1)
+
+
+def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """R_y layer, then blocks of [CNOT chain, R_y layer], from |0...0>; one
+    real state per row of the (rows, reps + 1, n) angle array.  ``chain``
+    is ``cnot_chain_perm(n)``, built once by the caller.  With one layer
+    this is the warm-start product state of R_y(theta_i)."""
+    rows, layers, n = angles.shape
+    gates = ry(angles)
+    psi = np.zeros((rows, 2**n))
+    psi[:, 0] = 1.0
+    for layer in range(layers):
+        if layer:
+            psi = gather_rows(psi, chain)
+        for q in range(n):
+            psi = apply_1q_rows(psi, q, gates[:, layer, q])
+    return psi
+
+
+# single-state builders --------------------------------------------------------
+
+def build_qaoa_state(ising: IsingDiagonal, params: QaoaParams) -> Statevector:
+    """Alternate exp(-i gamma H_C) and R_x(2 beta) layers on |+...+>."""
+    psi = qaoa_rows(ising, *transverse_field(ising.n), params.betas[None], params.gammas[None])
+    return Statevector(n=ising.n, amps=psi[0])
 
 
 def build_ws_qaoa_state(
     ising: IsingDiagonal, ws: WarmStart, params: QaoaParams
 ) -> Statevector:
     """Warm-start circuit: R_y(theta_i) product state, then phased mixer layers."""
-    if ws.n != ising.n:
-        raise ValidationError(f"warm start has {ws.n} entries, diagonal has {ising.n}")
-    state = new_state(ising.n, "zeros")
-    for q in range(ising.n):
-        state = apply_1q(state, q, ry(ws.thetas[q]))
-    for beta, gamma in zip(params.betas, params.gammas):
-        state = apply_diagonal_phase(state, gamma, ising)
-        for q in range(ising.n):
-            state = apply_1q(state, q, ws_mixer_unitary(float(ws.c_star[q]), beta))
-    return state
-
-
-def vqe_param_count(n: int, reps: int) -> int:
-    return n * (reps + 1)
+    hams, initial = warm_start_rows([ws], ising.n)
+    psi = qaoa_rows(ising, hams, initial, params.betas[None], params.gammas[None])
+    return Statevector(n=ising.n, amps=psi[0])
 
 
 def build_vqe_state(n: int, params: VqeParams) -> Statevector:
@@ -142,13 +211,5 @@ def build_vqe_state(n: int, params: VqeParams) -> Statevector:
             f"expected {expected} angles for n={n}, reps={params.reps}; "
             f"got {params.angles.size}"
         )
-    angles = params.angles.reshape(params.reps + 1, n)
-    state = new_state(n, "zeros")
-    for q in range(n):
-        state = apply_1q(state, q, ry(angles[0, q]))
-    for layer in range(1, params.reps + 1):
-        for q in range(n - 1):
-            state = apply_cnot(state, q, q + 1)
-        for q in range(n):
-            state = apply_1q(state, q, ry(angles[layer, q]))
-    return state
+    psi = vqe_rows(params.angles.reshape(1, params.reps + 1, n), cnot_chain_perm(n))
+    return Statevector(n=n, amps=psi[0])

@@ -17,6 +17,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -26,6 +27,7 @@ from .ansatz import WarmStart
 from .errors import ValidationError
 from .graph_model import (
     Dataset,
+    IsingDiagonal,
     WeightedGraph,
     bits_from_index,
     cut_value,
@@ -34,15 +36,17 @@ from .graph_model import (
     qubo_from_graph,
 )
 from .optimizer import (
+    ExactSolution,
     SpsaConfig,
-    calibrate_step_gain,
+    calibrate_lockstep,
     exact_solve,
     make_ansatz,
-    make_objective,
-    spsa_minimize,
+    row_energies,
+    row_probabilities,
+    spsa_lockstep,
 )
 from .relaxation import RelaxConfig, clip_cstar, relax_qubo
-from .simulator import RNG_ID, expectation_diagonal, probabilities
+from .simulator import RNG_ID, expectation_rows
 
 ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
 
@@ -97,6 +101,13 @@ class RunConfig:
             )
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        for i, seed in enumerate(self.seeds):
+            # numpy's generators take only non-negative seeds; one bad seed
+            # would fail every seed that advances beside it
+            if seed < 0:
+                raise ValidationError(f"seed {seed} must be >= 0")
+            if seed in self.seeds[:i]:
+                raise ValidationError(f"seed {seed} appears more than once in seeds")
         if self.p < 1:
             raise ValidationError(f"p must be >= 1, got {self.p}")
         if self.vqe_reps < 0:
@@ -160,7 +171,9 @@ def load_dataset(
     )
     if not feature_cols:
         raise ValidationError(f"{path}: no feature columns")
-    for c in feature_cols:
+    for i, c in enumerate(feature_cols):
+        if c in feature_cols[:i]:
+            raise ValidationError(f"{path}: column {c!r} is selected more than once")
         if c not in header:
             raise ValidationError(
                 f"{path}: no column named {c!r} (available: {', '.join(header)})"
@@ -273,95 +286,129 @@ class RunRecord:
         return bitstring_str(self.bitstring_index, int(np.log2(self.probabilities.size)))
 
 
-def run_algorithm(
+@dataclass(frozen=True)
+class Problem:
+    """The max-cut instance of a dataset, built once and shared by every
+    run: the distance graph, its Ising diagonal and the exact solution."""
+
+    dataset: Dataset
+    graph: WeightedGraph
+    ising: IsingDiagonal
+    solution: ExactSolution
+
+
+def build_problem(dataset: Dataset) -> Problem:
+    graph = euclidean_weights(dataset)
+    ising = ising_from_graph(graph)
+    return Problem(dataset=dataset, graph=graph, ising=ising, solution=exact_solve(ising))
+
+
+def _stage_error(algorithm: str, seed: int, stage: str, exc: Exception) -> RuntimeError:
+    err = RuntimeError(f"{algorithm} run (seed {seed}) failed during {stage}: {exc}")
+    err.__cause__ = exc
+    return err
+
+
+def _warm_starts(
+    config: RunConfig, problem: Problem, seeds: tuple[int, ...], timings: dict
+) -> dict[int, WarmStart | Exception]:
+    """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
+    qubo = qubo_from_graph(problem.graph)
+    warms: dict[int, WarmStart | Exception] = {}
+    for seed in seeds:
+        t0 = time.perf_counter()
+        try:
+            relaxed = relax_qubo(qubo, dataclasses.replace(config.relax, seed=seed))
+            warms[seed] = WarmStart.from_cstar(clip_cstar(relaxed.c_star, config.relax.epsilon))
+        except Exception as exc:
+            warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
+        timings[seed]["relaxation"] = time.perf_counter() - t0
+    return warms
+
+
+def _optimize(
+    config: RunConfig,
+    algorithm: str,
+    problem: Problem,
+    seeds: tuple[int, ...],
+    warms: dict[int, WarmStart],
+) -> list[dict[str, Any] | Exception]:
+    """Optimization stage of every seed at once.
+
+    Returns, per seed, the error that ended it or the fields of its
+    RunRecord that this stage sets.  All seeds of a variational algorithm
+    advance through SPSA together; seed s starts from
+    ``default_rng([s, 1])`` and keeps its own streams, gain and best
+    point, so its result equals a run on its own.  The final states are
+    prepared as one batch too.
+    """
+    ising = problem.ising
+    if algorithm == "exact":
+        sol = problem.solution
+        probs = np.zeros(2**ising.n)
+        probs[list(sol.ground_states)] = 1.0 / len(sol.ground_states)
+        exact = {
+            "probabilities": probs,
+            "energy_expectation": sol.ground_energy,
+            "params": None,
+            "calibrated_a": None,
+            "evaluations": 2**ising.n,
+        }
+        return [exact] * len(seeds)
+    if not seeds:
+        return []
+
+    warm = [warms[s] for s in seeds] if algorithm == "ws-qaoa" else None
+    prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
+    objective = partial(row_energies, prepare, ising)
+    initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
+    calibrated = config.spsa.a is None
+    if calibrated:
+        gains = calibrate_lockstep(objective, initial, config.spsa, seeds)
+    else:
+        gains = [config.spsa.a] * len(seeds)
+    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa, seeds, gains)
+
+    done = np.array([s for s, r in enumerate(outcomes) if not isinstance(r, Exception)], dtype=int)
+    if not done.size:
+        return outcomes
+    best = np.array([outcomes[s].best_params for s in done])
+    probs = np.concatenate(list(row_probabilities(prepare, best, done, ising.n)))
+    for s, p, e in zip(done, probs, expectation_rows(probs, ising.energies)):
+        outcomes[s] = {
+            "probabilities": p,
+            "energy_expectation": float(e),
+            "params": outcomes[s].best_params,
+            "calibrated_a": gains[s] if calibrated else None,
+            "evaluations": outcomes[s].evaluations,
+        }
+    return outcomes
+
+
+def sample_run(
     config: RunConfig,
     algorithm: str,
     seed: int,
-    dataset: Dataset | None = None,
+    problem: Problem,
+    final: dict[str, Any],
+    timings: dict[str, float],
 ) -> RunRecord:
-    """Execute one solver end to end for one seed.
-
-    Stages and their wall times: graph_build (distances, Hamiltonian),
-    relaxation (warm start only), optimization (SPSA, or the exhaustive
-    scan for ``exact``), sampling (final-state measurement and scoring).
-    The record is reproducible from (config, seed); only the timings
-    vary between runs.
-    """
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
-    if dataset is None:
-        dataset = load_dataset(
-            resolve_dataset(config.dataset), config.columns, config.normalize
-        )
-
-    timings: dict[str, float] = {}
-    stage = "graph_build"
+    """Sampling stage of one run: measure the final state, score the most
+    probable bitstring and assemble the record with the fields ``final``
+    of the optimization stage."""
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
-        graph = euclidean_weights(dataset)
-        ising = ising_from_graph(graph)
-        n = graph.n
-        timings["graph_build"] = time.perf_counter() - t0
-
-        stage = "relaxation"
-        t0 = time.perf_counter()
-        warm = None
-        if algorithm == "ws-qaoa":
-            qubo = qubo_from_graph(graph)
-            relax_cfg = dataclasses.replace(config.relax, seed=seed)
-            relaxed = relax_qubo(qubo, relax_cfg)
-            warm = WarmStart.from_cstar(clip_cstar(relaxed.c_star, config.relax.epsilon))
-        timings["relaxation"] = time.perf_counter() - t0
-
-        stage = "optimization"
-        t0 = time.perf_counter()
-        params: np.ndarray | None
-        calibrated_a: float | None
-        if algorithm == "exact":
-            sol = exact_solve(ising)
-            probs = np.zeros(2**n)
-            probs[list(sol.ground_states)] = 1.0 / len(sol.ground_states)
-            energy_expectation = sol.ground_energy
-            params = None
-            calibrated_a = None
-            evaluations = 2**n
-        else:
-            objective, dim = make_objective(
-                algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps
-            )
-            init = np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim)
-            spsa_cfg = dataclasses.replace(config.spsa, seed=seed)
-            if spsa_cfg.a is None:
-                calibrated_a = calibrate_step_gain(objective, init, spsa_cfg)
-                spsa_cfg = dataclasses.replace(spsa_cfg, a=calibrated_a)
-            else:
-                calibrated_a = None
-            result = spsa_minimize(objective, init, spsa_cfg)
-            params = result.best_params
-            evaluations = result.evaluations
-            prepare, _ = make_ansatz(
-                algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps
-            )
-            state = prepare(params)
-            probs = probabilities(state)
-            energy_expectation = expectation_diagonal(state, ising)
-        timings["optimization"] = time.perf_counter() - t0
-
-        stage = "sampling"
-        t0 = time.perf_counter()
+        probs = final["probabilities"]
         counts = np.random.default_rng([seed, 2]).multinomial(config.shots, probs)
-        energy_sampled = float(counts @ ising.energies) / config.shots
+        energy_sampled = float(counts @ problem.ising.energies) / config.shots
         top = most_probable_index(probs)
-        labels = assign_clusters(top, n)
-        accuracy = (
-            cluster_accuracy(labels, dataset.labels) if dataset.labels is not None else None
-        )
-        objective_value = cut_value(graph, np.array(labels))
-        timings["sampling"] = time.perf_counter() - t0
+        labels = assign_clusters(top, problem.ising.n)
+        truth = problem.dataset.labels
+        accuracy = cluster_accuracy(labels, truth) if truth is not None else None
+        objective_value = cut_value(problem.graph, np.array(labels))
     except Exception as exc:
-        raise RuntimeError(
-            f"{algorithm} run (seed {seed}) failed during {stage}: {exc}"
-        ) from exc
+        raise _stage_error(algorithm, seed, "sampling", exc) from exc
+    timings["sampling"] = time.perf_counter() - t0
 
     return RunRecord(
         algorithm=algorithm,
@@ -369,15 +416,80 @@ def run_algorithm(
         bitstring_index=top,
         labels=labels,
         accuracy=accuracy,
-        energy_expectation=float(energy_expectation),
         energy_sampled=energy_sampled,
         solution_objective=float(objective_value),
-        probabilities=probs,
-        params=params,
-        calibrated_a=calibrated_a,
-        evaluations=evaluations,
         timings=timings,
+        **final,
     )
+
+
+def run_seeds(
+    config: RunConfig,
+    algorithm: str,
+    problem: Problem,
+    seeds: tuple[int, ...],
+    graph_build_s: float = 0.0,
+) -> list[RunRecord | Exception]:
+    """Run one solver for every seed, all seeds advancing together.
+
+    Returns one record, or the exception that ended the run, per seed.
+    Each record's timings hold its stages: graph_build (``graph_build_s``,
+    the run's share of building ``problem``), relaxation (warm start
+    only), optimization and sampling.  The optimization stage runs once
+    for the whole batch, so its time is split evenly across the seeds.
+    A record is reproducible from (config, seed); only the timings vary
+    between runs.
+    """
+    timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
+    outcomes: dict[int, Any] = {}
+    warms: dict[int, Any] = {}
+    if algorithm == "ws-qaoa":
+        warms = _warm_starts(config, problem, seeds, timings)
+        outcomes = {s: w for s, w in warms.items() if isinstance(w, Exception)}
+    live = tuple(s for s in seeds if s not in outcomes)
+
+    t0 = time.perf_counter()
+    try:
+        finals = _optimize(config, algorithm, problem, live, warms)
+    except Exception as exc:
+        finals = [exc] * len(live)
+    share = (time.perf_counter() - t0) / max(len(live), 1)
+
+    for seed, final in zip(live, finals):
+        if isinstance(final, Exception):
+            outcomes[seed] = _stage_error(algorithm, seed, "optimization", final)
+            continue
+        timings[seed]["optimization"] = share
+        try:
+            outcomes[seed] = sample_run(config, algorithm, seed, problem, final, timings[seed])
+        except Exception as exc:
+            outcomes[seed] = exc
+    return [outcomes[seed] for seed in seeds]
+
+
+def run_algorithm(
+    config: RunConfig,
+    algorithm: str,
+    seed: int,
+    dataset: Dataset | None = None,
+) -> RunRecord:
+    """Execute one solver end to end for one seed: a one-seed
+    :func:`run_seeds` on a problem built for it (its graph_build stage)."""
+    if algorithm not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algorithm!r}")
+    if dataset is None:
+        dataset = load_dataset(
+            resolve_dataset(config.dataset), config.columns, config.normalize
+        )
+    t0 = time.perf_counter()
+    try:
+        problem = build_problem(dataset)
+    except Exception as exc:
+        raise _stage_error(algorithm, seed, "graph_build", exc) from exc
+    (outcome,) = run_seeds(config, algorithm, problem, (seed,), time.perf_counter() - t0)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass
@@ -431,9 +543,12 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     dataset = load_dataset(path, config.columns, config.normalize)
     n = dataset.points.shape[0]
 
-    graph = euclidean_weights(dataset)
-    ising = ising_from_graph(graph)
-    sol = exact_solve(ising)
+    t0 = time.perf_counter()
+    problem = build_problem(dataset)
+    algorithms = config.selected_algorithms()
+    # every run shares the one build; each is charged an equal part
+    graph_build_s = (time.perf_counter() - t0) / (len(algorithms) * len(config.seeds))
+    sol = problem.solution
     exact_top = most_probable_index(
         np.isin(np.arange(2**n), sol.ground_states).astype(float)
     )
@@ -488,15 +603,14 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     timings: dict[str, Any] = {"per_run": {}}
     records: dict[str, list[RunRecord]] = {}
 
-    for algorithm in config.selected_algorithms():
+    for algorithm in algorithms:
         runs: list[RunRecord] = []
         failed: list[dict[str, Any]] = []
         timings["per_run"][algorithm] = {}
-        for seed in config.seeds:
-            try:
-                rec = run_algorithm(config, algorithm, seed, dataset=dataset)
-            except Exception as exc:
-                failed.append({"seed": seed, "error": str(exc)})
+        outcomes = run_seeds(config, algorithm, problem, config.seeds, graph_build_s)
+        for seed, rec in zip(config.seeds, outcomes):
+            if isinstance(rec, Exception):
+                failed.append({"seed": seed, "error": str(rec)})
                 continue
             runs.append(rec)
             timings["per_run"][algorithm][str(seed)] = rec.timings

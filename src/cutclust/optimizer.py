@@ -10,24 +10,25 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .ansatz import (
-    QaoaParams,
-    VqeParams,
     WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
+    qaoa_rows,
+    transverse_field,
     vqe_param_count,
+    vqe_rows,
+    warm_start_rows,
 )
 from .errors import EvaluationError, ValidationError
 from .graph_model import IsingDiagonal
-from .simulator import Statevector, expectation_diagonal
+from .simulator import cnot_chain_perm, expectation_rows, probability_rows, row_cap
 
 Objective = Callable[[np.ndarray], float]
+# (rows, dim) points and the seed slot of each row -> one value per row
+BatchObjective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,95 @@ def _check_finite(value: float, params: np.ndarray) -> float:
     return value
 
 
+def _one_seed(objective: Objective) -> BatchObjective:
+    """A scalar objective as a batch objective over its rows."""
+    return lambda points, owners: np.array([objective(x) for x in points])
+
+
+def _split(outcomes: list) -> Any:
+    """The single outcome of a one-seed lockstep run, raised if it failed."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _Lockstep:
+    """Seeds that advance together; a seed whose evaluation is non-finite
+    leaves the batch with its error and the others continue.  A seed whose
+    entry in ``inputs`` is already an exception takes no part."""
+
+    def __init__(self, objective: BatchObjective, inputs: Sequence):
+        self.objective = objective
+        self.errors = {s: x for s, x in enumerate(inputs) if isinstance(x, Exception)}
+        self.active = np.array([s for s in range(len(inputs)) if s not in self.errors], dtype=int)
+
+    def evaluate(self, *points: np.ndarray, at: tuple[np.ndarray, ...] | None = None):
+        """Values of every active seed at each of the (active, dim) point
+        sets, all in one batch.  A non-finite value is reported at the
+        matching set of ``at`` (default: the points), checking the sets in
+        order; the failed seeds are dropped and the rows of the surviving
+        seeds are returned, together with the mask of survivors."""
+        owners = np.tile(self.active, len(points))
+        values = np.asarray(self.objective(np.concatenate(points), owners), dtype=float)
+        values = values.reshape(len(points), -1)
+        keep = np.isfinite(values).all(axis=0)
+        for slot in np.flatnonzero(~keep):
+            for i, vals in enumerate(values):
+                where = (at or points)[i][slot]
+                try:
+                    _check_finite(vals[slot], where)
+                except EvaluationError as exc:
+                    self.errors[int(self.active[slot])] = exc
+                    break
+        self.active = self.active[keep]
+        return values[:, keep], keep
+
+
+def calibrate_lockstep(
+    objective: BatchObjective,
+    initial: np.ndarray,
+    config: SpsaConfig,
+    seeds: Sequence[int],
+    target_step: float = 0.1,
+    probes: int = 10,
+) -> list[float | EvaluationError]:
+    """:func:`calibrate_step_gain` for every seed at once.
+
+    Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed
+    draws its probes from its own stream, so its gain equals that of a
+    run on its own.  Returns one gain, or the error that ended the
+    seed's calibration, per seed.
+    """
+    if target_step <= 0:
+        raise ValidationError(f"target_step must be > 0, got {target_step}")
+    if probes < 1:
+        raise ValidationError(f"probes must be >= 1, got {probes}")
+    initial = np.asarray(initial, dtype=float)
+    rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
+    batch = _Lockstep(objective, seeds)
+    magnitudes = np.empty((len(seeds), probes))
+    for i in range(probes):
+        act = batch.active
+        if not act.size:
+            break
+        deltas = np.array([rngs[s].integers(0, 2, size=initial.shape[1]) * 2 - 1 for s in act])
+        start = initial[act]
+        (f_plus, f_minus), keep = batch.evaluate(
+            start + config.c * deltas, start - config.c * deltas, at=(start, start)
+        )
+        magnitudes[batch.active, i] = np.abs(f_plus - f_minus) / (2.0 * config.c)
+    scale = (config.resolved_stability() + 1.0) ** config.alpha
+    gains: list[float | EvaluationError] = []
+    for s in range(len(seeds)):
+        if s in batch.errors:
+            gains.append(batch.errors[s])
+            continue
+        mean_mag = float(magnitudes[s].mean())
+        gains.append(target_step * scale if mean_mag < 1e-12 else target_step * scale / mean_mag)
+    return gains
+
+
 def calibrate_step_gain(
     objective: Objective,
     initial: np.ndarray,
@@ -111,23 +201,86 @@ def calibrate_step_gain(
     magnitude of the gradient estimate.  Flat objectives fall back to a
     neutral gain instead of dividing by zero.
     """
-    if target_step <= 0:
-        raise ValidationError(f"target_step must be > 0, got {target_step}")
-    if probes < 1:
-        raise ValidationError(f"probes must be >= 1, got {probes}")
     initial = np.asarray(initial, dtype=float)
-    rng = np.random.default_rng([config.seed, 0x5CA1])
-    magnitudes = np.empty(probes)
-    for i in range(probes):
-        delta = rng.integers(0, 2, size=initial.size) * 2 - 1
-        f_plus = _check_finite(objective(initial + config.c * delta), initial)
-        f_minus = _check_finite(objective(initial - config.c * delta), initial)
-        magnitudes[i] = abs(f_plus - f_minus) / (2.0 * config.c)
-    mean_mag = float(magnitudes.mean())
-    scale = (config.resolved_stability() + 1.0) ** config.alpha
-    if mean_mag < 1e-12:
-        return target_step * scale
-    return target_step * scale / mean_mag
+    return _split(
+        calibrate_lockstep(
+            _one_seed(objective), initial[None], config, [config.seed], target_step, probes
+        )
+    )
+
+
+def spsa_lockstep(
+    objective: BatchObjective,
+    initial: np.ndarray,
+    config: SpsaConfig,
+    seeds: Sequence[int],
+    gains: Sequence[float],
+) -> list[OptimizerResult | EvaluationError]:
+    """:func:`spsa_minimize` for every seed at once.
+
+    Row s of ``initial`` is seed ``seeds[s]``'s start point and
+    ``gains[s]`` its step gain ``a``, or the error of its failed
+    calibration, which is then its outcome.  Each iteration evaluates the
+    ± points of every seed in one batch; each seed draws its perturbations
+    from its own stream and keeps its own best point, so its result equals
+    that of a run on its own.  Returns one result, or the error that ended
+    the seed's run, per seed.
+    """
+    params = np.array(initial, dtype=float)
+    if params.ndim != 2 or params.shape[1] == 0:
+        raise ValidationError(
+            f"initial params must be a non-empty vector, got shape {params.shape[1:]}"
+        )
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    stability = config.resolved_stability()
+    batch = _Lockstep(objective, gains)
+    gains = np.array([np.nan if s in batch.errors else g for s, g in enumerate(gains)])
+
+    best_params = params.copy()
+    best_value = np.full(len(seeds), np.inf)
+    trace = np.empty((len(seeds), config.max_iters + 1))
+
+    for k in range(config.max_iters):
+        if not batch.active.size:
+            break
+        a_k = gains / (stability + k + 1.0) ** config.alpha
+        c_k = config.c / (k + 1.0) ** config.gamma
+        act = batch.active
+        deltas = np.array([rngs[s].integers(0, 2, size=params.shape[1]) * 2 - 1 for s in act])
+        plus = params[act] + c_k * deltas
+        minus = params[act] - c_k * deltas
+        (f_plus, f_minus), keep = batch.evaluate(plus, minus)
+        act, plus, minus, deltas = act[keep], plus[keep], minus[keep], deltas[keep]
+        for values, points in ((f_plus, plus), (f_minus, minus)):
+            better = values < best_value[act]
+            best_value[act[better]] = values[better]
+            best_params[act[better]] = points[better]
+        trace[act, k] = np.minimum(f_plus, f_minus)
+        grad = ((f_plus - f_minus) / (2.0 * c_k))[:, None] * deltas.astype(float)
+        params[act] = params[act] - a_k[act, None] * grad
+
+    act = batch.active
+    if act.size:
+        (f_final,), keep = batch.evaluate(params[act])
+        act = act[keep]
+        trace[act, -1] = f_final
+        # ties go to the final iterate so an unmoved run reports its start
+        final = f_final <= best_value[act]
+        best_value[act[final]] = f_final[final]
+        best_params[act[final]] = params[act[final]]
+
+    return [
+        batch.errors[s]
+        if s in batch.errors
+        else OptimizerResult(
+            best_params=best_params[s].copy(),
+            best_value=float(best_value[s]),
+            evaluations=2 * config.max_iters + 1,
+            trace=trace[s].copy(),
+            capped=True,
+        )
+        for s in range(len(seeds))
+    ]
 
 
 def spsa_minimize(
@@ -148,48 +301,11 @@ def spsa_minimize(
         raise ValidationError(
             "config.a is unset; call calibrate_step_gain first or set it explicitly"
         )
-    params = np.asarray(initial, dtype=float).copy()
-    if params.ndim != 1 or params.size == 0:
-        raise ValidationError(f"initial params must be a non-empty vector, got shape {params.shape}")
-    rng = np.random.default_rng(config.seed)
-    stability = config.resolved_stability()
-
-    best_params = params.copy()
-    best_value = np.inf
-    trace = np.empty(config.max_iters + 1)
-    evaluations = 0
-
-    for k in range(config.max_iters):
-        a_k = config.a / (stability + k + 1.0) ** config.alpha
-        c_k = config.c / (k + 1.0) ** config.gamma
-        delta = rng.integers(0, 2, size=params.size) * 2 - 1
-        f_plus = _check_finite(objective(params + c_k * delta), params + c_k * delta)
-        f_minus = _check_finite(objective(params - c_k * delta), params - c_k * delta)
-        evaluations += 2
-        if f_plus < best_value:
-            best_value = f_plus
-            best_params = params + c_k * delta
-        if f_minus < best_value:
-            best_value = f_minus
-            best_params = params - c_k * delta
-        trace[k] = min(f_plus, f_minus)
-        grad = (f_plus - f_minus) / (2.0 * c_k) * delta.astype(float)
-        params = params - a_k * grad
-
-    f_final = _check_finite(objective(params), params)
-    evaluations += 1
-    trace[-1] = f_final
-    # ties go to the final iterate so an unmoved run reports its start
-    if f_final <= best_value:
-        best_value = f_final
-        best_params = params.copy()
-
-    return OptimizerResult(
-        best_params=best_params,
-        best_value=best_value,
-        evaluations=evaluations,
-        trace=trace,
-        capped=True,
+    initial = np.asarray(initial, dtype=float)
+    if initial.ndim != 1:
+        raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
+    return _split(
+        spsa_lockstep(_one_seed(objective), initial[None], config, [config.seed], [config.a])
     )
 
 
@@ -226,49 +342,69 @@ def make_ansatz(
     ising: IsingDiagonal,
     *,
     p: int = 1,
-    warm: WarmStart | None = None,
+    warm: WarmStart | Sequence[WarmStart] | None = None,
     vqe_reps: int = 5,
-) -> tuple[Callable[[np.ndarray], Statevector], int]:
-    """Map an algorithm name to its trial-state builder.
+) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
+    """Map an algorithm name to its row builder.
 
-    Returns ``(prepare, dimension)``, where ``prepare`` turns a flat
-    parameter vector into the final state.  QAOA and ws-QAOA take
-    ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked
+    Returns ``(prepare, dimension)``.  ``prepare(params, owners)`` turns a
+    (rows, dimension) parameter array into (rows, 2^n) amplitudes; row r
+    belongs to seed slot ``owners[r]``, which picks its warm start when
+    ``warm`` is a sequence with one warm start per slot.  QAOA and ws-QAOA
+    take ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked
     rotation angles.  This is the only place that knows which builder
     belongs to which algorithm.
     """
     if kind == "qaoa":
         dim = 2 * p
+        hams, initial = transverse_field(ising.n)
 
-        def prepare(params: np.ndarray) -> Statevector:
-            return build_qaoa_state(
-                ising, QaoaParams(betas=params[:p], gammas=params[p:])
-            )
+        def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:])
 
     elif kind == "ws-qaoa":
         if warm is None:
             raise ValidationError("ws-qaoa objective requires a warm start")
-        if warm.n != ising.n:
-            raise ValidationError(
-                f"warm start has {warm.n} qubits but Hamiltonian has {ising.n}"
-            )
+        # per-seed mixer Hamiltonians and start states, built once
+        hams, initial = warm_start_rows([warm] if isinstance(warm, WarmStart) else warm, ising.n)
         dim = 2 * p
 
-        def prepare(params: np.ndarray) -> Statevector:
-            return build_ws_qaoa_state(
-                ising, warm, QaoaParams(betas=params[:p], gammas=params[p:])
-            )
+        def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            return qaoa_rows(ising, hams[owners], initial[owners], params[:, :p], params[:, p:])
 
     elif kind == "vqe":
         dim = vqe_param_count(ising.n, vqe_reps)
+        chain = cnot_chain_perm(ising.n)
 
-        def prepare(params: np.ndarray) -> Statevector:
-            return build_vqe_state(ising.n, VqeParams(angles=params, reps=vqe_reps))
+        def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
+            return vqe_rows(params.reshape(len(params), vqe_reps + 1, ising.n), chain)
 
     else:
         raise ValidationError(f"unknown ansatz kind {kind!r}")
 
     return prepare, dim
+
+
+def row_probabilities(prepare, params: np.ndarray, owners: np.ndarray, n: int):
+    """Probabilities of the prepared rows, yielded in chunks of at most
+    ``row_cap(n)`` rows so that no kernel buffer outgrows one state at the
+    qubit cap."""
+    step = row_cap(n)
+    for lo in range(0, len(params), step):
+        yield probability_rows(prepare(params[lo : lo + step], owners[lo : lo + step]))
+
+
+def row_energies(
+    prepare, ising: IsingDiagonal, params: np.ndarray, owners: np.ndarray
+) -> np.ndarray:
+    """Exact energy of every prepared row: a batch objective once
+    ``prepare`` and ``ising`` are bound."""
+    return np.concatenate(
+        [
+            expectation_rows(probs, ising.energies)
+            for probs in row_probabilities(prepare, params, owners, ising.n)
+        ]
+    )
 
 
 def make_objective(
@@ -282,9 +418,10 @@ def make_objective(
     """Build the exact energy objective over a flat parameter vector.
 
     Returns ``(objective, dimension)``; the parameter layout is that of
-    :func:`make_ansatz`.
+    :func:`make_ansatz`.  Each call is a one-row batch.
     """
     prepare, dim = make_ansatz(kind, ising, p=p, warm=warm, vqe_reps=vqe_reps)
+    owner = np.zeros(1, dtype=int)
 
     def objective(params: np.ndarray) -> float:
         params = np.asarray(params, dtype=float)
@@ -292,6 +429,6 @@ def make_objective(
             raise ValidationError(
                 f"{kind} objective expects {dim} parameters, got shape {params.shape}"
             )
-        return expectation_diagonal(prepare(params), ising)
+        return float(row_energies(prepare, ising, params[None], owner)[0])
 
     return objective, dim

@@ -9,8 +9,10 @@ Conventions, fixed once and used everywhere:
   - sampling runs on numpy's PCG64 generator (RNG_ID below), so counts
     are reproducible from the seed alone.
 
-All operations are pure: they return a new Statevector and never mutate
-their input.
+All operations are pure: they return a new Statevector or array and never
+mutate their input.  The work is done by row kernels over (rows, 2^n)
+arrays, one state per row; the Statevector functions are one-row calls
+into them.
 """
 from __future__ import annotations
 
@@ -60,15 +62,26 @@ def new_state(n: int, init: str = "zeros", cap: int = QUBIT_CAP) -> Statevector:
 
 
 # 2x2 gate constructors -----------------------------------------------------
+#
+# rx and ry take a scalar angle or an array of angles; an array gives a
+# stack of gates of shape (..., 2, 2), one per angle.
 
-def rx(theta: float) -> np.ndarray:
+def _gate(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] stacked over the broadcast shape of the entries."""
+    top = np.stack(np.broadcast_arrays(a, b), axis=-1)
+    bottom = np.stack(np.broadcast_arrays(c, d), axis=-1)
+    return np.stack([top, bottom], axis=-2)
+
+
+def rx(theta) -> np.ndarray:
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+    return _gate(c, -1j * s, -1j * s, c)
 
 
-def ry(theta: float) -> np.ndarray:
+def ry(theta) -> np.ndarray:
+    """Real-valued: R_y keeps real amplitudes real."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _gate(c, -s, s, c)
 
 
 def rz(theta: float) -> np.ndarray:
@@ -80,19 +93,87 @@ def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
     return u.shape == (2, 2) and np.allclose(u.conj().T @ u, np.eye(2), atol=tol)
 
 
-# gate application ----------------------------------------------------------
+# row kernels ----------------------------------------------------------------
+#
+# A kernel acts on a C-contiguous (rows, 2^n) array: one state per row, real
+# or complex.  Row r of a batch rounds exactly like the same state run alone,
+# so batching is invisible in the results.  The single-state functions below
+# are one-row calls into these kernels.
+
+def row_cap(n: int) -> int:
+    """Most rows one kernel call takes: a batch holds no more amplitudes
+    than a single state at the qubit cap."""
+    return 2 ** max(QUBIT_CAP - n, 0)
+
+
+def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """Apply gate u[r] (shape (rows, 2, 2)) to the indexed qubit of row r."""
+    rows = psi.shape[0]
+    # view amplitudes as (row, high bits, target bit, low bits)
+    v = psi.reshape(rows, -1, 2, 1 << qubit)
+    a0, a1 = v[:, :, 0], v[:, :, 1]
+    first = u[:, 0, 0, None, None] * a0
+    out = np.empty(v.shape, first.dtype)
+    np.add(first, u[:, 0, 1, None, None] * a1, out=out[:, :, 0])
+    np.add(u[:, 1, 0, None, None] * a0, u[:, 1, 1, None, None] * a1, out=out[:, :, 1])
+    return out.reshape(rows, -1)
+
+
+def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
+    """Gather index of a CNOT: new[i] = old[perm[i]]."""
+    idx = np.arange(2**n)
+    return idx ^ (((idx >> control) & 1) << target)
+
+
+def cnot_chain_perm(n: int) -> np.ndarray:
+    """Gather index of the linear chain CNOT(0,1), CNOT(1,2), ..., CNOT(n-2,n-1)."""
+    perm = np.arange(2**n)
+    for q in range(n - 1):
+        perm = perm[cnot_perm(n, q, q + 1)]
+    return perm
+
+
+def gather_rows(psi: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Permute the amplitudes of every row.  ``np.take`` keeps the result
+    C-ordered; ``psi[:, perm]`` would not, and a strided row rounds its
+    expectation differently."""
+    return np.take(psi, perm, axis=1)
+
+
+def apply_diagonal_phase_rows(
+    psi: np.ndarray, gammas: np.ndarray, energies: np.ndarray
+) -> np.ndarray:
+    """Multiply amplitude[r, x] by exp(-i gammas[r] E(x))."""
+    return psi * np.exp(-1j * gammas[:, None] * energies)
+
+
+def probability_rows(psi: np.ndarray) -> np.ndarray:
+    return np.abs(psi) ** 2
+
+
+def expectation_rows(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """<H> per row of probabilities.  One 1-D dot per row: a matrix-vector
+    product sums in a different order and rounds differently."""
+    return np.array([row @ energies for row in probs])
+
+
+# single-state operations ----------------------------------------------------
+
+def _check_qubit(state: Statevector, qubit: int) -> None:
+    if not 0 <= qubit < state.n:
+        raise ValidationError(f"qubit {qubit} out of range for n={state.n}")
+
+
+def _check_diagonal(state: Statevector, ising: IsingDiagonal) -> None:
+    if state.n != ising.n:
+        raise ValidationError(f"state has {state.n} qubits, diagonal has {ising.n}")
+
 
 def apply_1q(state: Statevector, qubit: int, u: np.ndarray) -> Statevector:
     """Apply a single-qubit unitary to the indexed qubit."""
-    if not 0 <= qubit < state.n:
-        raise ValidationError(f"qubit {qubit} out of range for n={state.n}")
+    _check_qubit(state, qubit)
     u = np.asarray(u, dtype=complex)
-    # view amplitudes as (high bits, target bit, low bits)
-    a = state.amps.reshape(-1, 2, 2**qubit)
-    out = np.empty_like(a)
-    out[:, 0, :] = u[0, 0] * a[:, 0, :] + u[0, 1] * a[:, 1, :]
-    out[:, 1, :] = u[1, 0] * a[:, 0, :] + u[1, 1] * a[:, 1, :]
-    return Statevector(n=state.n, amps=out.reshape(-1))
+    return Statevector(n=state.n, amps=apply_1q_rows(state.amps[None], qubit, u[None])[0])
 
 
 def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
@@ -100,35 +181,31 @@ def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
     if control == target:
         raise ValidationError("control and target must differ")
     for q in (control, target):
-        if not 0 <= q < state.n:
-            raise ValidationError(f"qubit {q} out of range for n={state.n}")
-    idx = np.arange(2**state.n)
-    sel = (idx >> control) & 1 == 1
-    out = state.amps.copy()
-    out[idx[sel]] = state.amps[idx[sel] ^ (1 << target)]
-    return Statevector(n=state.n, amps=out)
+        _check_qubit(state, q)
+    perm = cnot_perm(state.n, control, target)
+    return Statevector(n=state.n, amps=gather_rows(state.amps[None], perm)[0])
 
 
 def apply_diagonal_phase(state: Statevector, gamma: float, ising: IsingDiagonal) -> Statevector:
     """Multiply amplitude[x] by exp(-i gamma E(x))."""
-    if state.n != ising.n:
-        raise ValidationError(f"state has {state.n} qubits, diagonal has {ising.n}")
-    return Statevector(n=state.n, amps=state.amps * np.exp(-1j * gamma * ising.energies))
+    _check_diagonal(state, ising)
+    gammas = np.array([gamma], dtype=float)
+    return Statevector(
+        n=state.n, amps=apply_diagonal_phase_rows(state.amps[None], gammas, ising.energies)[0]
+    )
 
 
 # measurement-side operations ------------------------------------------------
 
 def expectation_diagonal(state: Statevector, ising: IsingDiagonal) -> float:
     """<state| H |state> for a diagonal H."""
-    if state.n != ising.n:
-        raise ValidationError(f"state has {state.n} qubits, diagonal has {ising.n}")
-    probs = np.abs(state.amps) ** 2
-    return float(probs @ ising.energies)
+    _check_diagonal(state, ising)
+    return float(expectation_rows(probability_rows(state.amps[None]), ising.energies)[0])
 
 
 def probabilities(state: Statevector) -> np.ndarray:
     """|amplitude|^2 per basis index."""
-    return np.abs(state.amps) ** 2
+    return probability_rows(state.amps[None])[0]
 
 
 def sample_counts(state: Statevector, shots: int, seed: int) -> dict[str, int]:

@@ -116,6 +116,10 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset(p)
 
+    def test_repeated_column_named(self, cars_path):
+        with pytest.raises(ValidationError, match=r"cars\.csv: column 'hp' is selected more than once"):
+            load_dataset(cars_path, columns=("hp", "mpg", "hp"))
+
     def test_columns_recorded(self, cars_path):
         assert load_dataset(cars_path).columns == ("mpg", "hp", "wt")
         assert load_dataset(cars_path, columns=("wt", "mpg")).columns == ("wt", "mpg")
@@ -254,6 +258,15 @@ class TestRunConfig:
         with pytest.raises(ValidationError):
             RunConfig(dataset="cars", **kwargs)
 
+    def test_repeated_seed_named(self):
+        with pytest.raises(ValidationError, match="seed 3 appears more than once"):
+            RunConfig(dataset="cars", seeds=(3, 1, 3))
+
+    def test_negative_seed_named(self):
+        # it used to fail every run of that seed after the compute started
+        with pytest.raises(ValidationError, match="seed -2 must be >= 0"):
+            RunConfig(dataset="cars", seeds=(1, -2))
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -289,10 +302,14 @@ class TestRunBenchmark:
         assert report.payload["exact"]["max_cut"] > 0
 
     def test_repeated_seed_gives_identical_runs(self):
-        cfg = RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(7, 7),
-                        spsa=bench.SpsaConfig(max_iters=40))
-        report = run_benchmark(cfg)
-        r1, r2 = report.payload["algorithms"]["ws-qaoa"]["runs"]
+        # a seed's run does not depend on the seeds advancing beside it
+        spsa = bench.SpsaConfig(max_iters=40)
+        alone = run_benchmark(RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(7,), spsa=spsa))
+        beside = run_benchmark(
+            RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(3, 7, 5), spsa=spsa)
+        )
+        (r1,) = alone.payload["algorithms"]["ws-qaoa"]["runs"]
+        r2 = beside.payload["algorithms"]["ws-qaoa"]["runs"][1]
         assert r1 == r2
 
     def test_median_and_representative(self, small_report):
@@ -307,14 +324,14 @@ class TestRunBenchmark:
         assert rep["energy_expectation"] == block["median_energy_expectation"]
 
     def test_failed_run_recorded_report_still_emitted(self, monkeypatch, tmp_path):
-        real = bench.run_algorithm
+        real = bench.sample_run
 
-        def flaky(config, algorithm, seed, dataset=None):
+        def flaky(config, algorithm, seed, *args):
             if seed == 2:
                 raise RuntimeError("injected failure")
-            return real(config, algorithm, seed, dataset=dataset)
+            return real(config, algorithm, seed, *args)
 
-        monkeypatch.setattr(bench, "run_algorithm", flaky)
+        monkeypatch.setattr(bench, "sample_run", flaky)
         cfg = RunConfig(dataset="cars", algorithm="qaoa", seeds=(1, 2, 3),
                         spsa=bench.SpsaConfig(max_iters=30))
         report = run_benchmark(cfg)
@@ -323,6 +340,34 @@ class TestRunBenchmark:
         assert block["failed"] == [{"seed": 2, "error": "injected failure"}]
         files = emit_report(report, tmp_path / "out")
         assert (tmp_path / "out" / "report.json") in files
+
+    def test_non_finite_seed_fails_alone(self, monkeypatch):
+        # seeds advance in one batch; seed 2's rows turn NaN and only
+        # seed 2 fails, with the stage named, while 1 and 3 complete
+        cfg = RunConfig(dataset="cars", algorithm="vqe", seeds=(1, 2, 3),
+                        spsa=bench.SpsaConfig(max_iters=30))
+        clean = run_benchmark(cfg).payload["algorithms"]["vqe"]["runs"]
+        real = bench.row_energies
+
+        def poisoned(prepare, ising, points, owners):
+            values = real(prepare, ising, points, owners)
+            values[owners == 1] = np.nan  # slot 1 is seed 2
+            return values
+
+        monkeypatch.setattr(bench, "row_energies", poisoned)
+        block = run_benchmark(cfg).payload["algorithms"]["vqe"]
+        assert block["runs"] == [clean[0], clean[2]]
+        (failure,) = block["failed"]
+        assert failure["seed"] == 2
+        assert failure["error"].startswith(
+            "vqe run (seed 2) failed during optimization: objective returned non-finite value nan"
+        )
+
+    def test_stage_times_split_evenly_across_the_batch(self, small_report):
+        _, report = small_report
+        for algorithm, per_seed in report.timings["per_run"].items():
+            for stage in ("graph_build", "optimization"):
+                assert len({t[stage] for t in per_seed.values()}) == 1, (algorithm, stage)
 
     def test_quoted_header_columns_recorded_as_read(self, tmp_path):
         p = write_csv(tmp_path, '"x,y",b,label\n0.0,1.0,0\n2.0,0.5,1\n1.0,3.0,0\n')

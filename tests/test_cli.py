@@ -98,6 +98,18 @@ class TestExitCodes:
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1
 
+    def test_repeated_column_is_validation_error(self, tmp_path, capsys):
+        # mpg,mpg used to run and read mpg twice, moving the max cut
+        assert main(run_args(tmp_path, "--algo", "exact", "--columns", "mpg,mpg")) == 1
+        err = capsys.readouterr().err
+        assert "cars.csv" in err and "'mpg'" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_repeated_seed_rejected_before_compute(self, tmp_path, capsys):
+        assert main(run_args(tmp_path, "--seeds", "1,2,1")) == 1
+        assert "seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
         # 15 rows exceed the statevector cap: every run fails at
         # graph build, which is a runtime failure, not bad input

@@ -14,9 +14,13 @@ from cutclust.graph_model import WeightedGraph, ising_from_graph
 from cutclust.optimizer import (
     ExactSolution,
     SpsaConfig,
+    calibrate_lockstep,
     calibrate_step_gain,
     exact_solve,
+    make_ansatz,
     make_objective,
+    row_energies,
+    spsa_lockstep,
     spsa_minimize,
 )
 from cutclust.simulator import expectation_diagonal, new_state
@@ -335,3 +339,97 @@ class TestSpsaOnEnergy:
         assert res.best_value < start
         # p=1 on a single edge can reach the ground state exactly
         assert res.best_value == pytest.approx(-1.0, abs=1e-2)
+
+
+class TestLockstep:
+    """Seeds advancing together give each seed exactly its lone result."""
+
+    seeds = (4, 9, 1, 7)
+
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.ising = ising_from_graph(random_graph(rng, 4))
+        self.warms = [WarmStart.from_cstar(rng.uniform(0.1, 0.9, 4)) for _ in self.seeds]
+
+    def batch(self, kind):
+        prepare, dim = make_ansatz(kind, self.ising, p=2, warm=self.warms, vqe_reps=2)
+        initial = np.array([np.random.default_rng([s, 1]).uniform(-0.1, 0.1, dim) for s in self.seeds])
+        return (lambda points, owners: row_energies(prepare, self.ising, points, owners)), initial
+
+    def alone(self, kind, slot):
+        objective, _ = make_objective(kind, self.ising, p=2, warm=self.warms[slot], vqe_reps=2)
+        return objective
+
+    @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
+    def test_calibration_equals_sequential_runs(self, kind):
+        objective, initial = self.batch(kind)
+        cfg = SpsaConfig(max_iters=30)
+        gains = calibrate_lockstep(objective, initial, cfg, self.seeds)
+        for slot, seed in enumerate(self.seeds):
+            lone = calibrate_step_gain(
+                self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, seed=seed)
+            )
+            assert gains[slot] == lone
+
+    @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
+    def test_spsa_equals_sequential_runs(self, kind):
+        objective, initial = self.batch(kind)
+        cfg = SpsaConfig(max_iters=30)
+        gains = [0.05, 0.2, 0.1, 0.3]
+        results = spsa_lockstep(objective, initial, cfg, self.seeds, gains)
+        for slot, seed in enumerate(self.seeds):
+            lone = spsa_minimize(
+                self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, a=gains[slot], seed=seed)
+            )
+            got = results[slot]
+            assert np.array_equal(got.best_params, lone.best_params)
+            assert got.best_value == lone.best_value
+            assert np.array_equal(got.trace, lone.trace)
+            assert got.evaluations == lone.evaluations == 61
+
+    def test_non_finite_row_fails_only_its_seed(self):
+        # seed slot 1's 12th evaluation (the minus point of iteration 5)
+        # is infinite; the error is the one a lone run raises, and the
+        # other seeds are unaffected
+        objective, initial = self.batch("qaoa")
+        calls = {"n": 0}
+
+        def poisoned(points, owners):
+            values = objective(points, owners)
+            hit = np.flatnonzero(owners == 1)  # its plus row, then its minus row
+            calls["n"] += hit.size
+            if hit.size and calls["n"] >= 12:
+                values[hit[-1]] = np.inf
+            return values
+
+        cfg = SpsaConfig(max_iters=20)
+        results = spsa_lockstep(poisoned, initial, cfg, self.seeds, [0.1] * 4)
+        clean = spsa_lockstep(objective, initial, cfg, self.seeds, [0.1] * 4)
+        assert isinstance(results[1], EvaluationError)
+        lone_calls = {"n": 0}
+
+        def lone(x):
+            lone_calls["n"] += 1
+            return np.inf if lone_calls["n"] >= 12 and lone_calls["n"] % 2 == 0 else self.alone("qaoa", 1)(x)
+
+        with pytest.raises(EvaluationError) as exc:
+            spsa_minimize(lone, initial[1], SpsaConfig(max_iters=20, a=0.1, seed=self.seeds[1]))
+        assert str(results[1]) == str(exc.value)
+        assert "non-finite value inf" in str(results[1])
+        for slot in (0, 2, 3):
+            assert np.array_equal(results[slot].best_params, clean[slot].best_params)
+            assert np.array_equal(results[slot].trace, clean[slot].trace)
+
+    def test_non_finite_calibration_fails_only_its_seed(self):
+        objective, initial = self.batch("vqe")
+
+        def poisoned(points, owners):
+            values = objective(points, owners)
+            values[owners == 2] = np.nan
+            return values
+
+        gains = calibrate_lockstep(poisoned, initial, SpsaConfig(), self.seeds)
+        clean = calibrate_lockstep(objective, initial, SpsaConfig(), self.seeds)
+        assert isinstance(gains[2], EvaluationError)
+        assert "non-finite value nan" in str(gains[2])
+        assert [g for i, g in enumerate(gains) if i != 2] == [g for i, g in enumerate(clean) if i != 2]
