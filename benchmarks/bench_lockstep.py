@@ -1,13 +1,13 @@
 """Before/after measurements for the row kernels and seed-lockstep SPSA.
 
-    python3 benchmarks/bench_lockstep.py --before DIR [--repeats 5] [--out BENCH_lockstep.json]
+    python3 benchmarks/bench_lockstep.py --before DIR [--out BENCH_lockstep.json]
 
 DIR is a checkout of the code to compare against (for example made with
 ``git clone`` and ``git checkout <commit>``); the "after" side is the
 checkout this script lives in.  Two kinds of figure are written:
 
 - end to end: for every workload of ``perfbench/run.py`` and each side,
-  ``--repeats`` interleaved runs of ``perfbench/run.py --trace 0``; each
+  REPEATS interleaved runs of ``perfbench/run.py --trace 0``; each
   run's medians of ``wall_s``, ``setup_s`` and ``peak_anon_mb`` are kept
   and their median is reported, with every run's correctness verdict;
 - per evaluation: microseconds of one exact-energy evaluation of each
@@ -15,7 +15,10 @@ checkout this script lives in.  Two kinds of figure are written:
   ``make_objective`` call on both sides and, on the after side, per row
   of a lockstep batch of 20 rows (split into chunks of the row cap);
   the fastest of PROBE_RUNS probe processes, alternating sides, each
-  keeping the best of 5 timing loops.
+  keeping the best of PROBE_LOOPS timing loops.  Within a process the
+  one-row and batched loops alternate and evaluate the same number of
+  points, so neither is favoured by drift or by taking its minimum over
+  shorter loops.
 
 Timing uses ``time.perf_counter`` only; every measurement runs in a
 fresh process with ``OPENBLAS_NUM_THREADS=1``.  Both source trees are
@@ -43,6 +46,9 @@ QUBITS = (5, 6, 10, 14)
 KINDS = ("qaoa", "ws-qaoa", "vqe")
 BATCH_ROWS = 20
 PROBE_RUNS = 4
+PROBE_LOOPS = 7
+# interleaved before/after pairs per workload; a gain needs ten to show
+REPEATS = 10
 
 # runs in a child with the side's src/ first on sys.path; prints one JSON
 # object {kind: {n: {"one_row": us, "batched": us or None}}}
@@ -51,19 +57,20 @@ import json, sys, time
 import numpy as np
 from cutclust import WarmStart, WeightedGraph, ising_from_graph, make_objective
 
-def best_us(fn, calls):
-    times = []
-    for _ in range(5):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        times.append((time.perf_counter() - t0) / calls)
-    return min(times) * 1e6
-
 try:
     from cutclust.optimizer import make_ansatz, row_energies
 except ImportError:
     make_ansatz = None
+
+def best_us(fns, evals):
+    # alternate the timing loops of the functions so drift hits them alike
+    times = [[] for _ in fns]
+    for _ in range(LOOPS):
+        for fn, ts in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            ts.append(time.perf_counter() - t0)
+    return [min(ts) / evals * 1e6 for ts in times]
 
 out = {}
 for kind in KINDS:
@@ -75,14 +82,15 @@ for kind in KINDS:
         warms = [WarmStart.from_cstar(rng.uniform(0.1, 0.9, n)) for _ in range(ROWS)]
         objective, dim = make_objective(kind, ising, warm=warms[0])
         params = rng.uniform(-0.1, 0.1, size=(ROWS, dim))
-        calls = max(2, 2**12 // 2**n)
-        entry = {"one_row": best_us(lambda: objective(params[0]), calls), "batched": None}
+        batches = max(1, 2**11 // 2**n)
+        # both loops evaluate the same batches * ROWS points
+        fns = [lambda: [objective(x) for _ in range(batches) for x in params]]
         if make_ansatz is not None:
             prepare, _ = make_ansatz(kind, ising, warm=warms if kind == "ws-qaoa" else None)
             owners = np.arange(ROWS)
-            batch = lambda: row_energies(prepare, ising, params, owners)
-            entry["batched"] = best_us(batch, max(1, calls // ROWS)) / ROWS
-        out[kind][str(n)] = entry
+            fns.append(lambda: [row_energies(prepare, ising, params, owners) for _ in range(batches)])
+        us = best_us(fns, batches * ROWS)
+        out[kind][str(n)] = {"one_row": us[0], "batched": us[1] if len(us) > 1 else None}
 print(json.dumps(out))
 """
 
@@ -109,7 +117,10 @@ def perfbench_run(root: Path, workload: str) -> dict:
 
 
 def kernel_probe(root: Path) -> dict:
-    code = f"KINDS = {KINDS!r}\nQUBITS = {QUBITS!r}\nROWS = {BATCH_ROWS}\n" + KERNEL_PROBE
+    code = (
+        f"KINDS = {KINDS!r}\nQUBITS = {QUBITS!r}\nROWS = {BATCH_ROWS}\nLOOPS = {PROBE_LOOPS}\n"
+        + KERNEL_PROBE
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
         env=child_env(root / "src"), check=True,
@@ -144,7 +155,6 @@ def machine() -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True, type=Path, help="checkout to compare against")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path, default=AFTER / "BENCH_lockstep.json")
     args = parser.parse_args()
     sides = {"before": args.before.resolve(), "after": AFTER}
@@ -152,7 +162,7 @@ def main() -> int:
         compileall.compile_dir(root / "src", quiet=1)
 
     runs: dict = {w: {side: [] for side in sides} for w in WORKLOADS}
-    for r in range(args.repeats):
+    for r in range(REPEATS):
         for workload in WORKLOADS:
             # alternate which side goes first so drift does not favour one
             for side in (sides if r % 2 == 0 else reversed(list(sides))):
@@ -193,12 +203,12 @@ def main() -> int:
 
     report = {
         "topic": "lockstep",
-        "command": "python3 benchmarks/bench_lockstep.py --before DIR --repeats "
-        f"{args.repeats}",
+        "command": "python3 benchmarks/bench_lockstep.py --before DIR",
         "machine": machine(),
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "statistic": "end_to_end: median over repeats of each perfbench/run.py call's median; "
-        f"per_eval_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of 5 loops",
+        f"per_eval_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
+        f"{PROBE_LOOPS} alternating loops",
         "end_to_end": end_to_end,
         "per_eval_us": per_eval,
         "batch_rows": BATCH_ROWS,

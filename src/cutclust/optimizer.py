@@ -387,8 +387,8 @@ def make_ansatz(
 
 def row_probabilities(prepare, params: np.ndarray, owners: np.ndarray, n: int):
     """Probabilities of the prepared rows, yielded in chunks of at most
-    ``row_cap(n)`` rows so that no kernel buffer outgrows one state at the
-    qubit cap."""
+    ``row_cap(n)`` rows so that no kernel buffer outgrows half a state at
+    the qubit cap."""
     step = row_cap(n)
     for lo in range(0, len(params), step):
         yield probability_rows(prepare(params[lo : lo + step], owners[lo : lo + step]))
