@@ -23,10 +23,11 @@ from .graph_model import IsingDiagonal
 from .simulator import (
     Statevector,
     _gate,
-    apply_1q_rows,
     apply_diagonal_phase_rows,
+    apply_layer_rows,
     cnot_chain_perm,
     gather_rows,
+    product_rows,
     ry,
 )
 
@@ -151,17 +152,18 @@ def qaoa_rows(
     initial: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
+    mirrored: bool = False,
 ) -> np.ndarray:
     """Alternate exp(-i gamma H_C) and exp(-i beta H_q) on every qubit q,
     starting from the rows of ``initial``; one state per row of the
     (rows, p) angle arrays.  Row r uses the (n, 2, 2) mixer Hamiltonians
-    ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row."""
+    ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row.
+    ``mirrored`` is :func:`~cutclust.simulator.is_mirrored` of the
+    energies, checked once by the caller."""
     psi = initial
     for layer in range(betas.shape[1]):
-        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising.energies)
-        mixers = _mixer_unitaries(hams, betas[:, layer, None])
-        for q in range(ising.n):
-            psi = apply_1q_rows(psi, q, mixers[:, q])
+        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising.energies, mirrored)
+        psi = apply_layer_rows(psi, _mixer_unitaries(hams, betas[:, layer, None]))
     return psi
 
 
@@ -173,16 +175,12 @@ def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """R_y layer, then blocks of [CNOT chain, R_y layer], from |0...0>; one
     real state per row of the (rows, reps + 1, n) angle array.  ``chain``
     is ``cnot_chain_perm(n)``, built once by the caller.  With one layer
-    this is the warm-start product state of R_y(theta_i)."""
-    rows, layers, n = angles.shape
+    this is the warm-start product state of R_y(theta_i), which is built
+    from the first column of each gate."""
     gates = ry(angles)
-    psi = np.zeros((rows, 2**n))
-    psi[:, 0] = 1.0
-    for layer in range(layers):
-        if layer:
-            psi = gather_rows(psi, chain)
-        for q in range(n):
-            psi = apply_1q_rows(psi, q, gates[:, layer, q])
+    psi = product_rows(gates[:, 0, :, :, 0])
+    for layer in range(1, angles.shape[1]):
+        psi = apply_layer_rows(gather_rows(psi, chain), gates[:, layer])
     return psi
 
 

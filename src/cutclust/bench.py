@@ -314,11 +314,14 @@ def _warm_starts(
 ) -> dict[int, WarmStart | Exception]:
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
+    # seeds fewer than config.relax.restarts apart share restarts; each
+    # distinct start is ascended once, in the run of the first seed using it
+    ascents: dict[int, tuple] = {}
     warms: dict[int, WarmStart | Exception] = {}
     for seed in seeds:
         t0 = time.perf_counter()
         try:
-            relaxed = relax_qubo(qubo, dataclasses.replace(config.relax, seed=seed))
+            relaxed = relax_qubo(qubo, dataclasses.replace(config.relax, seed=seed), ascents)
             warms[seed] = WarmStart.from_cstar(clip_cstar(relaxed.c_star, config.relax.epsilon))
         except Exception as exc:
             warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
@@ -524,10 +527,10 @@ def _run_dict(rec: RunRecord) -> dict[str, Any]:
         "energy_expectation": rec.energy_expectation,
         "energy_sampled": rec.energy_sampled,
         "solution_objective": rec.solution_objective,
-        "params": None if rec.params is None else [float(v) for v in rec.params],
+        "params": None if rec.params is None else rec.params.tolist(),
         "calibrated_a": rec.calibrated_a,
         "evaluations": rec.evaluations,
-        "probabilities": [float(v) for v in rec.probabilities],
+        "probabilities": rec.probabilities.tolist(),
     }
 
 
@@ -647,11 +650,47 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _write_json(fh, obj: Any, level: int = 0) -> None:
+    """Write ``obj`` to ``fh`` exactly as ``json.dumps(obj, indent=2,
+    sort_keys=True, default=_json_default)`` formats it, in pieces.
+
+    With an indent, ``json.dumps`` runs the pure-Python encoder and holds
+    every piece of the document at once; here a list of floats goes
+    through the C encoder in one call and is split onto its lines, and
+    the rest is written as it is walked."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key in sorted(obj):
+            if not isinstance(key, (str, int, float, type(None))):
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
+            # json.dumps(key) is how json spells a non-string key too
+            name = key if isinstance(key, str) else json.dumps(key)
+            fh.write(sep + pad + json.dumps(name) + ": ")
+            _write_json(fh, obj[key], level + 1)
+            sep = ","
+        fh.write(pad[:-2] + "}")
+    elif isinstance(obj, (list, tuple)) and obj:
+        if all(type(v) is float for v in obj):
+            # a float's repr holds no ", ", so the separators split it
+            fh.write("[" + pad + json.dumps(obj)[1:-1].replace(", ", "," + pad) + pad[:-2] + "]")
+            return
+        sep = "["
+        for v in obj:
+            fh.write(sep + pad)
+            _write_json(fh, v, level + 1)
+            sep = ","
+        fh.write(pad[:-2] + "]")
+    else:
+        fh.write(json.dumps(obj, default=_json_default))
+
+
 def _dump_json(data: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_json(fh, data)
+        fh.write("\n")
 
 
 def _table_rows(report: BenchmarkReport) -> tuple[list[str], list[list[str]]]:
@@ -727,20 +766,19 @@ def emit_report(
             writer.writerow(header)
             writer.writerows(rows)
         written.append(table)
+        n = report.payload["dataset"]["n_rows"]
+        bitstrings = [bitstring_str(k, n) for k in range(2**n)]
         for a, block in report.payload["algorithms"].items():
             if not block["runs"]:
                 continue
             rep = next(
                 r for r in block["runs"] if r["seed"] == block["representative_seed"]
             )
-            probs = rep["probabilities"]
-            n = report.payload["dataset"]["n_rows"]
             hist = out / f"histogram_{a}.csv"
             with open(hist, "w", newline="", encoding="utf-8") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["bitstring", "probability"])
-                for k, pk in enumerate(probs):
-                    writer.writerow([bitstring_str(k, n), repr(pk)])
+                writer.writerows(zip(bitstrings, map(repr, rep["probabilities"])))
             written.append(hist)
 
     if "md" in formats:

@@ -24,7 +24,13 @@ from .ansatz import (
 )
 from .errors import EvaluationError, ValidationError
 from .graph_model import IsingDiagonal
-from .simulator import cnot_chain_perm, expectation_rows, probability_rows, row_cap
+from .simulator import (
+    cnot_chain_perm,
+    expectation_rows,
+    is_mirrored,
+    probability_rows,
+    row_cap,
+)
 
 Objective = Callable[[np.ndarray], float]
 # (rows, dim) points and the seed slot of each row -> one value per row
@@ -95,6 +101,24 @@ def _check_finite(value: float, params: np.ndarray) -> float:
             f"objective returned non-finite value {value!r} at params {params.tolist()}"
         )
     return value
+
+
+# iterations whose perturbations a seed draws in one call: one draw per
+# iteration cost about 13 us per seed, and a bounded block keeps a long run
+# from holding all of its draws at once (timings in BENCH_layers.json)
+DRAW_BLOCK = 64
+
+
+def _signs(rngs: Sequence[np.random.Generator], active: np.ndarray, count: int, dim: int):
+    """The next ``count`` Rademacher vectors of each active seed s, drawn
+    from ``rngs[s]`` in one call, as rows s of a (seeds, count, dim) array
+    (the rows of the other seeds are left unset).  PCG64 keeps the spare
+    half of a 64-bit draw in the generator, so one call of size
+    (count, dim) returns the values of ``count`` calls of size ``dim``."""
+    out = np.empty((len(rngs), count, dim), dtype=np.int64)
+    for s in active:
+        out[s] = rngs[s].integers(0, 2, size=(count, dim)) * 2 - 1
+    return out
 
 
 def _one_seed(objective: Objective) -> BatchObjective:
@@ -169,7 +193,9 @@ def calibrate_lockstep(
         act = batch.active
         if not act.size:
             break
-        deltas = np.array([rngs[s].integers(0, 2, size=initial.shape[1]) * 2 - 1 for s in act])
+        if i % DRAW_BLOCK == 0:
+            signs = _signs(rngs, act, min(DRAW_BLOCK, probes - i), initial.shape[1])
+        deltas = signs[act, i % DRAW_BLOCK]
         start = initial[act]
         (f_plus, f_minus), keep = batch.evaluate(
             start + config.c * deltas, start - config.c * deltas, at=(start, start)
@@ -246,7 +272,9 @@ def spsa_lockstep(
         a_k = gains / (stability + k + 1.0) ** config.alpha
         c_k = config.c / (k + 1.0) ** config.gamma
         act = batch.active
-        deltas = np.array([rngs[s].integers(0, 2, size=params.shape[1]) * 2 - 1 for s in act])
+        if k % DRAW_BLOCK == 0:
+            signs = _signs(rngs, act, min(DRAW_BLOCK, config.max_iters - k), params.shape[1])
+        deltas = signs[act, k % DRAW_BLOCK]
         plus = params[act] + c_k * deltas
         minus = params[act] - c_k * deltas
         (f_plus, f_minus), keep = batch.evaluate(plus, minus)
@@ -355,12 +383,14 @@ def make_ansatz(
     rotation angles.  This is the only place that knows which builder
     belongs to which algorithm.
     """
+    # for the QAOA phase layers: checked once here, not on every layer
+    mirrored = is_mirrored(ising.energies)
     if kind == "qaoa":
         dim = 2 * p
         hams, initial = transverse_field(ising.n)
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:])
+            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:], mirrored)
 
     elif kind == "ws-qaoa":
         if warm is None:
@@ -370,7 +400,9 @@ def make_ansatz(
         dim = 2 * p
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            return qaoa_rows(ising, hams[owners], initial[owners], params[:, :p], params[:, p:])
+            return qaoa_rows(
+                ising, hams[owners], initial[owners], params[:, :p], params[:, p:], mirrored
+            )
 
     elif kind == "vqe":
         dim = vqe_param_count(ising.n, vqe_reps)

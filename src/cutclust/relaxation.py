@@ -76,17 +76,30 @@ def _ascend(qubo: QuboProblem, x0: np.ndarray, config: RelaxConfig):
     return x, fx, True
 
 
-def relax_qubo(qubo: QuboProblem, config: RelaxConfig | None = None) -> RelaxResult:
-    """Best point over multi-start projected gradient ascent on [0,1]^n."""
+def relax_qubo(
+    qubo: QuboProblem,
+    config: RelaxConfig | None = None,
+    ascents: dict[int, tuple] | None = None,
+) -> RelaxResult:
+    """Best point over multi-start projected gradient ascent on [0,1]^n.
+
+    Restart r starts from ``default_rng(config.seed + r)``, so runs whose
+    seeds lie fewer than ``restarts`` apart share starts.  ``ascents``
+    holds the ascent from each start seed already run; give every run of
+    one problem and one config (up to its seed) the same dict, and each
+    distinct start is ascended once.
+    """
     config = config or RelaxConfig()
+    ascents = {} if ascents is None else ascents
     best_x, best_f, best_capped = None, -np.inf, False
-    for restart in range(config.restarts):
-        rng = np.random.default_rng(config.seed + restart)
-        x0 = rng.uniform(0.0, 1.0, size=qubo.n)
-        x, fx, capped = _ascend(qubo, x0, config)
+    for start in range(config.seed, config.seed + config.restarts):
+        if start not in ascents:
+            x0 = np.random.default_rng(start).uniform(0.0, 1.0, size=qubo.n)
+            ascents[start] = _ascend(qubo, x0, config)
+        x, fx, capped = ascents[start]
         if fx > best_f:
             best_x, best_f, best_capped = x, fx, capped
-    return RelaxResult(c_star=best_x, objective=best_f, capped=best_capped)
+    return RelaxResult(c_star=best_x.copy(), objective=best_f, capped=best_capped)
 
 
 def clip_cstar(c_star, epsilon: float) -> np.ndarray:

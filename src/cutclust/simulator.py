@@ -123,6 +123,59 @@ def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     return out.reshape(rows, -1)
 
 
+# A gate on qubit q pairs amplitudes 2^q apart, so numpy's inner loop over
+# the low bits is only 2^q long: at 14 qubits a gate on qubits 1-3 costs 1.5-4x
+# one on a higher qubit.  On states of at least LONG_LOOP_QUBITS qubits the
+# layer kernel runs the gates on the LOW_QUBITS lowest qubits on a copy whose
+# low bits are moved to the top of the index.  Both values are set from the
+# per-qubit gate and per-layer timings under "constants" in BENCH_layers.json:
+# at 6 qubits moving the bits gains nothing, from 7 on it does.
+LOW_QUBITS = 4
+LONG_LOOP_QUBITS = 7
+
+
+def apply_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Apply gates[r, q] (shape (rows, n, 2, 2)) to qubit q of row r, for
+    q = 0..n-1 in order.
+
+    Every amplitude goes through the same operations in the same order as
+    in the loop of :func:`apply_1q_rows` calls, so the result is
+    bit-identical to it; only the memory layout of the low-qubit gates
+    differs on large states."""
+    rows, size = psi.shape
+    n = gates.shape[1]
+    low = LOW_QUBITS if n >= LONG_LOOP_QUBITS else 0
+    if low:
+        # C-ordered copy indexed (low bits, high bits): qubit q < low is
+        # bit n - low + q there
+        high = size >> low
+        moved = psi.reshape(rows, high, 1 << low).transpose(0, 2, 1).copy()
+        moved = moved.reshape(rows, size)
+        for q in range(low):
+            moved = apply_1q_rows(moved, n - low + q, gates[:, q])
+        psi = moved.reshape(rows, 1 << low, high).transpose(0, 2, 1).copy().reshape(rows, size)
+    for q in range(low, n):
+        psi = apply_1q_rows(psi, q, gates[:, q])
+    return psi
+
+
+def product_rows(columns: np.ndarray) -> np.ndarray:
+    """The product states whose qubit q is in state columns[r, q] (shape
+    (rows, n, 2)), built as a running outer product.
+
+    With columns[r, q] the first column of gate q, this is the gate layer
+    applied to |0...0>: it forms the same products u00·a0 and u10·a0 and
+    skips only the products with the amplitudes that are still exactly
+    zero, so probabilities are bit-identical to the gate loop's (only the
+    sign of a zero amplitude may differ)."""
+    rows, n, _ = columns.shape
+    psi = np.ones((rows, 1), columns.dtype)
+    for q in range(n):
+        # new index b·2^q + k holds columns[r, q, b] · psi[r, k]
+        psi = (columns[:, q, :, None] * psi[:, None, :]).reshape(rows, -1)
+    return psi
+
+
 def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
     """Gather index of a CNOT: new[i] = old[perm[i]]."""
     idx = np.arange(2**n)
@@ -144,11 +197,35 @@ def gather_rows(psi: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(psi, perm, axis=1)
 
 
+def is_mirrored(energies: np.ndarray) -> bool:
+    """Whether energies[2^n - 1 - k] == energies[k] exactly for every k, as
+    for every diagonal that ising_from_graph builds."""
+    return bool(np.array_equal(energies, energies[::-1]))
+
+
+def _phases(gammas: np.ndarray, energies: np.ndarray, mirrored: bool) -> np.ndarray:
+    if not mirrored:
+        return np.exp(-1j * gammas[:, None] * energies)
+    half = energies.size // 2
+    phase = np.empty((gammas.size, energies.size), complex)
+    phase[:, :half] = np.exp(-1j * gammas[:, None] * energies[:half])
+    phase[:, half:] = phase[:, half - 1 :: -1]
+    return phase
+
+
 def apply_diagonal_phase_rows(
-    psi: np.ndarray, gammas: np.ndarray, energies: np.ndarray
+    psi: np.ndarray, gammas: np.ndarray, energies: np.ndarray, mirrored: bool = False
 ) -> np.ndarray:
-    """Multiply amplitude[r, x] by exp(-i gammas[r] E(x))."""
-    return psi * np.exp(-1j * gammas[:, None] * energies)
+    """Multiply amplitude[r, x] by exp(-i gammas[r] E(x)).
+
+    ``mirrored`` says that :func:`is_mirrored` holds for ``energies``; the
+    phases of the first half are then computed and copied in reverse to
+    the second, which holds the same values."""
+    # the phases enter the product as a temporary either way: numpy may
+    # then multiply into it in place with the operands swapped (for arrays
+    # of 256 KiB and more), and its complex multiply rounds a*b and b*a
+    # differently, so both ways must give numpy the same expression
+    return psi * _phases(gammas, energies, mirrored)
 
 
 def probability_rows(psi: np.ndarray) -> np.ndarray:

@@ -471,3 +471,70 @@ class TestEmitReport:
                     "graph_build", "relaxation", "optimization", "sampling"
                 }
                 assert all(v >= 0 for v in stages.values())
+
+
+class TestReportWriter:
+    """The streamed report.json writer against json.dumps, byte for byte."""
+
+    @staticmethod
+    def dumps(data):
+        return json.dumps(data, indent=2, sort_keys=True, default=bench._json_default) + "\n"
+
+    def written(self, data, tmp_path):
+        path = tmp_path / "out.json"
+        bench._dump_json(data, path)
+        return path.read_text(encoding="utf-8")
+
+    def test_matches_json_dumps(self, tmp_path):
+        data = {
+            "b": [],
+            "a": {},
+            "none": None,
+            "flags": [True, False],
+            "floats": [0.1, -0.0, 1e-300, 5e-324, float("nan"), float("inf"), -float("inf")],
+            "mixed": [1, 2.5, "x", None, True, [], {}, [0.5, 0.25]],
+            "nested": [[1.0, 2.0], [[3.0]], [[]], {"z": [4.0], "y": {"x": []}}],
+            "numpy": {
+                "int": np.int64(7),
+                "float": np.float64(0.1),
+                "float_list": [np.float64(0.3), 0.5],
+                "array": np.array([0.5, 1.5]),
+                "matrix": np.arange(6).reshape(2, 3),
+                "empty": np.array([]),
+            },
+            "text": ["é\n\"q\"", ""],
+            "tuple": (1.0, 2.0),
+            "int_keys": {10: "ten", 2: "two"},
+            "float_keys": {0.5: 1.0, -2.0: 0.0},
+            "none_key": {None: [1.0]},
+            "bool_keys": {True: 1, False: 0},
+            "scalar": 3.0,
+        }
+        assert self.written(data, tmp_path) == self.dumps(data)
+
+    def test_top_level_values(self, tmp_path):
+        for data in ({}, [], [1.0], 2.0, "s", None):
+            assert self.written(data, tmp_path) == self.dumps(data)
+
+    def test_report_and_timings_match_json_dumps(self, small_report, tmp_path):
+        _, report = small_report
+        emit_report(report, tmp_path, ("json",))
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == self.dumps(report.payload)
+        assert (tmp_path / "timings.json").read_text(encoding="utf-8") == self.dumps(report.timings)
+
+    def test_rejects_keys_json_rejects(self, tmp_path):
+        with pytest.raises(TypeError):
+            json.dumps({(1, 2): 0}, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="keys"):
+            self.written({(1, 2): 0}, tmp_path)
+
+    def test_histogram_equals_row_by_row_writer(self, small_report, tmp_path):
+        _, report = small_report
+        emit_report(report, tmp_path, ("csv",))
+        for algo, block in report.payload["algorithms"].items():
+            rep = next(r for r in block["runs"] if r["seed"] == block["representative_seed"])
+            lines = ["bitstring,probability"] + [
+                f"{k:05b},{p!r}" for k, p in enumerate(rep["probabilities"])
+            ]
+            expected = "\r\n".join(lines) + "\r\n"
+            assert (tmp_path / f"histogram_{algo}.csv").read_bytes() == expected.encode()

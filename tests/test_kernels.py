@@ -1,8 +1,12 @@
 """Tests for the row kernels and the row builders of the three ansaetze.
 
-Two kinds of check:
+Three kinds of check:
   - bit identity: row r of a batch equals the same state prepared on its
     own (one-row call), for every ansatz and several batch sizes;
+  - bit identity of each layer shortcut against the plain computation it
+    replaces: the layer kernel against a loop of one-gate calls, the
+    product first layer against the gates applied to |0...0>, and the
+    mirrored cost phase against the phase of every energy;
   - an independent oracle: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
     which shares no code with the simulator.
@@ -22,18 +26,23 @@ from cutclust.ansatz import (
     transverse_field,
     vqe_rows,
 )
-from cutclust.graph_model import QUBIT_CAP, WeightedGraph, ising_from_graph
+from cutclust.graph_model import QUBIT_CAP, IsingDiagonal, WeightedGraph, ising_from_graph
 from cutclust.optimizer import make_ansatz, make_objective, row_energies, row_probabilities
 from cutclust.simulator import (
     Statevector,
     apply_1q,
+    LONG_LOOP_QUBITS,
     apply_1q_rows,
     apply_cnot,
+    apply_diagonal_phase_rows,
+    apply_layer_rows,
     cnot_chain_perm,
     expectation_diagonal,
     expectation_rows,
     gather_rows,
+    is_mirrored,
     probability_rows,
+    product_rows,
     row_cap,
     rx,
     ry,
@@ -281,3 +290,134 @@ class TestGatherRows:
         for r in range(20):
             assert batch[r] == expectation_diagonal(Statevector(n=n, amps=psi[r]), ising)
 
+
+
+def gate_loop(psi, gates):
+    """The reference layer: one apply_1q_rows call per qubit, in order."""
+    for q in range(gates.shape[1]):
+        psi = apply_1q_rows(psi, q, gates[:, q])
+    return psi
+
+
+def random_gates(rng, rows, n, dtype):
+    if dtype is float:
+        return ry(rng.uniform(-np.pi, np.pi, size=(rows, n)))
+    angles = rng.uniform(-np.pi, np.pi, size=(rows, n))
+    return np.stack([np.stack([rx(t) for t in row]) for row in angles])
+
+
+class TestLayerKernel:
+    """apply_layer_rows against the per-qubit loop, bit for bit."""
+
+    def test_sizes_cover_both_layouts(self):
+        assert 6 < LONG_LOOP_QUBITS <= 10
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [5, 6, 7, 10, 11, 14])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_equals_gate_loop(self, n, rows, dtype):
+        rng = np.random.default_rng(1000 * n + rows)
+        psi = random_rows(rng, rows, n, dtype)
+        gates = random_gates(rng, rows, n, dtype)
+        out = apply_layer_rows(psi, gates)
+        assert out.flags.c_contiguous
+        assert out.dtype == psi.dtype
+        assert out.tobytes() == gate_loop(psi, gates).tobytes()
+
+    def test_leaves_its_input_alone(self):
+        rng = np.random.default_rng(8)
+        psi = random_rows(rng, 2, 11)
+        before = psi.copy()
+        apply_layer_rows(psi, random_gates(rng, 2, 11, complex))
+        assert np.array_equal(psi, before)
+
+
+class TestProductFirstLayer:
+    """The R_y layer on |0...0> as an outer product of first columns."""
+
+    def reference(self, angles):
+        """The gates applied one by one to |0...0>."""
+        rows, n = angles.shape
+        psi = np.zeros((rows, 2**n))
+        psi[:, 0] = 1.0
+        return gate_loop(psi, ry(angles))
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 10, 14])
+    def test_probabilities_equal_gate_loop(self, n):
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(-np.pi, np.pi, size=(3, n))
+        # exact zeros and the angle whose cosine is not exactly zero
+        angles[0, ::2] = 0.0
+        angles[1, ::3] = np.pi
+        angles[2, 1::2] = -np.pi
+        expected = probability_rows(self.reference(angles))
+        got = probability_rows(product_rows(ry(angles)[..., 0]))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_all_zero_angles_give_the_zero_state(self):
+        psi = product_rows(ry(np.zeros((1, 4)))[..., 0])
+        assert np.array_equal(psi[0], np.eye(16)[0])
+
+    def test_vqe_rows_probabilities_equal_gate_loop(self):
+        # the whole circuit: product first layer, then gathers and layers
+        rng = np.random.default_rng(3)
+        n, reps, rows = 10, 2, 3
+        angles = rng.uniform(-np.pi, np.pi, size=(rows, reps + 1, n))
+        angles[:, :, 0] = 0.0
+        chain = cnot_chain_perm(n)
+        psi = self.reference(angles[:, 0])
+        for layer in range(1, reps + 1):
+            psi = gate_loop(gather_rows(psi, chain), ry(angles[:, layer]))
+        got = probability_rows(vqe_rows(angles, chain))
+        assert got.tobytes() == probability_rows(psi).tobytes()
+
+
+class TestMirroredPhase:
+    """The half-spectrum cost phase against the phase of every energy."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 13, 14])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_equals_full_phase(self, n, rows):
+        # at 14 qubits, and at 13 with 3 rows, numpy multiplies into the
+        # phase temporary with the operands swapped, which rounds complex
+        # products differently; both ways must do as the plain expression
+        rng = np.random.default_rng(200 + n)
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        assert is_mirrored(ising.energies)
+        psi = random_rows(rng, rows, n)
+        gammas = rng.uniform(-np.pi, np.pi, rows)
+        expected = psi * np.exp(-1j * gammas[:, None] * ising.energies)
+        full = apply_diagonal_phase_rows(psi, gammas, ising.energies)
+        half = apply_diagonal_phase_rows(psi, gammas, ising.energies, mirrored=True)
+        assert full.tobytes() == expected.tobytes()
+        assert half.tobytes() == expected.tobytes()
+
+    def test_one_start_row_serves_every_angle(self):
+        # QAOA starts all rows from one |+...+> row
+        rng = np.random.default_rng(9)
+        ising = ising_from_graph(random_graph(rng, 6))
+        psi = np.full((1, 64), 0.125)
+        gammas = rng.uniform(-1, 1, 4)
+        half = apply_diagonal_phase_rows(psi, gammas, ising.energies, mirrored=True)
+        assert half.shape == (4, 64)
+        assert half.tobytes() == apply_diagonal_phase_rows(psi, gammas, ising.energies).tobytes()
+
+    def test_diagonal_that_is_not_mirrored_takes_the_full_phase(self):
+        rng = np.random.default_rng(10)
+        n, p, rows = 5, 2, 3
+        ising = IsingDiagonal(n=n, energies=rng.normal(size=2**n))
+        assert not is_mirrored(ising.energies)
+        prepare, dim = make_ansatz("qaoa", ising, p=p)
+        params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
+        psi = prepare(params, np.zeros(rows, dtype=int))
+        # reference: the phase of every energy, then the R_x mixers
+        ref = np.full((rows, 2**n), 2.0 ** (-n / 2), dtype=complex)
+        for layer in range(p):
+            ref = ref * np.exp(-1j * params[:, p + layer, None] * ising.energies)
+            mixers = np.stack([np.stack([rx(2 * b)] * n) for b in params[:, layer]])
+            ref = gate_loop(ref, mixers)
+        assert np.allclose(psi, ref, atol=1e-12)
+        angles = params[:, :p], params[:, p:]
+        assert np.array_equal(psi, qaoa_rows(ising, *transverse_field(n), *angles))
+        wrong = qaoa_rows(ising, *transverse_field(n), *angles, mirrored=True)
+        assert not np.allclose(wrong, psi)

@@ -12,6 +12,7 @@ from cutclust.ansatz import WarmStart
 from cutclust.errors import EvaluationError, ValidationError
 from cutclust.graph_model import WeightedGraph, ising_from_graph
 from cutclust.optimizer import (
+    DRAW_BLOCK,
     ExactSolution,
     SpsaConfig,
     calibrate_lockstep,
@@ -433,3 +434,92 @@ class TestLockstep:
         assert isinstance(gains[2], EvaluationError)
         assert "non-finite value nan" in str(gains[2])
         assert [g for i, g in enumerate(gains) if i != 2] == [g for i, g in enumerate(clean) if i != 2]
+
+
+def reference_spsa(objective, initial, cfg):
+    """SPSA written out for one seed, drawing one sign vector per
+    iteration from ``default_rng(cfg.seed)``."""
+    rng = np.random.default_rng(cfg.seed)
+    x = np.array(initial, dtype=float)
+    best_x, best_v, trace = x.copy(), np.inf, []
+    for k in range(cfg.max_iters):
+        a_k = cfg.a / (cfg.resolved_stability() + k + 1.0) ** cfg.alpha
+        c_k = cfg.c / (k + 1.0) ** cfg.gamma
+        delta = rng.integers(0, 2, size=x.size) * 2 - 1
+        plus, minus = x + c_k * delta, x - c_k * delta
+        f_plus, f_minus = objective(plus), objective(minus)
+        for value, point in ((f_plus, plus), (f_minus, minus)):
+            if value < best_v:
+                best_x, best_v = point, value
+        trace.append(min(f_plus, f_minus))
+        x = x - a_k * ((f_plus - f_minus) / (2.0 * c_k) * delta.astype(float))
+    final = objective(x)
+    trace.append(final)
+    if final <= best_v:
+        best_x, best_v = x, final
+    return best_x, best_v, np.array(trace)
+
+
+def reference_gain(objective, initial, cfg, probes, target_step=0.1):
+    """Step-gain calibration written out, one draw per probe."""
+    rng = np.random.default_rng([cfg.seed, 0x5CA1])
+    mags = []
+    for _ in range(probes):
+        delta = rng.integers(0, 2, size=initial.size) * 2 - 1
+        f_plus = objective(initial + cfg.c * delta)
+        f_minus = objective(initial - cfg.c * delta)
+        mags.append(abs(f_plus - f_minus) / (2.0 * cfg.c))
+    return target_step * (cfg.resolved_stability() + 1.0) ** cfg.alpha / float(np.mean(mags))
+
+
+def bumpy(x):
+    return float(np.sin(3.0 * x).sum() + x @ x)
+
+
+class TestDrawBlocks:
+    """Perturbations drawn a block of iterations at a time equal one draw
+    per iteration, across block boundaries."""
+
+    iters = 2 * DRAW_BLOCK + 5
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_spsa_equals_one_draw_per_iteration(self, dim):
+        initial = np.random.default_rng(dim).uniform(-1, 1, dim)
+        cfg = SpsaConfig(max_iters=self.iters, a=0.05, seed=3)
+        res = spsa_minimize(bumpy, initial, cfg)
+        best_x, best_v, trace = reference_spsa(bumpy, initial, cfg)
+        assert np.array_equal(res.best_params, best_x)
+        assert res.best_value == best_v
+        assert np.array_equal(res.trace, trace)
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_calibration_equals_one_draw_per_probe(self, dim):
+        initial = np.random.default_rng(dim).uniform(-1, 1, dim)
+        cfg = SpsaConfig(seed=5)
+        probes = DRAW_BLOCK + 3
+        gain = calibrate_step_gain(bumpy, initial, cfg, probes=probes)
+        assert gain == reference_gain(bumpy, initial, cfg, probes)
+
+    def test_seed_failing_in_a_later_block_leaves_the_others_exact(self):
+        # slot 1 turns non-finite at its plus point of iteration
+        # DRAW_BLOCK + 10, after it drew its second block
+        seeds, dim = (4, 9, 2), 7
+        initial = np.random.default_rng(1).uniform(-1, 1, (len(seeds), dim))
+        calls = {"n": 0}
+
+        def objective(points, owners):
+            values = np.array([bumpy(x) for x in points])
+            hit = np.flatnonzero(owners == 1)
+            calls["n"] += hit.size
+            if hit.size and calls["n"] > 2 * (DRAW_BLOCK + 10):
+                values[hit] = np.nan
+            return values
+
+        cfg = SpsaConfig(max_iters=self.iters)
+        results = spsa_lockstep(objective, initial, cfg, seeds, [0.05] * 3)
+        assert isinstance(results[1], EvaluationError)
+        for slot in (0, 2):
+            lone = SpsaConfig(max_iters=self.iters, a=0.05, seed=seeds[slot])
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], lone)
+            assert np.array_equal(results[slot].best_params, best_x)
+            assert np.array_equal(results[slot].trace, trace)

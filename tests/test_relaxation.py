@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from cutclust import relaxation
 from cutclust.ansatz import WarmStart
 from cutclust.errors import ValidationError
 from cutclust.graph_model import WeightedGraph, qubo_from_graph
@@ -148,3 +149,28 @@ class TestThetasFromCstar:
         for c in ([1.2], [-0.1]):
             with pytest.raises(ValidationError, match=r"\[0, 1\]"):
                 WarmStart.from_cstar(c)
+
+
+class TestSharedRestarts:
+    def test_shared_ascents_equal_lone_runs(self, monkeypatch):
+        # restart r of seed s starts from default_rng(s + r): seeds 1-10
+        # with 32 restarts have 41 distinct starts
+        rng = np.random.default_rng(12)
+        qubo = random_qubo(rng, 6)
+        lone = [relax_qubo(qubo, RelaxConfig(seed=seed)) for seed in range(1, 11)]
+        calls = {"n": 0}
+        ascend = relaxation._ascend
+
+        def counted(*args):
+            calls["n"] += 1
+            return ascend(*args)
+
+        monkeypatch.setattr(relaxation, "_ascend", counted)
+        ascents = {}
+        for seed, alone in zip(range(1, 11), lone):
+            shared = relax_qubo(qubo, RelaxConfig(seed=seed), ascents)
+            assert np.array_equal(shared.c_star, alone.c_star)
+            assert shared.objective == alone.objective
+            assert shared.capped == alone.capped
+        assert calls["n"] == 41
+        assert sorted(ascents) == list(range(1, 42))
