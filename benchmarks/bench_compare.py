@@ -20,8 +20,8 @@ checkout this script lives in.  The topic recorded in the output is the
   cost phase, the CNOT-chain gather and the expectation) on a batch of
   min(BATCH_ROWS, row cap) rows, and seconds of one ``emit_report`` of a
   14-qubit report;
-- constants (after side only): the timings behind the layer kernel's
-  low-qubit count and size threshold and behind SPSA's draw block.
+- constants (after side only): microseconds of one 2x2 gate by target
+  qubit at the qubit cap, and the timings behind SPSA's draw block.
 
 The probes run at n in QUBITS on a fixed random graph; each figure is the
 fastest of PROBE_RUNS probe processes, alternating sides, each keeping
@@ -207,14 +207,14 @@ def _emit_report_s() -> float:
 
 
 def probe_constants() -> dict:
-    """Timings behind the layer kernel's LOW_QUBITS and LONG_LOOP_QUBITS
-    and behind optimizer.DRAW_BLOCK."""
+    """Timings of one ``apply_1q_rows`` gate by target qubit at the qubit
+    cap, and those behind optimizer.DRAW_BLOCK."""
     import numpy as np
     from cutclust import optimizer
     from cutclust import simulator as sim
 
     _warm_heap()
-    out: dict = {"gate_us_by_target_qubit": {}, "layer_us_by_low_qubits": {}}
+    out: dict = {"gate_us_by_target_qubit": {}}
     rng = np.random.default_rng(0)
     n = sim.QUBIT_CAP
     for dtype in ("float64", "complex128"):
@@ -223,24 +223,6 @@ def probe_constants() -> dict:
         out["gate_us_by_target_qubit"][dtype] = _best_us(
             [lambda q=q: sim.apply_1q_rows(psi, q, u) for q in range(n)], 20
         )
-    saved = sim.LOW_QUBITS, sim.LONG_LOOP_QUBITS
-    try:
-        for n in (6, 7, 10, 14):
-            rows = min(BATCH_ROWS, sim.row_cap(n))
-            by_dtype = out["layer_us_by_low_qubits"][str(n)] = {}
-            for dtype in ("float64", "complex128"):
-                psi = rng.normal(size=(rows, 2**n)).astype(dtype)
-                gates = sim.ry(rng.uniform(-np.pi, np.pi, size=(rows, n))).astype(dtype)
-
-                def layer(low):
-                    sim.LOW_QUBITS, sim.LONG_LOOP_QUBITS = low, 1 if low else n + 1
-                    sim.apply_layer_rows(psi, gates)
-
-                lows = (0, 2, 3, 4, 5)
-                times = _best_us([lambda low=low: layer(low) for low in lows], 10)
-                by_dtype[dtype] = dict(zip(map(str, lows), times))
-    finally:
-        sim.LOW_QUBITS, sim.LONG_LOOP_QUBITS = saved
 
     # per-iteration cost of drawing the sign vectors of 10 seeds of a
     # 30-parameter VQE (cars), by the number of iterations per draw
@@ -252,8 +234,6 @@ def probe_constants() -> dict:
         (us,) = _best_us([lambda: optimizer._signs(rngs, active, block, dim)], 20)
         by_block[str(block)] = us / block
     out["draw_block"] = optimizer.DRAW_BLOCK
-    out["low_qubits"] = saved[0]
-    out["long_loop_qubits"] = saved[1]
     return out
 
 

@@ -509,11 +509,22 @@ class BenchmarkReport:
     records: dict[str, list[RunRecord]] = field(repr=False, default_factory=dict)
 
 
+def _median(values) -> float:
+    """The median as ``np.median`` computes it: the middle value, or the
+    mean of the two middle values for an even count.  ``np.median``
+    imports ``numpy.ma`` on its first call, which nothing else here needs."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[mid])
+    return float((ordered[mid - 1] + ordered[mid]) / 2.0)
+
+
 def _representative(records: list[RunRecord]) -> RunRecord:
     """The run whose achieved energy is closest to the median; ties go
     to the earliest seed."""
     energies = np.array([r.energy_expectation for r in records])
-    med = float(np.median(energies))
+    med = _median(energies)
     return records[int(np.argmin(np.abs(energies - med)))]
 
 
@@ -623,15 +634,9 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         }
         if runs:
             rep = _representative(runs)
-            block["median_energy_expectation"] = float(
-                np.median([r.energy_expectation for r in runs])
-            )
-            block["median_energy_sampled"] = float(
-                np.median([r.energy_sampled for r in runs])
-            )
-            block["median_solution_objective"] = float(
-                np.median([r.solution_objective for r in runs])
-            )
+            block["median_energy_expectation"] = _median(r.energy_expectation for r in runs)
+            block["median_energy_sampled"] = _median(r.energy_sampled for r in runs)
+            block["median_solution_objective"] = _median(r.solution_objective for r in runs)
             block["representative_seed"] = rep.seed
         payload["algorithms"][algorithm] = block
         records[algorithm] = runs
@@ -775,10 +780,10 @@ def emit_report(
                 r for r in block["runs"] if r["seed"] == block["representative_seed"]
             )
             hist = out / f"histogram_{a}.csv"
+            # the rows csv.writer would write: no field needs quoting
             with open(hist, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bitstring", "probability"])
-                writer.writerows(zip(bitstrings, map(repr, rep["probabilities"])))
+                fh.write("bitstring,probability\r\n")
+                fh.writelines(map("{},{!r}\r\n".format, bitstrings, rep["probabilities"]))
             written.append(hist)
 
     if "md" in formats:

@@ -189,18 +189,22 @@ def calibrate_lockstep(
     rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
     batch = _Lockstep(objective, seeds)
     magnitudes = np.empty((len(seeds), probes))
-    for i in range(probes):
-        act = batch.active
-        if not act.size:
-            break
-        if i % DRAW_BLOCK == 0:
-            signs = _signs(rngs, act, min(DRAW_BLOCK, probes - i), initial.shape[1])
-        deltas = signs[act, i % DRAW_BLOCK]
-        start = initial[act]
-        (f_plus, f_minus), keep = batch.evaluate(
-            start + config.c * deltas, start - config.c * deltas, at=(start, start)
+    act = batch.active
+    if act.size:
+        # every probe starts from the seed's start point, so all probes of
+        # all seeds run in one batch: the ± sets of probe 0, then probe 1, ...
+        signs = np.concatenate(
+            [
+                _signs(rngs, act, min(DRAW_BLOCK, probes - i), initial.shape[1])
+                for i in range(0, probes, DRAW_BLOCK)
+            ],
+            axis=1,
         )
-        magnitudes[batch.active, i] = np.abs(f_plus - f_minus) / (2.0 * config.c)
+        deltas = config.c * signs[act]
+        start = initial[act]
+        sets = [x for i in range(probes) for x in (start + deltas[:, i], start - deltas[:, i])]
+        values, _ = batch.evaluate(*sets, at=(start,) * len(sets))
+        magnitudes[batch.active] = (np.abs(values[0::2] - values[1::2]) / (2.0 * config.c)).T
     scale = (config.resolved_stability() + 1.0) ** config.alpha
     gains: list[float | EvaluationError] = []
     for s in range(len(seeds)):

@@ -123,39 +123,23 @@ def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     return out.reshape(rows, -1)
 
 
-# A gate on qubit q pairs amplitudes 2^q apart, so numpy's inner loop over
-# the low bits is only 2^q long: at 14 qubits a gate on qubits 1-3 costs 1.5-4x
-# one on a higher qubit.  On states of at least LONG_LOOP_QUBITS qubits the
-# layer kernel runs the gates on the LOW_QUBITS lowest qubits on a copy whose
-# low bits are moved to the top of the index.  Both values are set from the
-# per-qubit gate and per-layer timings under "constants" in BENCH_layers.json:
-# at 6 qubits moving the bits gains nothing, from 7 on it does.
-LOW_QUBITS = 4
-LONG_LOOP_QUBITS = 7
-
-
 def apply_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """Apply gates[r, q] (shape (rows, n, 2, 2)) to qubit q of row r, for
     q = 0..n-1 in order.
 
-    Every amplitude goes through the same operations in the same order as
-    in the loop of :func:`apply_1q_rows` calls, so the result is
-    bit-identical to it; only the memory layout of the low-qubit gates
-    differs on large states."""
+    Each gate reads its amplitude pair as the lowest bit of the index and
+    writes its output bit as the highest, so it rotates the index right by
+    one bit (the perfect shuffle): the next qubit is then the lowest bit,
+    every gate is two products and a sum over the whole state, and after
+    the n gates the order is standard again.  Every amplitude gets
+    u_b0·a0 + u_b1·a1 as in the loop of :func:`apply_1q_rows` calls, so
+    the result is bit-identical to it."""
     rows, size = psi.shape
-    n = gates.shape[1]
-    low = LOW_QUBITS if n >= LONG_LOOP_QUBITS else 0
-    if low:
-        # C-ordered copy indexed (low bits, high bits): qubit q < low is
-        # bit n - low + q there
-        high = size >> low
-        moved = psi.reshape(rows, high, 1 << low).transpose(0, 2, 1).copy()
-        moved = moved.reshape(rows, size)
-        for q in range(low):
-            moved = apply_1q_rows(moved, n - low + q, gates[:, q])
-        psi = moved.reshape(rows, 1 << low, high).transpose(0, 2, 1).copy().reshape(rows, size)
-    for q in range(low, n):
-        psi = apply_1q_rows(psi, q, gates[:, q])
+    for q in range(gates.shape[1]):
+        # (row, 1, other bits, lowest bit) against (row, output bit, 1)
+        pairs = psi.reshape(rows, 1, size >> 1, 2)
+        u = gates[:, q, :, :, None]
+        psi = (u[:, :, 0] * pairs[..., 0] + u[:, :, 1] * pairs[..., 1]).reshape(rows, size)
     return psi
 
 

@@ -538,3 +538,31 @@ class TestReportWriter:
             ]
             expected = "\r\n".join(lines) + "\r\n"
             assert (tmp_path / f"histogram_{algo}.csv").read_bytes() == expected.encode()
+
+
+class TestMedian:
+    """bench's sorted-list median against np.median, bit for bit."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 9, 10, 11])
+    def test_equals_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            values = rng.normal(scale=100.0, size=size) - 30.0
+            assert bench._median(values) == float(np.median(values))
+            assert bench._median(values.tolist()) == float(np.median(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [-1.5, -1.5],
+            [2.0, -3.0, 2.0, -3.0],
+            [-0.1, -0.2, -0.1, -0.30000000000000004, 0.7, -0.1],
+            [-143.73583376839562, -143.73583376840614],
+            [1e-300, -1e-300, 5e-324],
+            [-7.0, -7.0, -7.0],
+        ],
+    )
+    def test_ties_and_negatives(self, values):
+        got = bench._median(iter(values))
+        assert isinstance(got, float)
+        assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()

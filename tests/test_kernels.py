@@ -31,7 +31,6 @@ from cutclust.optimizer import make_ansatz, make_objective, row_energies, row_pr
 from cutclust.simulator import (
     Statevector,
     apply_1q,
-    LONG_LOOP_QUBITS,
     apply_1q_rows,
     apply_cnot,
     apply_diagonal_phase_rows,
@@ -300,22 +299,28 @@ def gate_loop(psi, gates):
 
 
 def random_gates(rng, rows, n, dtype):
+    """R_y gates, or arbitrary complex 2x2 matrices: unlike R_x's
+    symmetric matrix, these show a transposed or swapped gate entry."""
     if dtype is float:
         return ry(rng.uniform(-np.pi, np.pi, size=(rows, n)))
-    angles = rng.uniform(-np.pi, np.pi, size=(rows, n))
-    return np.stack([np.stack([rx(t) for t in row]) for row in angles])
+    return rng.normal(size=(rows, n, 2, 2)) + 1j * rng.normal(size=(rows, n, 2, 2))
 
 
 class TestLayerKernel:
     """apply_layer_rows against the per-qubit loop, bit for bit."""
 
-    def test_sizes_cover_both_layouts(self):
-        assert 6 < LONG_LOOP_QUBITS <= 10
-
     @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n", [5, 6, 7, 10, 11, 14])
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_equals_gate_loop(self, n, rows, dtype):
+    # 20 rows only where one kernel call takes that many (n <= 8)
+    @pytest.mark.parametrize(
+        "rows, n",
+        [
+            (rows, n)
+            for n in (1, 2, 3, 5, 6, 7, 10, 11, 13, 14)
+            for rows in (1, 3, 20)
+            if rows < 20 or rows <= row_cap(n)
+        ],
+    )
+    def test_equals_gate_loop(self, rows, n, dtype):
         rng = np.random.default_rng(1000 * n + rows)
         psi = random_rows(rng, rows, n, dtype)
         gates = random_gates(rng, rows, n, dtype)

@@ -435,6 +435,34 @@ class TestLockstep:
         assert "non-finite value nan" in str(gains[2])
         assert [g for i, g in enumerate(gains) if i != 2] == [g for i, g in enumerate(clean) if i != 2]
 
+    def test_calibration_fails_at_the_first_non_finite_probe(self):
+        # slot 1 is -inf at the minus point of probe 3 and nan at the plus
+        # point of probe 5; the error names the first of them in probe
+        # order, plus before minus, and the other seeds keep their gains
+        objective, initial = self.batch("vqe")
+        cfg = SpsaConfig()
+        rng = np.random.default_rng([self.seeds[1], 0x5CA1])
+        deltas = [cfg.c * (rng.integers(0, 2, size=initial.shape[1]) * 2 - 1) for _ in range(6)]
+        poison = {
+            (initial[1] - deltas[3]).tobytes(): -np.inf,
+            (initial[1] + deltas[5]).tobytes(): np.nan,
+        }
+
+        def poisoned(points, owners):
+            values = objective(points, owners)
+            for r in np.flatnonzero(owners == 1):
+                values[r] = poison.get(points[r].tobytes(), values[r])
+            return values
+
+        gains = calibrate_lockstep(poisoned, initial, cfg, self.seeds)
+        clean = calibrate_lockstep(objective, initial, cfg, self.seeds)
+        assert isinstance(gains[1], EvaluationError)
+        assert str(gains[1]) == (
+            f"objective returned non-finite value -inf at params {initial[1].tolist()}"
+        )
+        for slot in (0, 2, 3):
+            assert gains[slot] == clean[slot]
+
 
 def reference_spsa(objective, initial, cfg):
     """SPSA written out for one seed, drawing one sign vector per
