@@ -5,7 +5,7 @@
 DIR is a checkout of the code to compare against (for example made with
 ``git clone`` and ``git checkout <commit>``); the "after" side is the
 checkout this script lives in.  The topic recorded in the output is the
-``<topic>`` part of its file name.  Four kinds of figure are written:
+``<topic>`` part of its file name.  Five kinds of figure are written:
 
 - end to end: for every workload of ``perfbench/run.py`` and each side,
   REPEATS interleaved runs of ``perfbench/run.py --trace 0``; each run's
@@ -20,6 +20,9 @@ checkout this script lives in.  The topic recorded in the output is the
   cost phase, the CNOT-chain gather and the expectation) on a batch of
   min(BATCH_ROWS, row cap) rows, and seconds of one ``emit_report`` of a
   14-qubit report;
+- per step: microseconds of the optimizer's own work per SPSA iteration
+  and per calibration probe, for STEP_SEEDS seeds in lockstep on a
+  trivial batch objective, at each dimension in STEP_DIMS;
 - constants (after side only): microseconds of one 2x2 gate by target
   qubit at the qubit cap, and the timings behind SPSA's draw block.
 
@@ -53,6 +56,10 @@ METRICS = ("wall_s", "setup_s", "peak_anon_mb")
 QUBITS = (5, 6, 7, 10, 14)
 KINDS = ("qaoa", "ws-qaoa", "vqe")
 BATCH_ROWS = 20
+# the per-step probe: seeds advancing together and the parameter counts
+# (2 = QAOA at p = 1, 8 = ws-QAOA at p = 4, 30 = VQE on cars)
+STEP_SEEDS = 10
+STEP_DIMS = (2, 8, 30)
 # probe processes per side: a process may run all of its small-state timings
 # up to 1.5x slower than the next, so the fastest of several is kept
 PROBE_RUNS = 8
@@ -180,6 +187,37 @@ def probe_layers() -> dict:
         for name, us in zip(layers, _best_us(list(layers.values()), reps)):
             out.setdefault(name, {})[str(n)] = us
     out["emit_report_s"] = _emit_report_s()
+    return out
+
+
+def probe_steps() -> dict:
+    """{"spsa_us_per_iteration" | "calibration_us_per_probe": {d: us}}:
+    one ``spsa_lockstep`` run of the default 250 iterations and one
+    ``calibrate_lockstep`` of the default 10 probes, STEP_SEEDS seeds at
+    a time, on a sum of squares, so that the time is the optimizer's own
+    bookkeeping."""
+    import numpy as np
+    from cutclust.optimizer import SpsaConfig, calibrate_lockstep, spsa_lockstep
+
+    def objective(points, owners):
+        return np.square(points).sum(axis=1)
+
+    seeds = tuple(range(1, STEP_SEEDS + 1))
+    gains = [0.1] * STEP_SEEDS
+    config = SpsaConfig()
+    probes = 10
+    out: dict = {"spsa_us_per_iteration": {}, "calibration_us_per_probe": {}}
+    for dim in STEP_DIMS:
+        initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
+        spsa_us, calibration_us = _best_us(
+            [
+                lambda: spsa_lockstep(objective, initial, config, seeds, gains),
+                lambda: calibrate_lockstep(objective, initial, config, seeds, probes=probes),
+            ],
+            1,
+        )
+        out["spsa_us_per_iteration"][str(dim)] = spsa_us / config.max_iters
+        out["calibration_us_per_probe"][str(dim)] = calibration_us / probes
     return out
 
 
@@ -345,7 +383,7 @@ def main() -> int:
             }
         end_to_end[workload]["all_correct"] = all(x["correct"] for s in sides for x in by_side[s])
 
-    probes: dict = {name: {side: [] for side in sides} for name in ("evals", "layers")}
+    probes: dict = {name: {side: [] for side in sides} for name in ("evals", "layers", "steps")}
     for _, side, root in interleaved(sides, PROBE_RUNS):
         for name in probes:
             probes[name][side].append(run_probe(root, name))
@@ -376,6 +414,11 @@ def main() -> int:
         for name in layer_names
     }
 
+    per_step = {
+        kind: {str(d): {side: fastest("steps", side, kind, str(d)) for side in sides} for d in STEP_DIMS}
+        for kind in ("spsa_us_per_iteration", "calibration_us_per_probe")
+    }
+
     report = {
         "topic": match.group(1),
         "command": f"python3 benchmarks/bench_compare.py --before DIR --out {args.out.name}",
@@ -384,10 +427,12 @@ def main() -> int:
         "statistic": "end_to_end: median and quartiles over repeats of each perfbench/run.py "
         "call's median, after_wins = pairs where after < before; per_eval_us and "
         f"per_layer_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
-        f"{PROBE_LOOPS} alternating loops",
+        f"{PROBE_LOOPS} alternating loops (per_step_us likewise)",
         "end_to_end": end_to_end,
         "per_eval_us": per_eval,
         "per_layer_us": per_layer,
+        "per_step_us": per_step,
+        "step_seeds": STEP_SEEDS,
         "emit_report_s": {side: fastest("layers", side, "emit_report_s") for side in sides},
         "constants": run_probe(AFTER, "constants"),
         "batch_rows": BATCH_ROWS,

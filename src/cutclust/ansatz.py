@@ -32,6 +32,7 @@ from .simulator import (
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+IDENTITY = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _mixer_unitaries(hams: np.ndarray, betas) -> np.ndarray:
     """exp(-i beta H) = cos(beta) I - i sin(beta) H, since H^2 = I; betas
     broadcast against the leading axes of the (..., 2, 2) Hamiltonians."""
     betas = np.asarray(betas)[..., None, None]
-    return np.cos(betas) * np.eye(2) - 1j * np.sin(betas) * hams
+    return np.cos(betas) * IDENTITY - 1j * np.sin(betas) * hams
 
 
 def ws_mixer_unitary(c: float, beta: float) -> np.ndarray:

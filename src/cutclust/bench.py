@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -193,11 +194,17 @@ def load_dataset(
         for j, c in enumerate(feature_cols):
             cell = row[col_idx[c]].strip()
             try:
-                points[r, j] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ValidationError(
                     f"{path}: non-numeric value {cell!r} at row {r + 1}, column {c!r}"
                 ) from None
+            # checked here: z-scoring would spread a NaN over its column
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{path}: non-finite value {cell!r} at row {r + 1}, column {c!r}"
+                )
+            points[r, j] = value
         if "name" in col_idx:
             names.append(row[col_idx["name"]].strip())
         if "label" in col_idx:
@@ -403,7 +410,8 @@ def sample_run(
     try:
         probs = final["probabilities"]
         counts = np.random.default_rng([seed, 2]).multinomial(config.shots, probs)
-        energy_sampled = float(counts @ problem.ising.energies) / config.shots
+        weights = counts[None].astype(float)
+        energy_sampled = float(expectation_rows(weights, problem.ising.energies)[0]) / config.shots
         top = most_probable_index(probs)
         labels = assign_clusters(top, problem.ising.n)
         truth = problem.dataset.labels

@@ -111,13 +111,13 @@ DRAW_BLOCK = 64
 
 def _signs(rngs: Sequence[np.random.Generator], active: np.ndarray, count: int, dim: int):
     """The next ``count`` Rademacher vectors of each active seed s, drawn
-    from ``rngs[s]`` in one call, as rows s of a (seeds, count, dim) array
-    (the rows of the other seeds are left unset).  PCG64 keeps the spare
-    half of a 64-bit draw in the generator, so one call of size
-    (count, dim) returns the values of ``count`` calls of size ``dim``."""
-    out = np.empty((len(rngs), count, dim), dtype=np.int64)
-    for s in active:
-        out[s] = rngs[s].integers(0, 2, size=(count, dim)) * 2 - 1
+    from ``rngs[s]`` in one call, as ±1.0 in a (active, count, dim) array.
+    PCG64 keeps the spare half of a 64-bit draw in the generator, so one
+    call of size (count, dim) returns the values of ``count`` calls of
+    size ``dim``."""
+    out = np.empty((len(active), count, dim))
+    for i, s in enumerate(active):
+        out[i] = rngs[s].integers(0, 2, size=(count, dim)) * 2.0 - 1.0
     return out
 
 
@@ -143,26 +143,34 @@ class _Lockstep:
         self.objective = objective
         self.errors = {s: x for s, x in enumerate(inputs) if isinstance(x, Exception)}
         self.active = np.array([s for s in range(len(inputs)) if s not in self.errors], dtype=int)
+        # the seed slot of every row of a batch of that many point sets
+        self._owners: dict[int, np.ndarray] = {}
 
-    def evaluate(self, *points: np.ndarray, at: tuple[np.ndarray, ...] | None = None):
+    def evaluate(self, points: np.ndarray, at: np.ndarray | None = None):
         """Values of every active seed at each of the (active, dim) point
-        sets, all in one batch.  A non-finite value is reported at the
-        matching set of ``at`` (default: the points), checking the sets in
-        order; the failed seeds are dropped and the rows of the surviving
-        seeds are returned, together with the mask of survivors."""
-        owners = np.tile(self.active, len(points))
-        values = np.asarray(self.objective(np.concatenate(points), owners), dtype=float)
-        values = values.reshape(len(points), -1)
+        sets of the (sets, active, dim) ``points``, all in one batch.  A
+        non-finite value is reported at the matching point of ``at``
+        (default: the points), checking the sets in order; the failed
+        seeds are dropped.  Returns the (sets, survivors) values and the
+        mask of survivors, or None when every seed survives."""
+        sets, _, dim = points.shape
+        owners = self._owners.get(sets)
+        if owners is None:
+            owners = self._owners[sets] = np.tile(self.active, sets)
+        values = np.asarray(self.objective(points.reshape(-1, dim), owners), dtype=float)
+        values = values.reshape(sets, -1)
+        if np.isfinite(values).all():
+            return values, None
         keep = np.isfinite(values).all(axis=0)
         for slot in np.flatnonzero(~keep):
             for i, vals in enumerate(values):
-                where = (at or points)[i][slot]
                 try:
-                    _check_finite(vals[slot], where)
+                    _check_finite(vals[slot], points[i, slot] if at is None else at[slot])
                 except EvaluationError as exc:
                     self.errors[int(self.active[slot])] = exc
                     break
         self.active = self.active[keep]
+        self._owners = {}
         return values[:, keep], keep
 
 
@@ -188,7 +196,7 @@ def calibrate_lockstep(
     initial = np.asarray(initial, dtype=float)
     rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
     batch = _Lockstep(objective, seeds)
-    magnitudes = np.empty((len(seeds), probes))
+    gains: list[Any] = [None] * len(seeds)
     act = batch.active
     if act.size:
         # every probe starts from the seed's start point, so all probes of
@@ -200,19 +208,18 @@ def calibrate_lockstep(
             ],
             axis=1,
         )
-        deltas = config.c * signs[act]
+        deltas = (config.c * signs).transpose(1, 0, 2)
         start = initial[act]
-        sets = [x for i in range(probes) for x in (start + deltas[:, i], start - deltas[:, i])]
-        values, _ = batch.evaluate(*sets, at=(start,) * len(sets))
-        magnitudes[batch.active] = (np.abs(values[0::2] - values[1::2]) / (2.0 * config.c)).T
-    scale = (config.resolved_stability() + 1.0) ** config.alpha
-    gains: list[float | EvaluationError] = []
-    for s in range(len(seeds)):
-        if s in batch.errors:
-            gains.append(batch.errors[s])
-            continue
-        mean_mag = float(magnitudes[s].mean())
-        gains.append(target_step * scale if mean_mag < 1e-12 else target_step * scale / mean_mag)
+        points = np.stack([start + deltas, start - deltas], axis=1)
+        values, _ = batch.evaluate(points.reshape(2 * probes, *start.shape), at=start)
+        # one row per seed, each averaged on its own as a lone run does
+        magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * config.c)).T.copy()
+        scale = (config.resolved_stability() + 1.0) ** config.alpha
+        for s, mags in zip(batch.active, magnitudes):
+            mean_mag = float(mags.mean())
+            gains[s] = target_step * scale if mean_mag < 1e-12 else target_step * scale / mean_mag
+    for s, exc in batch.errors.items():
+        gains[s] = exc
     return gains
 
 
@@ -264,55 +271,61 @@ def spsa_lockstep(
     rngs = [np.random.default_rng(seed) for seed in seeds]
     stability = config.resolved_stability()
     batch = _Lockstep(objective, gains)
-    gains = np.array([np.nan if s in batch.errors else g for s, g in enumerate(gains)])
-
-    best_params = params.copy()
-    best_value = np.full(len(seeds), np.inf)
-    trace = np.empty((len(seeds), config.max_iters + 1))
+    # the state of the active seeds, row i for seed slot batch.active[i];
+    # a seed that fails is dropped from every array
+    act = batch.active
+    x = params[act]
+    gain = np.array([gains[s] for s in act], dtype=float)
+    best_x = x.copy()
+    best_v = np.full(act.size, np.inf)
+    trace = np.empty((act.size, config.max_iters + 1))
 
     for k in range(config.max_iters):
         if not batch.active.size:
             break
-        a_k = gains / (stability + k + 1.0) ** config.alpha
         c_k = config.c / (k + 1.0) ** config.gamma
-        act = batch.active
         if k % DRAW_BLOCK == 0:
-            signs = _signs(rngs, act, min(DRAW_BLOCK, config.max_iters - k), params.shape[1])
-        deltas = signs[act, k % DRAW_BLOCK]
-        plus = params[act] + c_k * deltas
-        minus = params[act] - c_k * deltas
-        (f_plus, f_minus), keep = batch.evaluate(plus, minus)
-        act, plus, minus, deltas = act[keep], plus[keep], minus[keep], deltas[keep]
-        for values, points in ((f_plus, plus), (f_minus, minus)):
-            better = values < best_value[act]
-            best_value[act[better]] = values[better]
-            best_params[act[better]] = points[better]
-        trace[act, k] = np.minimum(f_plus, f_minus)
-        grad = ((f_plus - f_minus) / (2.0 * c_k))[:, None] * deltas.astype(float)
-        params[act] = params[act] - a_k[act, None] * grad
+            signs = _signs(rngs, batch.active, min(DRAW_BLOCK, config.max_iters - k), x.shape[1])
+        step = c_k * signs[:, k % DRAW_BLOCK]
+        points = np.empty((2, *x.shape))
+        np.add(x, step, out=points[0])
+        np.subtract(x, step, out=points[1])
+        values, keep = batch.evaluate(points)
+        if keep is not None:
+            x, gain, best_x, best_v, trace = x[keep], gain[keep], best_x[keep], best_v[keep], trace[keep]
+            signs, points = signs[keep], points[:, keep]
+        for v, pts in zip(values, points):
+            better = v < best_v
+            np.copyto(best_v, v, where=better)
+            np.copyto(best_x, pts, where=better[:, None])
+        f_plus, f_minus = values
+        trace[:, k] = np.minimum(f_plus, f_minus)
+        grad = ((f_plus - f_minus) / (2.0 * c_k))[:, None] * signs[:, k % DRAW_BLOCK]
+        # a Python float power: a numpy power of the same numbers may
+        # round the last bit differently
+        a_k = gain / (stability + k + 1.0) ** config.alpha
+        x = x - a_k[:, None] * grad
 
-    act = batch.active
-    if act.size:
-        (f_final,), keep = batch.evaluate(params[act])
-        act = act[keep]
-        trace[act, -1] = f_final
+    if batch.active.size:
+        (f_final,), keep = batch.evaluate(x[None])
+        if keep is not None:
+            x, best_x, best_v, trace = x[keep], best_x[keep], best_v[keep], trace[keep]
+        trace[:, -1] = f_final
         # ties go to the final iterate so an unmoved run reports its start
-        final = f_final <= best_value[act]
-        best_value[act[final]] = f_final[final]
-        best_params[act[final]] = params[act[final]]
+        final = f_final <= best_v
+        np.copyto(best_v, f_final, where=final)
+        np.copyto(best_x, x, where=final[:, None])
 
-    return [
-        batch.errors[s]
-        if s in batch.errors
-        else OptimizerResult(
-            best_params=best_params[s].copy(),
-            best_value=float(best_value[s]),
+    outcomes: dict[int, Any] = dict(batch.errors)
+    for i, s in enumerate(batch.active.tolist()):
+        outcomes[s] = OptimizerResult(
+            best_params=best_x[i].copy(),
+            best_value=float(best_v[i]),
             evaluations=2 * config.max_iters + 1,
-            trace=trace[s].copy(),
+            trace=trace[i].copy(),
             capped=True,
         )
-        for s in range(len(seeds))
-    ]
+    return [outcomes[s] for s in range(len(seeds))]
 
 
 def spsa_minimize(

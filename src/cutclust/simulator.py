@@ -68,9 +68,13 @@ def new_state(n: int, init: str = "zeros", cap: int = QUBIT_CAP) -> Statevector:
 
 def _gate(a, b, c, d) -> np.ndarray:
     """[[a, b], [c, d]] stacked over the broadcast shape of the entries."""
-    top = np.stack(np.broadcast_arrays(a, b), axis=-1)
-    bottom = np.stack(np.broadcast_arrays(c, d), axis=-1)
-    return np.stack([top, bottom], axis=-2)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(d))
+    out = np.empty(shape + (2, 2), np.result_type(a, b, c, d))
+    out[..., 0, 0] = a
+    out[..., 0, 1] = b
+    out[..., 1, 0] = c
+    out[..., 1, 1] = d
+    return out
 
 
 def rx(theta: float) -> np.ndarray:
@@ -80,7 +84,8 @@ def rx(theta: float) -> np.ndarray:
 
 def ry(theta) -> np.ndarray:
     """Real-valued: R_y keeps real amplitudes real."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    half = theta / 2.0
+    c, s = np.cos(half), np.sin(half)
     return _gate(c, -s, s, c)
 
 
@@ -216,10 +221,26 @@ def probability_rows(psi: np.ndarray) -> np.ndarray:
     return np.abs(psi) ** 2
 
 
+# longest vector summed as one dot product: OpenBLAS splits a longer ddot
+# between its threads, so its rounding would depend on the thread count
+DOT_PIECE = 2**13
+
+
 def expectation_rows(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """<H> per row of probabilities.  One 1-D dot per row: a matrix-vector
-    product sums in a different order and rounds differently."""
-    return np.array([row @ energies for row in probs])
+    """<H> per row of probabilities.
+
+    One stacked (1, N) @ (N, 1) product, which numpy computes as one 1-D
+    dot per row, as ``row @ energies`` does; a matrix-vector product sums
+    in a different order and rounds differently.  A state longer than
+    DOT_PIECE is summed as its DOT_PIECE-long pieces, added in order."""
+    rows, size = probs.shape
+    pieces = max(size // DOT_PIECE, 1)
+    part = size // pieces
+    dots = np.matmul(probs.reshape(rows, pieces, 1, part), energies.reshape(pieces, part, 1))
+    total = dots[:, 0, 0, 0]
+    for i in range(1, pieces):
+        total = total + dots[:, i, 0, 0]
+    return total
 
 
 # single-state operations ----------------------------------------------------

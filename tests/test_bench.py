@@ -85,6 +85,15 @@ class TestLoadDataset:
         with pytest.raises(ValidationError, match="row 2.*'a'"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_non_finite_cell_reports_file_row_and_column(self, tmp_path, cell, normalize):
+        # checked before z-scoring, which would spread a NaN over its column
+        p = write_csv(tmp_path, f"name,a,b\nx,1.0,2.0\ny,3.0,{cell}\nz,4.0,5.0\n")
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(p, normalize=normalize)
+        assert str(exc.value) == f"{p}: non-finite value {cell!r} at row 2, column 'b'"
+
     def test_constant_column_centered_not_scaled(self, tmp_path):
         p = write_csv(tmp_path, "a,b\n1.0,5.0\n2.0,5.0\n3.0,5.0\n")
         ds = load_dataset(p)

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, flag parsing, and output files."""
 
 import json
+import warnings
 
 import pytest
 
@@ -94,6 +95,17 @@ class TestExitCodes:
         assert main(run_args(tmp_path, "--dataset", str(dup))) == 1
         err = capsys.readouterr().err
         assert "dup.csv" in err and "'a'" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_rejected_before_compute(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"a,b\n1.0,2.0\n{cell},3.0\n4.0,6.0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(run_args(tmp_path, "--dataset", str(bad))) == 1
+        err = capsys.readouterr().err
+        assert f"bad.csv: non-finite value {cell!r} at row 2, column 'a'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1

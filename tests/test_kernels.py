@@ -5,12 +5,19 @@ Three kinds of check:
     own (one-row call), for every ansatz and several batch sizes;
   - bit identity of each layer shortcut against the plain computation it
     replaces: the layer kernel against a loop of one-gate calls, the
-    product first layer against the gates applied to |0...0>, and the
-    mirrored cost phase against the phase of every energy;
+    product first layer against the gates applied to |0...0>, the
+    mirrored cost phase against the phase of every energy, the stacked
+    expectation against one dot per row, and gate stacks filled in place
+    against stacked entries;
   - an independent oracle: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
     which shares no code with the simulator.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +32,12 @@ from cutclust.ansatz import (
     qaoa_rows,
     transverse_field,
     vqe_rows,
+    ws_mixer_hamiltonian,
 )
 from cutclust.graph_model import QUBIT_CAP, IsingDiagonal, WeightedGraph, ising_from_graph
 from cutclust.optimizer import make_ansatz, make_objective, row_energies, row_probabilities
 from cutclust.simulator import (
+    DOT_PIECE,
     Statevector,
     apply_1q,
     apply_1q_rows,
@@ -426,3 +435,78 @@ class TestMirroredPhase:
         assert np.array_equal(psi, qaoa_rows(ising, *transverse_field(n), *angles))
         wrong = qaoa_rows(ising, *transverse_field(n), *angles, mirrored=True)
         assert not np.allclose(wrong, psi)
+
+
+class TestExpectationRows:
+    """The stacked expectation against one 1-D dot per row, byte for byte."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 20])
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 13])
+    def test_equals_one_dot_per_row(self, n, rows):
+        rng = np.random.default_rng(100 * n + rows)
+        probs = probability_rows(random_rows(rng, rows, n))
+        energies = rng.normal(scale=10.0, size=2**n)
+        ref = np.array([row @ energies for row in probs])
+        assert expectation_rows(probs, energies).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_state_longer_than_a_piece_sums_its_pieces_in_order(self, rows):
+        n = 14
+        assert 2**n == 2 * DOT_PIECE
+        rng = np.random.default_rng(rows)
+        probs = probability_rows(random_rows(rng, rows, n))
+        energies = rng.normal(scale=10.0, size=2**n)
+        ref = np.array(
+            [row[:DOT_PIECE] @ energies[:DOT_PIECE] + row[DOT_PIECE:] @ energies[DOT_PIECE:] for row in probs]
+        )
+        assert expectation_rows(probs, energies).tobytes() == ref.tobytes()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot product longer than 10^4 between threads
+        code = (
+            "import hashlib, numpy as np\n"
+            "from cutclust.simulator import expectation_rows\n"
+            "rng = np.random.default_rng(5)\n"
+            "probs = rng.random((40, 2**14))\n"
+            "energies = rng.normal(scale=100.0, size=2**14)\n"
+            "print(hashlib.sha256(expectation_rows(probs, energies).tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1
+
+
+def stacked_gate(a, b, c, d):
+    """[[a, b], [c, d]] built by stacking the broadcast entries: the
+    reference for the gate stacks that simulator._gate fills in place."""
+    top = np.stack(np.broadcast_arrays(a, b), axis=-1)
+    bottom = np.stack(np.broadcast_arrays(c, d), axis=-1)
+    return np.stack([top, bottom], axis=-2)
+
+
+class TestGateStacks:
+    """Gate stacks filled in place against the stacked construction."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 2, 5)])
+    def test_ry(self, shape):
+        theta = np.random.default_rng(len(shape)).uniform(-np.pi, np.pi, size=shape)
+        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+        got, ref = ry(theta), stacked_gate(c, -s, s, c)
+        assert got.shape == shape + (2, 2) and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+    def test_ry_of_a_python_float(self):
+        c, s = np.cos(0.35), np.sin(0.35)
+        assert ry(0.7).tobytes() == stacked_gate(c, -s, s, c).tobytes()
+
+    def test_ws_mixer_hamiltonians(self):
+        c = np.random.default_rng(3).uniform(0.05, 0.95, size=(4, 6))
+        off = -2.0 * np.sqrt(c * (1.0 - c))
+        ref = stacked_gate(2.0 * c - 1.0, off, off, 1.0 - 2.0 * c)
+        assert ws_mixer_hamiltonian(c).tobytes() == ref.tobytes()

@@ -551,3 +551,45 @@ class TestDrawBlocks:
             best_x, best_v, trace = reference_spsa(bumpy, initial[slot], lone)
             assert np.array_equal(results[slot].best_params, best_x)
             assert np.array_equal(results[slot].trace, trace)
+
+    def test_seeds_failing_at_the_first_and_the_last_iteration(self):
+        # slot 1 is non-finite at its first evaluation (the plus point of
+        # iteration 0), slot 3 at the minus point of the last iteration and
+        # slot 4 at the final evaluation; each fails as it would alone, and
+        # the seeds that never fail equal the written-out SPSA
+        seeds, dim, iters = (4, 9, 2, 6, 8), 5, DRAW_BLOCK + 6
+        initial = np.random.default_rng(2).uniform(-1, 1, (len(seeds), dim))
+        fail_at = {1: 1, 3: 2 * iters, 4: 2 * iters + 1}
+        calls = dict.fromkeys(fail_at, 0)
+
+        def objective(points, owners):
+            values = np.array([bumpy(x) for x in points])
+            for slot, at in fail_at.items():
+                for r in np.flatnonzero(owners == slot):  # plus row, then minus row
+                    calls[slot] += 1
+                    if calls[slot] == at:
+                        values[r] = np.nan
+            return values
+
+        def lone(at):
+            count = {"n": 0}
+
+            def f(x):
+                count["n"] += 1
+                return np.nan if count["n"] == at else bumpy(x)
+
+            return f
+
+        results = spsa_lockstep(objective, initial, SpsaConfig(max_iters=iters), seeds, [0.05] * 5)
+        for slot, at in fail_at.items():
+            cfg = SpsaConfig(max_iters=iters, a=0.05, seed=seeds[slot])
+            with pytest.raises(EvaluationError) as exc:
+                spsa_minimize(lone(at), initial[slot], cfg)
+            assert isinstance(results[slot], EvaluationError)
+            assert str(results[slot]) == str(exc.value)
+        for slot in (0, 2):
+            cfg = SpsaConfig(max_iters=iters, a=0.05, seed=seeds[slot])
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], cfg)
+            assert np.array_equal(results[slot].best_params, best_x)
+            assert results[slot].best_value == best_v
+            assert np.array_equal(results[slot].trace, trace)
