@@ -3,7 +3,8 @@
     python3 benchmarks/bench_compare.py --before DIR --out BENCH_<topic>.json
 
 DIR is a checkout of the code to compare against (for example made with
-``git clone`` and ``git checkout <commit>``); the "after" side is the
+``git clone`` and ``git checkout <commit>``) whose simulator has
+``apply_layer_rows`` and ``product_rows``; the "after" side is the
 checkout this script lives in.  The topic recorded in the output is the
 ``<topic>`` part of its file name.  Five kinds of figure are written:
 
@@ -23,8 +24,7 @@ checkout this script lives in.  The topic recorded in the output is the
 - per step: microseconds of the optimizer's own work per SPSA iteration
   and per calibration probe, for STEP_SEEDS seeds in lockstep on a
   trivial batch objective, at each dimension in STEP_DIMS;
-- constants (after side only): microseconds of one 2x2 gate by target
-  qubit at the qubit cap, and the timings behind SPSA's draw block.
+- constants (after side only): the timings behind SPSA's draw block.
 
 The probes run at n in QUBITS on a fixed random graph; each figure is the
 fastest of PROBE_RUNS probe processes, alternating sides, each keeping
@@ -142,22 +142,6 @@ def probe_layers() -> dict:
     import numpy as np
     from cutclust import simulator as sim
 
-    layer_kernel = getattr(sim, "apply_layer_rows", None)
-    product_rows = getattr(sim, "product_rows", None)
-    mirrored = {"mirrored": True} if hasattr(sim, "is_mirrored") else {}
-
-    def layer(psi, gates):
-        if layer_kernel is not None:
-            return layer_kernel(psi, gates)
-        for q in range(gates.shape[1]):
-            psi = sim.apply_1q_rows(psi, q, gates[:, q])
-        return psi
-
-    def first_layer(zero, columns, gates):
-        if product_rows is not None:
-            return product_rows(columns)
-        return layer(zero, gates)
-
     _warm_heap()
     out: dict = {}
     for n in QUBITS:
@@ -168,18 +152,17 @@ def probe_layers() -> dict:
         cplx = real * np.exp(1j * rng.uniform(0, 2 * np.pi, size=real.shape))
         ry = sim.ry(rng.uniform(-np.pi, np.pi, size=(rows, n)))
         mixer = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * ry
-        zero = np.zeros((rows, 2**n))
-        zero[:, 0] = 1.0
         gammas = rng.uniform(-1, 1, rows)
         chain = sim.cnot_chain_perm(n)
         probs = sim.probability_rows(cplx)
+        # a checkout with simulator.is_mirrored takes the energies and the
+        # mirrored flag; a later one takes the IsingDiagonal, which knows it
+        diagonal = (ising.energies, True) if hasattr(sim, "is_mirrored") else (ising,)
         layers = {
-            "ry_layer": lambda: layer(real, ry),
-            "mixer_layer": lambda: layer(cplx, mixer),
-            "vqe_first_layer": lambda: first_layer(zero, ry[..., 0], ry),
-            "cost_phase": lambda: sim.apply_diagonal_phase_rows(
-                cplx, gammas, ising.energies, **mirrored
-            ),
+            "ry_layer": lambda: sim.apply_layer_rows(real, ry),
+            "mixer_layer": lambda: sim.apply_layer_rows(cplx, mixer),
+            "vqe_first_layer": lambda: sim.product_rows(ry[..., 0]),
+            "cost_phase": lambda: sim.apply_diagonal_phase_rows(cplx, gammas, *diagonal),
             "cnot_gather": lambda: sim.gather_rows(real, chain),
             "expectation": lambda: sim.expectation_rows(probs, ising.energies),
         }
@@ -245,34 +228,20 @@ def _emit_report_s() -> float:
 
 
 def probe_constants() -> dict:
-    """Timings of one ``apply_1q_rows`` gate by target qubit at the qubit
-    cap, and those behind optimizer.DRAW_BLOCK."""
+    """The timings behind optimizer.DRAW_BLOCK."""
     import numpy as np
     from cutclust import optimizer
-    from cutclust import simulator as sim
-
-    _warm_heap()
-    out: dict = {"gate_us_by_target_qubit": {}}
-    rng = np.random.default_rng(0)
-    n = sim.QUBIT_CAP
-    for dtype in ("float64", "complex128"):
-        psi = rng.normal(size=(1, 2**n)).astype(dtype)
-        u = sim.ry(rng.uniform(-np.pi, np.pi, size=(1,))).astype(dtype)
-        out["gate_us_by_target_qubit"][dtype] = _best_us(
-            [lambda q=q: sim.apply_1q_rows(psi, q, u) for q in range(n)], 20
-        )
 
     # per-iteration cost of drawing the sign vectors of 10 seeds of a
     # 30-parameter VQE (cars), by the number of iterations per draw
     seeds, dim = 10, 30
-    by_block = out["draw_us_per_iteration_by_block"] = {}
+    by_block = {}
     for block in (1, 8, 64, 512):
         rngs = [np.random.default_rng(s) for s in range(seeds)]
         active = np.arange(seeds)
         (us,) = _best_us([lambda: optimizer._signs(rngs, active, block, dim)], 20)
         by_block[str(block)] = us / block
-    out["draw_block"] = optimizer.DRAW_BLOCK
-    return out
+    return {"draw_us_per_iteration_by_block": by_block, "draw_block": optimizer.DRAW_BLOCK}
 
 
 # driver ----------------------------------------------------------------------

@@ -144,7 +144,8 @@ def warm_start_rows(warms: Sequence[WarmStart], n: int) -> tuple[np.ndarray, np.
     c_star = np.stack([w.c_star for w in warms])
     _check_interior(c_star)
     thetas = np.stack([w.thetas for w in warms])
-    return ws_mixer_hamiltonian(c_star), vqe_rows(thetas[:, None], cnot_chain_perm(n))
+    # the start state from the first column of each R_y(theta_i)
+    return ws_mixer_hamiltonian(c_star), product_rows(ry(thetas)[..., 0])
 
 
 def qaoa_rows(
@@ -153,17 +154,14 @@ def qaoa_rows(
     initial: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
-    mirrored: bool = False,
 ) -> np.ndarray:
     """Alternate exp(-i gamma H_C) and exp(-i beta H_q) on every qubit q,
     starting from the rows of ``initial``; one state per row of the
     (rows, p) angle arrays.  Row r uses the (n, 2, 2) mixer Hamiltonians
-    ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row.
-    ``mirrored`` is :func:`~cutclust.simulator.is_mirrored` of the
-    energies, checked once by the caller."""
+    ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row."""
     psi = initial
     for layer in range(betas.shape[1]):
-        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising.energies, mirrored)
+        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising)
         psi = apply_layer_rows(psi, _mixer_unitaries(hams, betas[:, layer, None]))
     return psi
 
@@ -175,9 +173,8 @@ def vqe_param_count(n: int, reps: int) -> int:
 def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """R_y layer, then blocks of [CNOT chain, R_y layer], from |0...0>; one
     real state per row of the (rows, reps + 1, n) angle array.  ``chain``
-    is ``cnot_chain_perm(n)``, built once by the caller.  With one layer
-    this is the warm-start product state of R_y(theta_i), which is built
-    from the first column of each gate."""
+    is ``cnot_chain_perm(n)``, built once by the caller.  The first layer
+    acts on |0...0> and is built from the first column of each gate."""
     gates = ry(angles)
     psi = product_rows(gates[:, 0, :, :, 0])
     for layer in range(1, angles.shape[1]):

@@ -47,7 +47,7 @@ from .optimizer import (
     spsa_lockstep,
 )
 from .relaxation import RelaxConfig, clip_cstar, relax_qubo
-from .simulator import RNG_ID, expectation_rows
+from .simulator import RNG_ID, draw_counts, expectation_rows
 
 ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
 
@@ -409,7 +409,7 @@ def sample_run(
     t0 = time.perf_counter()
     try:
         probs = final["probabilities"]
-        counts = np.random.default_rng([seed, 2]).multinomial(config.shots, probs)
+        counts = draw_counts(probs, config.shots, [seed, 2])
         weights = counts[None].astype(float)
         energy_sampled = float(expectation_rows(weights, problem.ising.energies)[0]) / config.shots
         top = most_probable_index(probs)
@@ -687,8 +687,11 @@ def _write_json(fh, obj: Any, level: int = 0) -> None:
         fh.write(pad[:-2] + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         if all(type(v) is float for v in obj):
-            # a float's repr holds no ", ", so the separators split it
-            fh.write("[" + pad + json.dumps(obj)[1:-1].replace(", ", "," + pad) + pad[:-2] + "]")
+            # a float's repr holds no ", ", so the separators split it; the
+            # brackets go in their own writes, which saves a copy of the text
+            fh.write("[" + pad)
+            fh.write(json.dumps(obj)[1:-1].replace(", ", "," + pad))
+            fh.write(pad[:-2] + "]")
             return
         sep = "["
         for v in obj:

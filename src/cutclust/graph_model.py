@@ -10,7 +10,7 @@ ground states of the Ising diagonal are exactly the maximum cuts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,6 @@ QUBIT_CAP = 14
 def bits_from_index(index: int, n: int) -> np.ndarray:
     """Per-qubit bits (qubit 0 first) of a basis-state index."""
     return (index >> np.arange(n)) & 1
-
-
-def index_from_bits(bits) -> int:
-    """Inverse of bits_from_index."""
-    bits = np.asarray(bits, dtype=np.int64)
-    return int((bits << np.arange(bits.size)).sum())
 
 
 def all_bitstrings(n: int) -> np.ndarray:
@@ -94,23 +88,25 @@ class WeightedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def total_weight(self) -> float:
-        """Sum of w_ij over unordered pairs."""
-        return float(self.weights.sum() / 2.0)
-
 
 @dataclass(frozen=True)
 class IsingDiagonal:
-    """Diagonal cost energies over all 2^n bitstrings."""
+    """Diagonal cost energies over all 2^n bitstrings.
+
+    ``mirrored`` records that energies[2^n - 1 - k] == energies[k] exactly
+    for every k, i.e. E(x) == E(~x), as for every diagonal that
+    ising_from_graph builds; the cost phase then computes half of it."""
 
     n: int
     energies: np.ndarray
+    mirrored: bool = field(init=False)
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
         if e.shape != (2**self.n,):
             raise ValidationError(f"energies must have length 2^{self.n}")
         object.__setattr__(self, "energies", e)
+        object.__setattr__(self, "mirrored", bool(np.array_equal(e, e[::-1])))
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,6 @@ class QuboProblem:
 
     linear: np.ndarray
     quadratic: np.ndarray
-    sense: str = "maximize"
 
     def __post_init__(self):
         lin = np.asarray(self.linear, dtype=float)

@@ -27,7 +27,6 @@ from .graph_model import IsingDiagonal
 from .simulator import (
     cnot_chain_perm,
     expectation_rows,
-    is_mirrored,
     probability_rows,
     row_cap,
 )
@@ -201,13 +200,7 @@ def calibrate_lockstep(
     if act.size:
         # every probe starts from the seed's start point, so all probes of
         # all seeds run in one batch: the ± sets of probe 0, then probe 1, ...
-        signs = np.concatenate(
-            [
-                _signs(rngs, act, min(DRAW_BLOCK, probes - i), initial.shape[1])
-                for i in range(0, probes, DRAW_BLOCK)
-            ],
-            axis=1,
-        )
+        signs = _signs(rngs, act, probes, initial.shape[1])
         deltas = (config.c * signs).transpose(1, 0, 2)
         start = initial[act]
         points = np.stack([start + deltas, start - deltas], axis=1)
@@ -400,14 +393,12 @@ def make_ansatz(
     rotation angles.  This is the only place that knows which builder
     belongs to which algorithm.
     """
-    # for the QAOA phase layers: checked once here, not on every layer
-    mirrored = is_mirrored(ising.energies)
     if kind == "qaoa":
         dim = 2 * p
         hams, initial = transverse_field(ising.n)
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:], mirrored)
+            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:])
 
     elif kind == "ws-qaoa":
         if warm is None:
@@ -417,9 +408,7 @@ def make_ansatz(
         dim = 2 * p
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            return qaoa_rows(
-                ising, hams[owners], initial[owners], params[:, :p], params[:, p:], mirrored
-            )
+            return qaoa_rows(ising, hams[owners], initial[owners], params[:, :p], params[:, p:])
 
     elif kind == "vqe":
         dim = vqe_param_count(ising.n, vqe_reps)

@@ -89,15 +89,6 @@ def ry(theta) -> np.ndarray:
     return _gate(c, -s, s, c)
 
 
-def rz(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
-
-
-def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
-    u = np.asarray(u)
-    return u.shape == (2, 2) and np.allclose(u.conj().T @ u, np.eye(2), atol=tol)
-
-
 # row kernels ----------------------------------------------------------------
 #
 # A kernel acts on a C-contiguous (rows, 2^n) array: one state per row, real
@@ -107,9 +98,15 @@ def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
 
 def row_cap(n: int) -> int:
     """Most rows one kernel call takes: a batch holds no more amplitudes
-    than half a state at the qubit cap (128 KiB complex), past which a
-    gate's buffers fall out of cache and a row costs more batched than
-    alone.  A state at or near the cap runs one row at a time."""
+    than half a state at the qubit cap (128 KiB complex).  A state at or
+    near the cap runs one row at a time.
+
+    The cap keeps batches bit-identical to one-row calls, not only in
+    cache: from 256 KiB on (2 complex rows at 13 qubits), numpy computes
+    ``psi * phase`` in place in the phase temporary with the operands
+    swapped, and its complex multiply rounds a*b and b*a differently.
+    Past the cap a gate's buffers also fall out of cache and a row costs
+    more batched than alone."""
     return 2 ** max(QUBIT_CAP - 1 - n, 0)
 
 
@@ -186,14 +183,9 @@ def gather_rows(psi: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(psi, perm, axis=1)
 
 
-def is_mirrored(energies: np.ndarray) -> bool:
-    """Whether energies[2^n - 1 - k] == energies[k] exactly for every k, as
-    for every diagonal that ising_from_graph builds."""
-    return bool(np.array_equal(energies, energies[::-1]))
-
-
-def _phases(gammas: np.ndarray, energies: np.ndarray, mirrored: bool) -> np.ndarray:
-    if not mirrored:
+def _phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
+    energies = ising.energies
+    if not ising.mirrored:
         return np.exp(-1j * gammas[:, None] * energies)
     half = energies.size // 2
     phase = np.empty((gammas.size, energies.size), complex)
@@ -203,18 +195,18 @@ def _phases(gammas: np.ndarray, energies: np.ndarray, mirrored: bool) -> np.ndar
 
 
 def apply_diagonal_phase_rows(
-    psi: np.ndarray, gammas: np.ndarray, energies: np.ndarray, mirrored: bool = False
+    psi: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
 ) -> np.ndarray:
     """Multiply amplitude[r, x] by exp(-i gammas[r] E(x)).
 
-    ``mirrored`` says that :func:`is_mirrored` holds for ``energies``; the
-    phases of the first half are then computed and copied in reverse to
-    the second, which holds the same values."""
+    For a mirrored diagonal (``ising.mirrored``) the phases of the first
+    half are computed and copied in reverse to the second, which holds
+    the same values."""
     # the phases enter the product as a temporary either way: numpy may
     # then multiply into it in place with the operands swapped (for arrays
     # of 256 KiB and more), and its complex multiply rounds a*b and b*a
     # differently, so both ways must give numpy the same expression
-    return psi * _phases(gammas, energies, mirrored)
+    return psi * _phases(gammas, ising)
 
 
 def probability_rows(psi: np.ndarray) -> np.ndarray:
@@ -275,10 +267,8 @@ def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
 def apply_diagonal_phase(state: Statevector, gamma: float, ising: IsingDiagonal) -> Statevector:
     """Multiply amplitude[x] by exp(-i gamma E(x))."""
     _check_diagonal(state, ising)
-    gammas = np.array([gamma], dtype=float)
-    return Statevector(
-        n=state.n, amps=apply_diagonal_phase_rows(state.amps[None], gammas, ising.energies)[0]
-    )
+    amps = apply_diagonal_phase_rows(state.amps[None], np.array([gamma], dtype=float), ising)
+    return Statevector(n=state.n, amps=amps[0])
 
 
 # measurement-side operations ------------------------------------------------
@@ -294,14 +284,19 @@ def probabilities(state: Statevector) -> np.ndarray:
     return probability_rows(state.amps[None])[0]
 
 
-def sample_counts(state: Statevector, shots: int, seed: int) -> dict[str, int]:
-    """Draw `shots` i.i.d. basis-state samples; keys are MSB-first bitstrings."""
+def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Counts per basis index of ``shots`` i.i.d. samples from ``probs``,
+    drawn from the PCG64 generator seeded with ``seed`` (an int or a
+    sequence of ints)."""
     if shots < 1:
         raise ValidationError("shots must be >= 1")
+    return np.random.default_rng(seed).multinomial(shots, probs)
+
+
+def sample_counts(state: Statevector, shots: int, seed: int) -> dict[str, int]:
+    """Draw `shots` i.i.d. basis-state samples; keys are MSB-first bitstrings."""
     probs = probabilities(state)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
+    counts = draw_counts(probs / probs.sum(), shots, seed)
     return {
         format(k, f"0{state.n}b"): int(c) for k, c in enumerate(counts) if c > 0
     }

@@ -15,7 +15,12 @@ from cutclust.ansatz import (
 )
 from cutclust.errors import ValidationError
 from cutclust.graph_model import WeightedGraph, ising_from_graph
-from cutclust.simulator import expectation_diagonal, is_unitary, probabilities
+from cutclust.simulator import expectation_diagonal, probabilities
+
+
+def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
+    u = np.asarray(u)
+    return u.shape == (2, 2) and np.allclose(u.conj().T @ u, np.eye(2), atol=tol)
 
 
 def single_edge_ising(w=1.0):

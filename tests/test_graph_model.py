@@ -6,15 +6,22 @@ import pytest
 from cutclust.errors import ResourceLimitError, ValidationError
 from cutclust.graph_model import (
     Dataset,
+    IsingDiagonal,
     WeightedGraph,
     all_bitstrings,
     bits_from_index,
     cut_value,
     euclidean_weights,
-    index_from_bits,
     ising_from_graph,
     qubo_from_graph,
 )
+from cutclust.simulator import Statevector, apply_diagonal_phase
+
+
+def index_from_bits(bits) -> int:
+    """Inverse of bits_from_index."""
+    bits = np.asarray(bits, dtype=np.int64)
+    return int((bits << np.arange(bits.size)).sum())
 
 
 def brute_force_cut(weights: np.ndarray, bits) -> float:
@@ -122,6 +129,37 @@ class TestIsingFromGraph:
         for n in (2, 4, 6):
             ising = ising_from_graph(random_graph(rng, n))
             assert ising.energies[0] == 0.0
+
+
+class TestMirrored:
+    """IsingDiagonal.mirrored: E(x) == E(~x) exactly, and the cost phase
+    that takes half of the spectrum because of it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 14])
+    def test_graph_diagonals_are_mirrored(self, n):
+        ising = ising_from_graph(random_graph(np.random.default_rng(n), n))
+        assert ising.mirrored is True
+
+    def test_one_perturbed_energy_is_not_mirrored(self):
+        energies = ising_from_graph(random_graph(np.random.default_rng(3), 5)).energies.copy()
+        assert IsingDiagonal(n=5, energies=energies).mirrored
+        energies[6] = np.nextafter(energies[6], np.inf)
+        assert IsingDiagonal(n=5, energies=energies).mirrored is False
+
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_single_state_phase_equals_the_phase_of_every_energy(self, n):
+        # at 14 qubits numpy multiplies into the phase temporary with the
+        # operands swapped, so the expression must match the plain one's;
+        # the expected value is computed outside the assert, whose
+        # rewriting would hold a reference to the temporary
+        rng = np.random.default_rng(n)
+        ising = ising_from_graph(random_graph(rng, n))
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        gamma = float(rng.uniform(-np.pi, np.pi))
+        got = apply_diagonal_phase(Statevector(n=n, amps=psi), gamma, ising)
+        expected = psi * np.exp(-1j * gamma * ising.energies)
+        assert got.amps.tobytes() == expected.tobytes()
 
 
 class TestQuboFromGraph:

@@ -10,16 +10,23 @@ from cutclust.simulator import (
     apply_cnot,
     apply_diagonal_phase,
     expectation_diagonal,
-    is_unitary,
     new_state,
     probabilities,
     rx,
     ry,
-    rz,
     sample_counts,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def rz(theta: float) -> np.ndarray:
+    return np.array([[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]])
+
+
+def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
+    u = np.asarray(u)
+    return u.shape == (2, 2) and np.allclose(u.conj().T @ u, np.eye(2), atol=tol)
 
 
 def single_edge_ising(w=1.0) -> IsingDiagonal:
