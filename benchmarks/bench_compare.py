@@ -3,8 +3,9 @@
     python3 benchmarks/bench_compare.py --before DIR --out BENCH_<topic>.json
 
 DIR is a checkout of the code to compare against (for example made with
-``git clone`` and ``git checkout <commit>``) whose simulator has
-``apply_layer_rows`` and ``product_rows``; the "after" side is the
+``git clone`` and ``git checkout <commit>``); the oldest it can be is the
+change that made ``WarmStart`` hold only ``c_star`` and calibration's
+probe count the constant ``optimizer.PROBES``.  The "after" side is the
 checkout this script lives in.  The topic recorded in the output is the
 ``<topic>`` part of its file name.  Five kinds of figure are written:
 
@@ -117,7 +118,7 @@ def probe_evals() -> dict:
         out[kind] = {}
         for n in QUBITS:
             rng, ising = _ising(n)
-            warms = [WarmStart.from_cstar(rng.uniform(0.1, 0.9, n)) for _ in range(BATCH_ROWS)]
+            warms = [WarmStart(rng.uniform(0.1, 0.9, n)) for _ in range(BATCH_ROWS)]
             objective, dim = make_objective(kind, ising, warm=warms[0])
             params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, dim))
             prepare, _ = make_ansatz(kind, ising, warm=warms if kind == "ws-qaoa" else None)
@@ -155,14 +156,11 @@ def probe_layers() -> dict:
         gammas = rng.uniform(-1, 1, rows)
         chain = sim.cnot_chain_perm(n)
         probs = sim.probability_rows(cplx)
-        # a checkout with simulator.is_mirrored takes the energies and the
-        # mirrored flag; a later one takes the IsingDiagonal, which knows it
-        diagonal = (ising.energies, True) if hasattr(sim, "is_mirrored") else (ising,)
         layers = {
             "ry_layer": lambda: sim.apply_layer_rows(real, ry),
             "mixer_layer": lambda: sim.apply_layer_rows(cplx, mixer),
             "vqe_first_layer": lambda: sim.product_rows(ry[..., 0]),
-            "cost_phase": lambda: sim.apply_diagonal_phase_rows(cplx, gammas, *diagonal),
+            "cost_phase": lambda: sim.apply_diagonal_phase_rows(cplx, gammas, ising),
             "cnot_gather": lambda: sim.gather_rows(real, chain),
             "expectation": lambda: sim.expectation_rows(probs, ising.energies),
         }
@@ -176,11 +174,11 @@ def probe_layers() -> dict:
 def probe_steps() -> dict:
     """{"spsa_us_per_iteration" | "calibration_us_per_probe": {d: us}}:
     one ``spsa_lockstep`` run of the default 250 iterations and one
-    ``calibrate_lockstep`` of the default 10 probes, STEP_SEEDS seeds at
-    a time, on a sum of squares, so that the time is the optimizer's own
-    bookkeeping."""
+    ``calibrate_lockstep`` of ``optimizer.PROBES`` probes, STEP_SEEDS
+    seeds at a time, on a sum of squares, so that the time is the
+    optimizer's own bookkeeping."""
     import numpy as np
-    from cutclust.optimizer import SpsaConfig, calibrate_lockstep, spsa_lockstep
+    from cutclust.optimizer import PROBES, SpsaConfig, calibrate_lockstep, spsa_lockstep
 
     def objective(points, owners):
         return np.square(points).sum(axis=1)
@@ -188,19 +186,18 @@ def probe_steps() -> dict:
     seeds = tuple(range(1, STEP_SEEDS + 1))
     gains = [0.1] * STEP_SEEDS
     config = SpsaConfig()
-    probes = 10
     out: dict = {"spsa_us_per_iteration": {}, "calibration_us_per_probe": {}}
     for dim in STEP_DIMS:
         initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
         spsa_us, calibration_us = _best_us(
             [
                 lambda: spsa_lockstep(objective, initial, config, seeds, gains),
-                lambda: calibrate_lockstep(objective, initial, config, seeds, probes=probes),
+                lambda: calibrate_lockstep(objective, initial, config, seeds),
             ],
             1,
         )
         out["spsa_us_per_iteration"][str(dim)] = spsa_us / config.max_iters
-        out["calibration_us_per_probe"][str(dim)] = calibration_us / probes
+        out["calibration_us_per_probe"][str(dim)] = calibration_us / PROBES
     return out
 
 

@@ -47,7 +47,7 @@ print(f"relaxed objective   {relaxed.objective:.4f}  c* = {relaxed.c_star}")
 
 # Stage 2: clip so no qubit starts frozen at a pole.
 clipped = clip_cstar(relaxed.c_star, 0.1)
-warm = WarmStart.from_cstar(clipped)
+warm = WarmStart(clipped)
 print(f"clipped c*          {clipped}")
 print(f"rotation angles     {np.round(warm.thetas, 4)}")
 

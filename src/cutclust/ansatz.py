@@ -13,7 +13,7 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,25 +57,18 @@ class QaoaParams:
 
 @dataclass(frozen=True)
 class WarmStart:
-    """Relaxed solution c in [0,1]^n with its rotation angles."""
+    """Relaxed solution c in [0,1]^n and the rotation angles it sets,
+    theta_i = 2 arcsin(sqrt(c_i)), monotone on [0, pi]."""
 
     c_star: np.ndarray
-    thetas: np.ndarray
+    thetas: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.c_star, dtype=float)
         if np.any((c < 0.0) | (c > 1.0)):
             raise ValidationError("c_star entries must lie in [0, 1]")
         object.__setattr__(self, "c_star", c)
-        object.__setattr__(self, "thetas", np.asarray(self.thetas, dtype=float))
-
-    @classmethod
-    def from_cstar(cls, c_star) -> "WarmStart":
-        """Angles theta_i = 2 arcsin(sqrt(c_i)), monotone on [0, pi]."""
-        c = np.asarray(c_star, dtype=float)
-        if np.any((c < 0.0) | (c > 1.0)):
-            raise ValidationError("c_star entries must lie in [0, 1]")
-        return cls(c_star=c, thetas=2.0 * np.arcsin(np.sqrt(c)))
+        object.__setattr__(self, "thetas", 2.0 * np.arcsin(np.sqrt(c)))
 
     @property
     def n(self) -> int:

@@ -50,6 +50,7 @@ from .relaxation import RelaxConfig, clip_cstar, relax_qubo
 from .simulator import RNG_ID, draw_counts, expectation_rows
 
 ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
+FORMATS = ("json", "csv", "md")
 
 SCHEMA_VERSION = 1
 
@@ -81,7 +82,8 @@ class RunConfig:
     ``dataset`` is a filesystem path or the name of a shipped file
     (``cars``, ``wine``).  ``columns=None`` selects every feature column
     in the file.  The per-run seed overrides the seeds inside ``relax``
-    and ``spsa``.
+    and ``spsa``.  Every seed's SPSA gain is calibrated, so ``spsa.a``
+    must stay unset.
     """
 
     dataset: str
@@ -115,6 +117,8 @@ class RunConfig:
             raise ValidationError(f"vqe_reps must be >= 0, got {self.vqe_reps}")
         if self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
+        if self.spsa.a is not None:
+            raise ValidationError("spsa.a must be unset: each seed's gain is calibrated")
 
     def selected_algorithms(self) -> tuple[str, ...]:
         return ALGORITHMS if self.algorithm == "all" else (self.algorithm,)
@@ -329,7 +333,7 @@ def _warm_starts(
         t0 = time.perf_counter()
         try:
             relaxed = relax_qubo(qubo, dataclasses.replace(config.relax, seed=seed), ascents)
-            warms[seed] = WarmStart.from_cstar(clip_cstar(relaxed.c_star, config.relax.epsilon))
+            warms[seed] = WarmStart(clip_cstar(relaxed.c_star, config.relax.epsilon))
         except Exception as exc:
             warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
         timings[seed]["relaxation"] = time.perf_counter() - t0
@@ -349,8 +353,8 @@ def _optimize(
     RunRecord that this stage sets.  All seeds of a variational algorithm
     advance through SPSA together; seed s starts from
     ``default_rng([s, 1])`` and keeps its own streams, gain and best
-    point, so its result equals a run on its own.  The final states are
-    prepared as one batch too.
+    point, so its result equals a run on its own.  Each seed's gain is
+    calibrated first.  The final states are prepared as one batch too.
     """
     ising = problem.ising
     if algorithm == "exact":
@@ -372,11 +376,7 @@ def _optimize(
     prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
     objective = partial(row_energies, prepare, ising)
     initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
-    calibrated = config.spsa.a is None
-    if calibrated:
-        gains = calibrate_lockstep(objective, initial, config.spsa, seeds)
-    else:
-        gains = [config.spsa.a] * len(seeds)
+    gains = calibrate_lockstep(objective, initial, config.spsa, seeds)
     outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa, seeds, gains)
 
     done = np.array([s for s, r in enumerate(outcomes) if not isinstance(r, Exception)], dtype=int)
@@ -389,7 +389,7 @@ def _optimize(
             "probabilities": p,
             "energy_expectation": float(e),
             "params": outcomes[s].best_params,
-            "calibrated_a": gains[s] if calibrated else None,
+            "calibrated_a": gains[s],
             "evaluations": outcomes[s].evaluations,
         }
     return outcomes
@@ -508,13 +508,11 @@ class BenchmarkReport:
     """Aggregated benchmark output.
 
     ``payload`` is the deterministic section (what report.json holds);
-    ``timings`` is the wall-clock section (timings.json).  ``records``
-    keeps the in-memory run objects for programmatic use.
+    ``timings`` is the wall-clock section (timings.json).
     """
 
     payload: dict[str, Any]
     timings: dict[str, Any]
-    records: dict[str, list[RunRecord]] = field(repr=False, default_factory=dict)
 
 
 def _median(values) -> float:
@@ -623,7 +621,6 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         "algorithms": {},
     }
     timings: dict[str, Any] = {"per_run": {}}
-    records: dict[str, list[RunRecord]] = {}
 
     for algorithm in algorithms:
         runs: list[RunRecord] = []
@@ -647,10 +644,9 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
             block["median_solution_objective"] = _median(r.solution_objective for r in runs)
             block["representative_seed"] = rep.seed
         payload["algorithms"][algorithm] = block
-        records[algorithm] = runs
 
     timings["total_s"] = time.perf_counter() - t_start
-    return BenchmarkReport(payload=payload, timings=timings, records=records)
+    return BenchmarkReport(payload=payload, timings=timings)
 
 
 def _json_default(obj: Any) -> Any:
@@ -748,10 +744,17 @@ def _table_rows(report: BenchmarkReport) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def check_formats(formats: tuple[str, ...]) -> None:
+    """Reject a report format outside FORMATS, naming it."""
+    bad = set(formats) - set(FORMATS)
+    if bad:
+        raise ValidationError(f"unknown formats {sorted(bad)}; choose from {sorted(FORMATS)}")
+
+
 def emit_report(
     report: BenchmarkReport,
     out_dir: str | Path,
-    formats: tuple[str, ...] = ("json", "csv", "md"),
+    formats: tuple[str, ...] = FORMATS,
 ) -> list[Path]:
     """Write the report files and return their paths.
 
@@ -760,10 +763,7 @@ def emit_report(
     the representative run's final probabilities sorted by state index.
     md: table.md.
     """
-    known = {"json", "csv", "md"}
-    bad = set(formats) - known
-    if bad:
-        raise ValidationError(f"unknown formats {sorted(bad)}; choose from {sorted(known)}")
+    check_formats(formats)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

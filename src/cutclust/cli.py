@@ -12,7 +12,9 @@ import sys
 
 from .bench import (
     ALGORITHMS,
+    FORMATS,
     RunConfig,
+    check_formats,
     emit_report,
     load_dataset,
     run_benchmark,
@@ -50,6 +52,7 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     fmts = tuple(f.strip() for f in text.split(",") if f.strip())
     if not fmts:
         raise ValidationError("format list is empty")
+    check_formats(fmts)
     return fmts
 
 
@@ -69,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10", help="comma-separated seed list")
     run.add_argument("--spsa-iters", type=int, default=250, help="SPSA iteration budget")
     run.add_argument("--out", default="bench_out", help="output directory")
-    run.add_argument("--format", default="json,csv,md", help="any of json,csv,md (comma-separated)")
+    formats = ",".join(FORMATS)
+    run.add_argument("--format", default=formats, help=f"any of {formats} (comma-separated)")
 
     sub.add_parser("datasets", help="list shipped datasets")
     return parser
@@ -83,6 +87,7 @@ def _cmd_datasets() -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    formats = _parse_formats(args.format)
     config = RunConfig(
         dataset=args.dataset,
         columns=_parse_columns(args.columns),
@@ -96,7 +101,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spsa=SpsaConfig(max_iters=args.spsa_iters),
     )
     report = run_benchmark(config)
-    files = emit_report(report, args.out, _parse_formats(args.format))
+    files = emit_report(report, args.out, formats)
 
     for algo, block in report.payload["algorithms"].items():
         if block["runs"]:

@@ -149,15 +149,15 @@ def euclidean_weights(dataset: Dataset) -> WeightedGraph:
     return WeightedGraph(weights=w)
 
 
-def ising_from_graph(graph: WeightedGraph, cap: int = QUBIT_CAP) -> IsingDiagonal:
+def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     """Diagonal energies E(x) = -cut(x) for every bitstring x.
 
     Uses cut(x) = x^T W (1 - x); only the half with qubit n-1 = 0 is
     computed and the rest mirrored, so energies[x] == energies[~x] exactly.
     """
     n = graph.n
-    if n > cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
+    if n > QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     half = 2 ** (n - 1)
     bits = all_bitstrings(n)[:half].astype(float)
     cut = ((bits @ graph.weights) * (1.0 - bits)).sum(axis=1)

@@ -42,8 +42,9 @@ class SpsaConfig:
 
     ``a`` is the step-size gain; leave it ``None`` and use
     :func:`calibrate_step_gain` to pick a value whose first update has a
-    target magnitude.  ``stability`` is added to the iteration counter in
-    the step-size schedule (``None`` resolves to ``0.1 * max_iters``).
+    target magnitude, as the benchmark does for every seed.  ``stability``
+    is added to the iteration counter in the step-size schedule (``None``
+    resolves to ``0.1 * max_iters``).
     """
 
     max_iters: int = 250
@@ -81,16 +82,14 @@ class OptimizerResult:
     noisy and the best-seen point is the useful answer.  ``trace`` has
     one entry per iteration (the smaller of the two perturbed values)
     plus a final entry for the end-point evaluation, and ``evaluations``
-    counts objective calls, always ``2 * iterations + 1``.  ``capped``
-    records that the full iteration budget was consumed; SPSA has no
-    convergence test, so this is the normal outcome.
+    counts objective calls, always ``2 * iterations + 1``: SPSA has no
+    convergence test and always spends its whole budget.
     """
 
     best_params: np.ndarray
     best_value: float
     evaluations: int
     trace: np.ndarray
-    capped: bool
 
 
 def _check_finite(value: float, params: np.ndarray) -> float:
@@ -106,6 +105,11 @@ def _check_finite(value: float, params: np.ndarray) -> float:
 # iteration cost about 13 us per seed, and a bounded block keeps a long run
 # from holding all of its draws at once (timings in BENCH_layers.json)
 DRAW_BLOCK = 64
+
+# calibration picks the gain whose first update moves each coordinate by
+# about TARGET_STEP, from the mean gradient magnitude over PROBES probes
+TARGET_STEP = 0.1
+PROBES = 10
 
 
 def _signs(rngs: Sequence[np.random.Generator], active: np.ndarray, count: int, dim: int):
@@ -178,8 +182,6 @@ def calibrate_lockstep(
     initial: np.ndarray,
     config: SpsaConfig,
     seeds: Sequence[int],
-    target_step: float = 0.1,
-    probes: int = 10,
 ) -> list[float | EvaluationError]:
     """:func:`calibrate_step_gain` for every seed at once.
 
@@ -188,10 +190,6 @@ def calibrate_lockstep(
     run on its own.  Returns one gain, or the error that ended the
     seed's calibration, per seed.
     """
-    if target_step <= 0:
-        raise ValidationError(f"target_step must be > 0, got {target_step}")
-    if probes < 1:
-        raise ValidationError(f"probes must be >= 1, got {probes}")
     initial = np.asarray(initial, dtype=float)
     rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
     batch = _Lockstep(objective, seeds)
@@ -200,17 +198,17 @@ def calibrate_lockstep(
     if act.size:
         # every probe starts from the seed's start point, so all probes of
         # all seeds run in one batch: the ± sets of probe 0, then probe 1, ...
-        signs = _signs(rngs, act, probes, initial.shape[1])
+        signs = _signs(rngs, act, PROBES, initial.shape[1])
         deltas = (config.c * signs).transpose(1, 0, 2)
         start = initial[act]
         points = np.stack([start + deltas, start - deltas], axis=1)
-        values, _ = batch.evaluate(points.reshape(2 * probes, *start.shape), at=start)
+        values, _ = batch.evaluate(points.reshape(2 * PROBES, *start.shape), at=start)
         # one row per seed, each averaged on its own as a lone run does
         magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * config.c)).T.copy()
         scale = (config.resolved_stability() + 1.0) ** config.alpha
         for s, mags in zip(batch.active, magnitudes):
             mean_mag = float(mags.mean())
-            gains[s] = target_step * scale if mean_mag < 1e-12 else target_step * scale / mean_mag
+            gains[s] = TARGET_STEP * scale if mean_mag < 1e-12 else TARGET_STEP * scale / mean_mag
     for s, exc in batch.errors.items():
         gains[s] = exc
     return gains
@@ -220,23 +218,17 @@ def calibrate_step_gain(
     objective: Objective,
     initial: np.ndarray,
     config: SpsaConfig,
-    target_step: float = 0.1,
-    probes: int = 10,
 ) -> float:
     """Pick the gain ``a`` so the first SPSA update moves each coordinate
-    by roughly ``target_step``.
+    by roughly ``TARGET_STEP``.
 
-    Averages ``|f(x + c*delta) - f(x - c*delta)| / (2c)`` over a few
+    Averages ``|f(x + c*delta) - f(x - c*delta)| / (2c)`` over ``PROBES``
     Rademacher probes; for unit perturbations this is the per-coordinate
     magnitude of the gradient estimate.  Flat objectives fall back to a
     neutral gain instead of dividing by zero.
     """
     initial = np.asarray(initial, dtype=float)
-    return _split(
-        calibrate_lockstep(
-            _one_seed(objective), initial[None], config, [config.seed], target_step, probes
-        )
-    )
+    return _split(calibrate_lockstep(_one_seed(objective), initial[None], config, [config.seed]))
 
 
 def spsa_lockstep(
@@ -316,7 +308,6 @@ def spsa_lockstep(
             best_value=float(best_v[i]),
             evaluations=2 * config.max_iters + 1,
             trace=trace[i].copy(),
-            capped=True,
         )
     return [outcomes[s] for s in range(len(seeds))]
 
@@ -380,18 +371,18 @@ def make_ansatz(
     ising: IsingDiagonal,
     *,
     p: int = 1,
-    warm: WarmStart | Sequence[WarmStart] | None = None,
+    warm: Sequence[WarmStart] | None = None,
     vqe_reps: int = 5,
 ) -> tuple[Callable[[np.ndarray, np.ndarray], np.ndarray], int]:
     """Map an algorithm name to its row builder.
 
     Returns ``(prepare, dimension)``.  ``prepare(params, owners)`` turns a
     (rows, dimension) parameter array into (rows, 2^n) amplitudes; row r
-    belongs to seed slot ``owners[r]``, which picks its warm start when
-    ``warm`` is a sequence with one warm start per slot.  QAOA and ws-QAOA
-    take ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked
-    rotation angles.  This is the only place that knows which builder
-    belongs to which algorithm.
+    belongs to seed slot ``owners[r]``, which picks its warm start from
+    ``warm``, one per slot.  QAOA and ws-QAOA take
+    ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked rotation
+    angles.  This is the only place that knows which builder belongs to
+    which algorithm.
     """
     if kind == "qaoa":
         dim = 2 * p
@@ -404,7 +395,7 @@ def make_ansatz(
         if warm is None:
             raise ValidationError("ws-qaoa objective requires a warm start")
         # per-seed mixer Hamiltonians and start states, built once
-        hams, initial = warm_start_rows([warm] if isinstance(warm, WarmStart) else warm, ising.n)
+        hams, initial = warm_start_rows(warm, ising.n)
         dim = 2 * p
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
@@ -458,7 +449,8 @@ def make_objective(
     Returns ``(objective, dimension)``; the parameter layout is that of
     :func:`make_ansatz`.  Each call is a one-row batch.
     """
-    prepare, dim = make_ansatz(kind, ising, p=p, warm=warm, vqe_reps=vqe_reps)
+    warms = None if warm is None else [warm]
+    prepare, dim = make_ansatz(kind, ising, p=p, warm=warms, vqe_reps=vqe_reps)
     owner = np.zeros(1, dtype=int)
 
     def objective(params: np.ndarray) -> float:

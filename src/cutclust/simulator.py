@@ -45,12 +45,12 @@ class Statevector:
         return abs(float(np.abs(self.amps).dot(np.abs(self.amps))) - 1.0)
 
 
-def new_state(n: int, init: str = "zeros", cap: int = QUBIT_CAP) -> Statevector:
+def new_state(n: int, init: str = "zeros") -> Statevector:
     """Fresh register: 'zeros' -> |0...0>, 'plus' -> uniform superposition."""
     if n < 1:
         raise ValidationError("need at least 1 qubit")
-    if n > cap:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {cap}")
+    if n > QUBIT_CAP:
+        raise ResourceLimitError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     amps = np.zeros(2**n, dtype=complex)
     if init == "zeros":
         amps[0] = 1.0

@@ -180,7 +180,7 @@ class TestAcceptance:
         #    probability on an optimal bitstring before any optimization
         relaxed = relax_qubo(qubo_from_graph(graph), RelaxConfig(seed=0))
         clipped = clip_cstar(relaxed.c_star, 0.1)
-        warm = WarmStart.from_cstar(clipped)
+        warm = WarmStart(clipped)
         state = build_ws_qaoa_state(ising, warm, QaoaParams(betas=[0.0], gammas=[0.0]))
         probs = probabilities(state)
         vertex = int(relaxed.c_star[0]) | (int(relaxed.c_star[1]) << 1)
@@ -218,7 +218,7 @@ class TestAcceptance:
         graph = random_graph(rng, 4)
         ising = ising_from_graph(graph)
         ground = exact_solve(ising).ground_energy
-        warm = WarmStart.from_cstar(rng.uniform(0.05, 0.95, 4))
+        warm = WarmStart(rng.uniform(0.05, 0.95, 4))
         draws = 0
         for _ in range(334):
             p = QaoaParams(betas=rng.uniform(-np.pi, np.pi, 2),

@@ -140,7 +140,7 @@ class TestWsMixer:
 
 class TestBuildWsQaoaState:
     def test_all_half_gives_uniform_plus(self):
-        ws = WarmStart.from_cstar([0.5, 0.5, 0.5])
+        ws = WarmStart([0.5, 0.5, 0.5])
         rng = np.random.default_rng(2)
         ising = random_ising(rng, 3)
         state = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[0.0], gammas=[0.0]))
@@ -148,7 +148,7 @@ class TestBuildWsQaoaState:
 
     def test_clipped_binary_optimum_mass(self):
         # c* = clip((1, 0), 0.1) = (0.9, 0.1); P(bitstring (1,0)) = 0.9 * 0.9
-        ws = WarmStart.from_cstar([0.9, 0.1])
+        ws = WarmStart([0.9, 0.1])
         state = build_ws_qaoa_state(
             single_edge_ising(), ws, QaoaParams(betas=[0.0], gammas=[0.0])
         )
@@ -160,7 +160,7 @@ class TestBuildWsQaoaState:
         # applying the mixer only (gamma = 0) leaves probabilities unchanged
         rng = np.random.default_rng(3)
         ising = random_ising(rng, 3)
-        ws = WarmStart.from_cstar(rng.uniform(0.1, 0.9, size=3))
+        ws = WarmStart(rng.uniform(0.1, 0.9, size=3))
         ref = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[0.0], gammas=[0.0]))
         for beta in (0.3, 1.1, -0.8):
             state = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[beta], gammas=[0.0]))
@@ -174,7 +174,7 @@ class TestBuildWsQaoaState:
         rng = np.random.default_rng(4)
         for n in (2, 3):
             ising = random_ising(rng, n)
-            ws = WarmStart.from_cstar(np.full(n, 0.5))
+            ws = WarmStart(np.full(n, 0.5))
             for beta in np.linspace(-1.0, 1.0, 5):
                 for gamma in np.linspace(-1.0, 1.0, 5):
                     ws_state = build_ws_qaoa_state(
@@ -191,7 +191,7 @@ class TestBuildWsQaoaState:
         with pytest.raises(ValidationError):
             build_ws_qaoa_state(
                 single_edge_ising(),
-                WarmStart.from_cstar([0.5, 0.5, 0.5]),
+                WarmStart([0.5, 0.5, 0.5]),
                 QaoaParams(betas=[0.1], gammas=[0.1]),
             )
 
@@ -232,7 +232,7 @@ class TestVariationalBound:
         for _ in range(50):
             q = QaoaParams(betas=rng.normal(size=2), gammas=rng.normal(size=2))
             assert expectation_diagonal(build_qaoa_state(ising, q), ising) >= ground - 1e-9
-            ws = WarmStart.from_cstar(rng.uniform(0.05, 0.95, size=4))
+            ws = WarmStart(rng.uniform(0.05, 0.95, size=4))
             assert (
                 expectation_diagonal(build_ws_qaoa_state(ising, ws, q), ising)
                 >= ground - 1e-9

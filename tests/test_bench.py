@@ -261,6 +261,8 @@ class TestRunConfig:
             {"p": 0},
             {"vqe_reps": -1},
             {"shots": 0},
+            # the benchmark calibrates every seed's gain
+            {"spsa": bench.SpsaConfig(a=0.1)},
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from cutclust import cli
 from cutclust.cli import main
 
 
@@ -107,6 +108,15 @@ class TestExitCodes:
         assert f"bad.csv: non-finite value {cell!r} at row 2, column 'a'" in err
         assert not (tmp_path / "out").exists()
 
+    def test_unknown_format_rejected_before_compute(self, tmp_path, capsys, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_compute)
+        assert main(run_args(tmp_path, "--format", "xml")) == 1
+        assert "'xml'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1
 
@@ -123,8 +133,8 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
-        # 15 rows exceed the statevector cap: every run fails at
-        # graph build, which is a runtime failure, not bad input
+        # 15 rows exceed the statevector cap: the graph, built once
+        # before any run, fails, which is a runtime failure, not bad input
         rows = "\n".join(f"r{i},{i}.0" for i in range(15))
         big = tmp_path / "big.csv"
         big.write_text("name,a\n" + rows + "\n", encoding="utf-8")

@@ -120,9 +120,9 @@ class TestIsingFromGraph:
         assert int((np.isclose(ising.energies, -2.0)).sum()) == 6
 
     def test_qubit_cap(self):
-        g = WeightedGraph(weights=np.zeros((4, 4)))
-        with pytest.raises(ResourceLimitError):
-            ising_from_graph(g, cap=3)
+        g = WeightedGraph(weights=np.zeros((15, 15)))
+        with pytest.raises(ResourceLimitError, match="15 qubits exceeds the cap of 14"):
+            ising_from_graph(g)
 
     def test_all_zeros_energy_is_zero(self):
         rng = np.random.default_rng(7)

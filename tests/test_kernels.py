@@ -126,7 +126,7 @@ class TestClosedFormOracle:
 
 
 def warm_starts(rng, n, count):
-    return [WarmStart.from_cstar(rng.uniform(0.05, 0.95, n)) for _ in range(count)]
+    return [WarmStart(rng.uniform(0.05, 0.95, n)) for _ in range(count)]
 
 
 class TestBatchEqualsOneRow:

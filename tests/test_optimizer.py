@@ -13,6 +13,7 @@ from cutclust.errors import EvaluationError, ValidationError
 from cutclust.graph_model import WeightedGraph, ising_from_graph
 from cutclust.optimizer import (
     DRAW_BLOCK,
+    PROBES,
     ExactSolution,
     SpsaConfig,
     calibrate_lockstep,
@@ -101,7 +102,6 @@ class TestSpsaMinimize:
         a = calibrate_step_gain(sphere, x0, cfg)
         res = spsa_minimize(sphere, x0, SpsaConfig(max_iters=500, a=a, seed=0))
         assert res.best_value < 1e-2
-        assert res.capped
 
     def test_evaluation_count(self):
         calls = []
@@ -188,10 +188,10 @@ class TestSpsaMinimize:
 class TestCalibration:
     def test_first_step_magnitude(self):
         # on the sphere at all-ones the calibrated gain should make the
-        # first per-coordinate update land near the requested size
+        # first per-coordinate update land near TARGET_STEP
         x0 = np.ones(5)
         cfg = SpsaConfig(max_iters=500, seed=0)
-        a = calibrate_step_gain(sphere, x0, cfg, target_step=0.1)
+        a = calibrate_step_gain(sphere, x0, cfg)
         stability = cfg.resolved_stability()
         a_0 = a / (stability + 1.0) ** cfg.alpha
         rng = np.random.default_rng(cfg.seed)
@@ -286,13 +286,13 @@ class TestMakeObjective:
             make_objective("ws-qaoa", self.ising)
 
     def test_ws_qaoa_size_mismatch(self):
-        warm = WarmStart.from_cstar(np.array([0.3, 0.7]))
+        warm = WarmStart(np.array([0.3, 0.7]))
         with pytest.raises(ValidationError, match="qubits"):
             make_objective("ws-qaoa", self.ising, warm=warm)
 
     def test_ws_qaoa_zero_params_matches_initial_product_state(self):
         c = np.array([0.9, 0.1, 0.5])
-        warm = WarmStart.from_cstar(c)
+        warm = WarmStart(c)
         obj, _ = make_objective("ws-qaoa", self.ising, warm=warm)
         # expectation of the bare warm-start product state
         probs1 = np.stack([1 - c, c])
@@ -350,7 +350,7 @@ class TestLockstep:
     def setup_method(self):
         rng = np.random.default_rng(11)
         self.ising = ising_from_graph(random_graph(rng, 4))
-        self.warms = [WarmStart.from_cstar(rng.uniform(0.1, 0.9, 4)) for _ in self.seeds]
+        self.warms = [WarmStart(rng.uniform(0.1, 0.9, 4)) for _ in self.seeds]
 
     def batch(self, kind):
         prepare, dim = make_ansatz(kind, self.ising, p=2, warm=self.warms, vqe_reps=2)
@@ -523,10 +523,10 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("dim", [7, 8])
     def test_calibration_equals_one_draw_per_probe(self, dim):
         initial = np.random.default_rng(dim).uniform(-1, 1, dim)
+        # calibration draws PROBES vectors in one call, fewer than a block
         cfg = SpsaConfig(seed=5)
-        probes = DRAW_BLOCK + 3
-        gain = calibrate_step_gain(bumpy, initial, cfg, probes=probes)
-        assert gain == reference_gain(bumpy, initial, cfg, probes)
+        gain = calibrate_step_gain(bumpy, initial, cfg)
+        assert gain == reference_gain(bumpy, initial, cfg, PROBES)
 
     def test_seed_failing_in_a_later_block_leaves_the_others_exact(self):
         # slot 1 turns non-finite at its plus point of iteration

@@ -128,27 +128,34 @@ class TestClipCstar:
 
 
 class TestThetasFromCstar:
-    """Angles of WarmStart.from_cstar: theta_i = 2 arcsin(sqrt(c_i))."""
+    """Angles of WarmStart: theta_i = 2 arcsin(sqrt(c_i)), set by c_star alone."""
+
+    def test_thetas_come_from_cstar(self):
+        c = np.linspace(0.0, 1.0, 11)
+        assert WarmStart(c).thetas.tobytes() == (2.0 * np.arcsin(np.sqrt(c))).tobytes()
+        # angles that could disagree with c_star are not accepted
+        with pytest.raises(TypeError):
+            WarmStart(c_star=c, thetas=np.zeros(11))
 
     def test_endpoints_and_middle(self):
-        thetas = WarmStart.from_cstar([0.0, 0.5, 1.0]).thetas
+        thetas = WarmStart([0.0, 0.5, 1.0]).thetas
         assert np.allclose(thetas, [0.0, np.pi / 2.0, np.pi])
 
     def test_monotone(self):
         grid = np.linspace(0.0, 1.0, 101)
-        thetas = WarmStart.from_cstar(grid).thetas
+        thetas = WarmStart(grid).thetas
         assert np.all(np.diff(thetas) > 0.0)
 
     def test_round_trip(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        thetas = WarmStart.from_cstar(grid).thetas
+        thetas = WarmStart(grid).thetas
         assert np.allclose(np.sin(thetas / 2.0) ** 2, grid, atol=1e-12)
 
     def test_out_of_range(self):
         # checked before arcsin, so no invalid-value warning is emitted
         for c in ([1.2], [-0.1]):
             with pytest.raises(ValidationError, match=r"\[0, 1\]"):
-                WarmStart.from_cstar(c)
+                WarmStart(c)
 
 
 class TestSharedRestarts:
