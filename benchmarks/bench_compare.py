@@ -4,8 +4,9 @@
 
 DIR is a checkout of the code to compare against (for example made with
 ``git clone`` and ``git checkout <commit>``); the oldest it can be is the
-change that made ``WarmStart`` hold only ``c_star`` and calibration's
-probe count the constant ``optimizer.PROBES``.  The "after" side is the
+change that made ``RunConfig`` hold only the flags of ``bench run`` and
+gave ``calibrate_lockstep`` and ``spsa_lockstep`` an iteration budget in
+place of an ``SpsaConfig``.  The "after" side is the
 checkout this script lives in.  The topic recorded in the output is the
 ``<topic>`` part of its file name.  Five kinds of figure are written:
 
@@ -178,25 +179,26 @@ def probe_steps() -> dict:
     seeds at a time, on a sum of squares, so that the time is the
     optimizer's own bookkeeping."""
     import numpy as np
-    from cutclust.optimizer import PROBES, SpsaConfig, calibrate_lockstep, spsa_lockstep
+    from cutclust.bench import RunConfig
+    from cutclust.optimizer import PROBES, calibrate_lockstep, spsa_lockstep
 
     def objective(points, owners):
         return np.square(points).sum(axis=1)
 
     seeds = tuple(range(1, STEP_SEEDS + 1))
     gains = [0.1] * STEP_SEEDS
-    config = SpsaConfig()
+    iters = RunConfig.spsa_iters
     out: dict = {"spsa_us_per_iteration": {}, "calibration_us_per_probe": {}}
     for dim in STEP_DIMS:
         initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
         spsa_us, calibration_us = _best_us(
             [
-                lambda: spsa_lockstep(objective, initial, config, seeds, gains),
-                lambda: calibrate_lockstep(objective, initial, config, seeds),
+                lambda: spsa_lockstep(objective, initial, iters, seeds, gains),
+                lambda: calibrate_lockstep(objective, initial, iters, seeds),
             ],
             1,
         )
-        out["spsa_us_per_iteration"][str(dim)] = spsa_us / config.max_iters
+        out["spsa_us_per_iteration"][str(dim)] = spsa_us / iters
         out["calibration_us_per_probe"][str(dim)] = calibration_us / PROBES
     return out
 
@@ -205,7 +207,6 @@ def _emit_report_s() -> float:
     """Seconds of one emit_report (json, csv and md) of a report of every
     algorithm with two seeds on a 14-qubit synthetic instance."""
     from cutclust.bench import RunConfig, emit_report, run_benchmark
-    from cutclust.optimizer import SpsaConfig
 
     sys.path.insert(0, str(AFTER / "perfbench"))
     from workloads import synth_csv
@@ -214,7 +215,7 @@ def _emit_report_s() -> float:
         data = Path(tmp) / "synth14.csv"
         data.write_text(synth_csv(1), encoding="utf-8")
         report = run_benchmark(
-            RunConfig(dataset=str(data), seeds=(1, 2), spsa=SpsaConfig(max_iters=1))
+            RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1)
         )
         times = []
         for _ in range(PROBE_LOOPS):

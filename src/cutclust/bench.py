@@ -12,18 +12,18 @@ byte-reproducible.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
+from . import optimizer, relaxation
 from .ansatz import WarmStart
 from .errors import ValidationError
 from .graph_model import (
@@ -38,7 +38,6 @@ from .graph_model import (
 )
 from .optimizer import (
     ExactSolution,
-    SpsaConfig,
     calibrate_lockstep,
     exact_solve,
     make_ansatz,
@@ -77,13 +76,13 @@ CONVENTIONS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full benchmark configuration.
+    """Full benchmark configuration: the settings of ``bench run``.
 
     ``dataset`` is a filesystem path or the name of a shipped file
     (``cars``, ``wine``).  ``columns=None`` selects every feature column
-    in the file.  The per-run seed overrides the seeds inside ``relax``
-    and ``spsa``.  Every seed's SPSA gain is calibrated, so ``spsa.a``
-    must stay unset.
+    in the file.  ``epsilon`` is the warm-start clipping bound and
+    ``spsa_iters`` the SPSA budget; each seed's gain is calibrated, and
+    the rest of SPSA's schedule and the relaxation's budget are constants.
     """
 
     dataset: str
@@ -94,8 +93,8 @@ class RunConfig:
     vqe_reps: int = 5
     shots: int = 4096
     seeds: tuple[int, ...] = tuple(range(1, 11))
-    relax: RelaxConfig = field(default_factory=RelaxConfig)
-    spsa: SpsaConfig = field(default_factory=SpsaConfig)
+    epsilon: float = 0.1
+    spsa_iters: int = 250
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS + ("all",):
@@ -117,8 +116,12 @@ class RunConfig:
             raise ValidationError(f"vqe_reps must be >= 0, got {self.vqe_reps}")
         if self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
-        if self.spsa.a is not None:
-            raise ValidationError("spsa.a must be unset: each seed's gain is calibrated")
+        # epsilon = 0 would leave binary entries that the warm-start mixer
+        # rejects, so every ws-QAOA run would fail after the relaxation
+        if not 0.0 < self.epsilon < 0.5:
+            raise ValidationError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
+        if self.spsa_iters < 1:
+            raise ValidationError(f"spsa_iters must be >= 1, got {self.spsa_iters}")
 
     def selected_algorithms(self) -> tuple[str, ...]:
         return ALGORITHMS if self.algorithm == "all" else (self.algorithm,)
@@ -160,13 +163,18 @@ def load_dataset(
     are centered and left unscaled).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+    # utf-8-sig drops the byte-order mark spreadsheets write before the header
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = [row for row in reader if row]
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ValidationError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None
+    if header is None:
+        raise ValidationError(f"{path}: empty file")
+    header = [h.strip() for h in header]
     for i, h in enumerate(header):
         if h in header[:i]:
             raise ValidationError(f"{path}: column {h!r} appears more than once in the header")
@@ -219,6 +227,9 @@ def load_dataset(
                 )
             labels.append(int(cell))
 
+    # checked here: z-scoring fewer than 2 rows warns before Dataset rejects them
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if normalize:
         std = points.std(axis=0)
         points = points - points.mean(axis=0)
@@ -325,15 +336,15 @@ def _warm_starts(
 ) -> dict[int, WarmStart | Exception]:
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
-    # seeds fewer than config.relax.restarts apart share restarts; each
+    # seeds fewer than RelaxConfig.restarts apart share restarts; each
     # distinct start is ascended once, in the run of the first seed using it
     ascents: dict[int, tuple] = {}
     warms: dict[int, WarmStart | Exception] = {}
     for seed in seeds:
         t0 = time.perf_counter()
         try:
-            relaxed = relax_qubo(qubo, dataclasses.replace(config.relax, seed=seed), ascents)
-            warms[seed] = WarmStart(clip_cstar(relaxed.c_star, config.relax.epsilon))
+            relaxed = relax_qubo(qubo, RelaxConfig(seed=seed), ascents)
+            warms[seed] = WarmStart(clip_cstar(relaxed.c_star, config.epsilon))
         except Exception as exc:
             warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
         timings[seed]["relaxation"] = time.perf_counter() - t0
@@ -376,8 +387,8 @@ def _optimize(
     prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
     objective = partial(row_energies, prepare, ising)
     initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
-    gains = calibrate_lockstep(objective, initial, config.spsa, seeds)
-    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa, seeds, gains)
+    gains = calibrate_lockstep(objective, initial, config.spsa_iters, seeds)
+    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa_iters, seeds, gains)
 
     done = np.array([s for s, r in enumerate(outcomes) if not isinstance(r, Exception)], dtype=int)
     if not done.size:
@@ -587,19 +598,19 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
             "shots": config.shots,
             "seeds": list(config.seeds),
             "relaxation": {
-                "restarts": config.relax.restarts,
-                "max_iters": config.relax.max_iters,
-                "step": config.relax.step,
-                "tol": config.relax.tol,
-                "epsilon": config.relax.epsilon,
+                "restarts": RelaxConfig.restarts,
+                "max_iters": relaxation.MAX_ITERS,
+                "step": relaxation.STEP,
+                "tol": relaxation.TOL,
+                "epsilon": config.epsilon,
             },
             "spsa": {
-                "max_iters": config.spsa.max_iters,
-                "a": config.spsa.a,
-                "c": config.spsa.c,
-                "stability": config.spsa.resolved_stability(),
-                "alpha": config.spsa.alpha,
-                "gamma": config.spsa.gamma,
+                "max_iters": config.spsa_iters,
+                "a": None,
+                "c": optimizer.C,
+                "stability": optimizer.stability(config.spsa_iters),
+                "alpha": optimizer.ALPHA,
+                "gamma": optimizer.GAMMA,
             },
         },
         "dataset": {

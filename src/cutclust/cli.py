@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 invalid input, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .bench import (
     ALGORITHMS,
@@ -21,8 +23,6 @@ from .bench import (
     shipped_datasets,
 )
 from .errors import ValidationError
-from .optimizer import SpsaConfig
-from .relaxation import RelaxConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +56,18 @@ def _parse_formats(text: str) -> tuple[str, ...]:
     return fmts
 
 
+def _check_out(text: str) -> None:
+    """Fail before any compute if ``text`` cannot become the output
+    directory: the nearest existing path on it must be a writable
+    directory.  The directory is made only when the report is written."""
+    out = Path(text)
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if not base.is_dir():
+        raise ValidationError(f"--out {text}: {base} is not a directory")
+    if not os.access(base, os.W_OK):
+        raise ValidationError(f"--out {text}: {base} is not writable")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,13 +76,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dataset", required=True, help="CSV path or shipped name (cars, wine)")
     run.add_argument("--columns", default=None, help="comma-separated feature columns (default: all)")
     run.add_argument("--no-normalize", action="store_true", help="skip per-column z-scoring")
-    run.add_argument("--algo", default="all", choices=ALGORITHMS + ("all",))
-    run.add_argument("--p", type=int, default=1, help="QAOA depth")
-    run.add_argument("--vqe-reps", type=int, default=5, help="entangling-layer repetitions")
-    run.add_argument("--shots", type=int, default=4096, help="samples for the measured energy")
-    run.add_argument("--epsilon", type=float, default=0.1, help="warm-start clipping bound")
-    run.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10", help="comma-separated seed list")
-    run.add_argument("--spsa-iters", type=int, default=250, help="SPSA iteration budget")
+    run.add_argument("--algo", default=RunConfig.algorithm, choices=ALGORITHMS + ("all",))
+    run.add_argument("--p", type=int, default=RunConfig.p, help="QAOA depth")
+    run.add_argument("--vqe-reps", type=int, default=RunConfig.vqe_reps,
+                     help="entangling-layer repetitions")
+    run.add_argument("--shots", type=int, default=RunConfig.shots,
+                     help="samples for the measured energy")
+    run.add_argument("--epsilon", type=float, default=RunConfig.epsilon,
+                     help="warm-start clipping bound")
+    run.add_argument("--seeds", default=",".join(map(str, RunConfig.seeds)),
+                     help="comma-separated seed list")
+    run.add_argument("--spsa-iters", type=int, default=RunConfig.spsa_iters,
+                     help="SPSA iteration budget")
     run.add_argument("--out", default="bench_out", help="output directory")
     formats = ",".join(FORMATS)
     run.add_argument("--format", default=formats, help=f"any of {formats} (comma-separated)")
@@ -97,9 +114,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         vqe_reps=args.vqe_reps,
         shots=args.shots,
         seeds=_parse_seeds(args.seeds),
-        relax=RelaxConfig(epsilon=args.epsilon),
-        spsa=SpsaConfig(max_iters=args.spsa_iters),
+        epsilon=args.epsilon,
+        spsa_iters=args.spsa_iters,
     )
+    _check_out(args.out)
     report = run_benchmark(config)
     files = emit_report(report, args.out, formats)
 

@@ -36,23 +36,29 @@ Objective = Callable[[np.ndarray], float]
 BatchObjective = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+# Spall's standard gain schedule (IEEE TAES 34(3), 1998): iteration k of a
+# run of max_iters iterations with gain a perturbs by C / (k + 1)**GAMMA and
+# steps by a / (stability(max_iters) + k + 1)**ALPHA
+C = 0.1
+ALPHA = 0.602
+GAMMA = 0.101
+
+
+def stability(max_iters: int) -> float:
+    return 0.1 * max_iters
+
+
 @dataclass(frozen=True)
 class SpsaConfig:
-    """SPSA hyperparameters.
+    """The budget, gain and seed of one SPSA run.
 
     ``a`` is the step-size gain; leave it ``None`` and use
     :func:`calibrate_step_gain` to pick a value whose first update has a
-    target magnitude, as the benchmark does for every seed.  ``stability``
-    is added to the iteration counter in the step-size schedule (``None``
-    resolves to ``0.1 * max_iters``).
+    target magnitude, as the benchmark does for every seed.
     """
 
     max_iters: int = 250
     a: float | None = None
-    c: float = 0.1
-    stability: float | None = None
-    alpha: float = 0.602
-    gamma: float = 0.101
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -60,17 +66,6 @@ class SpsaConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.a is not None and self.a <= 0:
             raise ValidationError(f"step gain a must be > 0, got {self.a}")
-        if self.c <= 0:
-            raise ValidationError(f"perturbation size c must be > 0, got {self.c}")
-        if not 0 < self.alpha <= 1:
-            raise ValidationError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0 < self.gamma <= 1:
-            raise ValidationError(f"gamma must be in (0, 1], got {self.gamma}")
-        if self.stability is not None and self.stability < 0:
-            raise ValidationError(f"stability must be >= 0, got {self.stability}")
-
-    def resolved_stability(self) -> float:
-        return 0.1 * self.max_iters if self.stability is None else self.stability
 
 
 @dataclass(frozen=True)
@@ -129,9 +124,11 @@ def _one_seed(objective: Objective) -> BatchObjective:
     return lambda points, owners: np.array([objective(x) for x in points])
 
 
-def _split(outcomes: list) -> Any:
-    """The single outcome of a one-seed lockstep run, raised if it failed."""
-    (outcome,) = outcomes
+def _alone(lockstep, objective: Objective, initial, config: SpsaConfig, *gains) -> Any:
+    """The outcome of a ``lockstep`` run of ``config.seed`` alone on a
+    scalar objective, raised if it failed."""
+    initial = np.asarray(initial, dtype=float)[None]
+    (outcome,) = lockstep(_one_seed(objective), initial, config.max_iters, [config.seed], *gains)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -180,10 +177,11 @@ class _Lockstep:
 def calibrate_lockstep(
     objective: BatchObjective,
     initial: np.ndarray,
-    config: SpsaConfig,
+    max_iters: int,
     seeds: Sequence[int],
 ) -> list[float | EvaluationError]:
-    """:func:`calibrate_step_gain` for every seed at once.
+    """:func:`calibrate_step_gain` for every seed at once, for runs of
+    ``max_iters`` iterations.
 
     Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed
     draws its probes from its own stream, so its gain equals that of a
@@ -199,13 +197,13 @@ def calibrate_lockstep(
         # every probe starts from the seed's start point, so all probes of
         # all seeds run in one batch: the ± sets of probe 0, then probe 1, ...
         signs = _signs(rngs, act, PROBES, initial.shape[1])
-        deltas = (config.c * signs).transpose(1, 0, 2)
+        deltas = (C * signs).transpose(1, 0, 2)
         start = initial[act]
         points = np.stack([start + deltas, start - deltas], axis=1)
         values, _ = batch.evaluate(points.reshape(2 * PROBES, *start.shape), at=start)
         # one row per seed, each averaged on its own as a lone run does
-        magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * config.c)).T.copy()
-        scale = (config.resolved_stability() + 1.0) ** config.alpha
+        magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * C)).T.copy()
+        scale = (stability(max_iters) + 1.0) ** ALPHA
         for s, mags in zip(batch.active, magnitudes):
             mean_mag = float(mags.mean())
             gains[s] = TARGET_STEP * scale if mean_mag < 1e-12 else TARGET_STEP * scale / mean_mag
@@ -222,19 +220,18 @@ def calibrate_step_gain(
     """Pick the gain ``a`` so the first SPSA update moves each coordinate
     by roughly ``TARGET_STEP``.
 
-    Averages ``|f(x + c*delta) - f(x - c*delta)| / (2c)`` over ``PROBES``
+    Averages ``|f(x + C*delta) - f(x - C*delta)| / (2C)`` over ``PROBES``
     Rademacher probes; for unit perturbations this is the per-coordinate
     magnitude of the gradient estimate.  Flat objectives fall back to a
     neutral gain instead of dividing by zero.
     """
-    initial = np.asarray(initial, dtype=float)
-    return _split(calibrate_lockstep(_one_seed(objective), initial[None], config, [config.seed]))
+    return _alone(calibrate_lockstep, objective, initial, config)
 
 
 def spsa_lockstep(
     objective: BatchObjective,
     initial: np.ndarray,
-    config: SpsaConfig,
+    max_iters: int,
     seeds: Sequence[int],
     gains: Sequence[float],
 ) -> list[OptimizerResult | EvaluationError]:
@@ -254,7 +251,7 @@ def spsa_lockstep(
             f"initial params must be a non-empty vector, got shape {params.shape[1:]}"
         )
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    stability = config.resolved_stability()
+    offset = stability(max_iters)
     batch = _Lockstep(objective, gains)
     # the state of the active seeds, row i for seed slot batch.active[i];
     # a seed that fails is dropped from every array
@@ -263,14 +260,14 @@ def spsa_lockstep(
     gain = np.array([gains[s] for s in act], dtype=float)
     best_x = x.copy()
     best_v = np.full(act.size, np.inf)
-    trace = np.empty((act.size, config.max_iters + 1))
+    trace = np.empty((act.size, max_iters + 1))
 
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         if not batch.active.size:
             break
-        c_k = config.c / (k + 1.0) ** config.gamma
+        c_k = C / (k + 1.0) ** GAMMA
         if k % DRAW_BLOCK == 0:
-            signs = _signs(rngs, batch.active, min(DRAW_BLOCK, config.max_iters - k), x.shape[1])
+            signs = _signs(rngs, batch.active, min(DRAW_BLOCK, max_iters - k), x.shape[1])
         step = c_k * signs[:, k % DRAW_BLOCK]
         points = np.empty((2, *x.shape))
         np.add(x, step, out=points[0])
@@ -288,7 +285,7 @@ def spsa_lockstep(
         grad = ((f_plus - f_minus) / (2.0 * c_k))[:, None] * signs[:, k % DRAW_BLOCK]
         # a Python float power: a numpy power of the same numbers may
         # round the last bit differently
-        a_k = gain / (stability + k + 1.0) ** config.alpha
+        a_k = gain / (offset + k + 1.0) ** ALPHA
         x = x - a_k[:, None] * grad
 
     if batch.active.size:
@@ -306,7 +303,7 @@ def spsa_lockstep(
         outcomes[s] = OptimizerResult(
             best_params=best_x[i].copy(),
             best_value=float(best_v[i]),
-            evaluations=2 * config.max_iters + 1,
+            evaluations=2 * max_iters + 1,
             trace=trace[i].copy(),
         )
     return [outcomes[s] for s in range(len(seeds))]
@@ -322,8 +319,8 @@ def spsa_minimize(
 
     Iteration k perturbs the current point along a random sign vector,
     estimates the gradient from the two evaluations, and steps downhill
-    with gains ``a / (stability + k + 1)**alpha`` and
-    ``c / (k + 1)**gamma``.  The best evaluated point wins; a closing
+    with gains ``a / (stability(max_iters) + k + 1)**ALPHA`` and
+    ``C / (k + 1)**GAMMA``.  The best evaluated point wins; a closing
     evaluation of the final iterate lets it compete.
     """
     if config.a is None:
@@ -333,9 +330,7 @@ def spsa_minimize(
     initial = np.asarray(initial, dtype=float)
     if initial.ndim != 1:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
-    return _split(
-        spsa_lockstep(_one_seed(objective), initial[None], config, [config.seed], [config.a])
-    )
+    return _alone(spsa_lockstep, objective, initial, config, [config.a])
 
 
 @dataclass(frozen=True)
@@ -428,6 +423,8 @@ def row_energies(
 ) -> np.ndarray:
     """Exact energy of every prepared row: a batch objective once
     ``prepare`` and ``ising`` are bound."""
+    if len(params) <= row_cap(ising.n):
+        return expectation_rows(probability_rows(prepare(params, owners)), ising.energies)
     return np.concatenate(
         [
             expectation_rows(probs, ising.energies)

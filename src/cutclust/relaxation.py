@@ -19,25 +19,22 @@ import numpy as np
 from .errors import ValidationError
 from .graph_model import QuboProblem
 
+# an ascent stops after MAX_ITERS steps or once its projected gradient is
+# below TOL; each step tries the length STEP, halved down to _MIN_STEP
+MAX_ITERS = 2000
+STEP = 1.0
+TOL = 1e-8
 _MIN_STEP = 1e-14
 
 
 @dataclass(frozen=True)
 class RelaxConfig:
     restarts: int = 32
-    max_iters: int = 2000
-    step: float = 1.0
-    tol: float = 1e-8
-    epsilon: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError("restarts must be >= 1")
-        # epsilon = 0 would leave binary entries that the warm-start mixer
-        # rejects, so every ws-QAOA run would fail after the relaxation
-        if not 0.0 < self.epsilon < 0.5:
-            raise ValidationError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,14 @@ def _projected_gradient(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return pg
 
 
-def _ascend(qubo: QuboProblem, x0: np.ndarray, config: RelaxConfig):
+def _ascend(qubo: QuboProblem, x0: np.ndarray):
     x = x0.copy()
     fx = qubo.objective(x)
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         g = qubo.gradient(x)
-        if np.abs(_projected_gradient(x, g)).max() < config.tol:
+        if np.abs(_projected_gradient(x, g)).max() < TOL:
             return x, fx, False
-        t = config.step
+        t = STEP
         while t > _MIN_STEP:
             x_new = np.clip(x + t * g, 0.0, 1.0)
             f_new = qubo.objective(x_new)
@@ -86,8 +83,7 @@ def relax_qubo(
     Restart r starts from ``default_rng(config.seed + r)``, so runs whose
     seeds lie fewer than ``restarts`` apart share starts.  ``ascents``
     holds the ascent from each start seed already run; give every run of
-    one problem and one config (up to its seed) the same dict, and each
-    distinct start is ascended once.
+    one problem the same dict, and each distinct start is ascended once.
     """
     config = config or RelaxConfig()
     ascents = {} if ascents is None else ascents
@@ -95,7 +91,7 @@ def relax_qubo(
     for start in range(config.seed, config.seed + config.restarts):
         if start not in ascents:
             x0 = np.random.default_rng(start).uniform(0.0, 1.0, size=qubo.n)
-            ascents[start] = _ascend(qubo, x0, config)
+            ascents[start] = _ascend(qubo, x0)
         x, fx, capped = ascents[start]
         if fx > best_f:
             best_x, best_f, best_capped = x, fx, capped

@@ -125,6 +125,30 @@ class TestLoadDataset:
         with pytest.raises(ValidationError):
             load_dataset(p)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # a spreadsheet's BOM used to become part of the first column name
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfname,a\nx,1.0\ny,2.0\n")
+        ds = load_dataset(p)
+        assert ds.columns == ("a",)
+        assert ds.names == ("x", "y")
+
+    def test_non_utf8_file_named(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"name,a\nJos\xe9,1.0\nAna,2.0\n")
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(p)
+        assert str(exc.value) == f"{p}: not UTF-8 text (byte 0xe9: invalid continuation byte)"
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("body", ["", "1.0,2.0\n"], ids=["header_only", "one_row"])
+    def test_fewer_than_two_rows_named_before_scaling(self, tmp_path, body, normalize):
+        # z-scoring no rows used to warn twice before the row count was checked
+        p = write_csv(tmp_path, "a,b\n" + body)
+        with pytest.raises(ValidationError) as exc:
+            load_dataset(p, normalize=normalize)
+        assert str(exc.value) == f"{p}: need at least 2 data rows, got {body.count(chr(10))}"
+
     def test_repeated_column_named(self, cars_path):
         with pytest.raises(ValidationError, match=r"cars\.csv: column 'hp' is selected more than once"):
             load_dataset(cars_path, columns=("hp", "mpg", "hp"))
@@ -261,13 +285,17 @@ class TestRunConfig:
             {"p": 0},
             {"vqe_reps": -1},
             {"shots": 0},
-            # the benchmark calibrates every seed's gain
-            {"spsa": bench.SpsaConfig(a=0.1)},
+            {"spsa_iters": 0},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
             RunConfig(dataset="cars", **kwargs)
+
+    def test_epsilon_range(self):
+        for eps in (0.5, -0.01, 0.0):
+            with pytest.raises(ValidationError, match="epsilon"):
+                RunConfig(dataset="cars", epsilon=eps)
 
     def test_repeated_seed_named(self):
         with pytest.raises(ValidationError, match="seed 3 appears more than once"):
@@ -284,7 +312,7 @@ def small_report():
     cfg = RunConfig(
         dataset="cars",
         seeds=(1, 2, 3),
-        spsa=bench.SpsaConfig(max_iters=60),
+        spsa_iters=60,
     )
     return cfg, run_benchmark(cfg)
 
@@ -307,17 +335,18 @@ class TestRunBenchmark:
 
     def test_exact_block_always_present(self):
         cfg = RunConfig(dataset="cars", algorithm="qaoa", seeds=(1,),
-                        spsa=bench.SpsaConfig(max_iters=30))
+                        spsa_iters=30)
         report = run_benchmark(cfg)
         assert set(report.payload["algorithms"]) == {"qaoa"}
         assert report.payload["exact"]["max_cut"] > 0
 
     def test_repeated_seed_gives_identical_runs(self):
         # a seed's run does not depend on the seeds advancing beside it
-        spsa = bench.SpsaConfig(max_iters=40)
-        alone = run_benchmark(RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(7,), spsa=spsa))
+        alone = run_benchmark(
+            RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(7,), spsa_iters=40)
+        )
         beside = run_benchmark(
-            RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(3, 7, 5), spsa=spsa)
+            RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(3, 7, 5), spsa_iters=40)
         )
         (r1,) = alone.payload["algorithms"]["ws-qaoa"]["runs"]
         r2 = beside.payload["algorithms"]["ws-qaoa"]["runs"][1]
@@ -344,7 +373,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "sample_run", flaky)
         cfg = RunConfig(dataset="cars", algorithm="qaoa", seeds=(1, 2, 3),
-                        spsa=bench.SpsaConfig(max_iters=30))
+                        spsa_iters=30)
         report = run_benchmark(cfg)
         block = report.payload["algorithms"]["qaoa"]
         assert len(block["runs"]) == 2
@@ -356,7 +385,7 @@ class TestRunBenchmark:
         # seeds advance in one batch; seed 2's rows turn NaN and only
         # seed 2 fails, with the stage named, while 1 and 3 complete
         cfg = RunConfig(dataset="cars", algorithm="vqe", seeds=(1, 2, 3),
-                        spsa=bench.SpsaConfig(max_iters=30))
+                        spsa_iters=30)
         clean = run_benchmark(cfg).payload["algorithms"]["vqe"]["runs"]
         real = bench.row_energies
 
@@ -464,7 +493,7 @@ class TestEmitReport:
 
     def test_report_json_deterministic_bytes(self, tmp_path):
         cfg = RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(1, 2),
-                        spsa=bench.SpsaConfig(max_iters=40))
+                        spsa_iters=40)
         emit_report(run_benchmark(cfg), tmp_path / "d1", ("json",))
         emit_report(run_benchmark(cfg), tmp_path / "d2", ("json",))
         a = (tmp_path / "d1" / "report.json").read_bytes()

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from cutclust import cli
+from cutclust.bench import RunConfig
 from cutclust.cli import main
 
 
@@ -73,6 +74,21 @@ class TestRunCommand:
             (tmp_path / "b" / "report.json").read_bytes()
 
 
+class TestParser:
+    def test_defaults_are_run_config_defaults(self):
+        args = cli.build_parser().parse_args(["run", "--dataset", "cars"])
+        defaults = RunConfig(dataset="cars")
+        assert args.algo == defaults.algorithm
+        assert args.p == defaults.p
+        assert args.vqe_reps == defaults.vqe_reps
+        assert args.shots == defaults.shots
+        assert args.epsilon == defaults.epsilon
+        assert args.spsa_iters == defaults.spsa_iters
+        assert cli._parse_seeds(args.seeds) == defaults.seeds
+        assert args.columns is None and defaults.columns is None
+        assert args.no_normalize is not defaults.normalize
+
+
 class TestExitCodes:
     def test_unknown_dataset_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--dataset", "nope")) == 1
@@ -116,6 +132,40 @@ class TestExitCodes:
         assert main(run_args(tmp_path, "--format", "xml")) == 1
         assert "'xml'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_zero_spsa_iters_named(self, tmp_path, capsys):
+        assert main(run_args(tmp_path, "--spsa-iters", "0")) == 1
+        assert "spsa_iters" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_unusable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch, out):
+        # an existing file used to fail with exit 2 after the whole run
+        def no_compute(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_compute)
+        (tmp_path / "taken").write_text("", encoding="utf-8")
+        args = run_args(tmp_path, "--out", str(tmp_path / out))
+        assert main(args) == 1
+        assert f"{tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
+
+    def test_unwritable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_compute)
+        # permission bits do not bind root, so the access check is faked
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        assert main(run_args(tmp_path, "--out", str(tmp_path / "new" / "out"))) == 1
+        assert f"{tmp_path} is not writable" in capsys.readouterr().err
+
+    def test_non_utf8_csv_named(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("name,a\nJos\xe9,1.0\nAna,2.0\n".encode("latin-1"))
+        # it used to exit 2 with a decoding error that named no file
+        assert main(run_args(tmp_path, "--dataset", str(bad))) == 1
+        assert "latin1.csv: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
 
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1

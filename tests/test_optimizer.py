@@ -12,8 +12,11 @@ from cutclust.ansatz import WarmStart
 from cutclust.errors import EvaluationError, ValidationError
 from cutclust.graph_model import WeightedGraph, ising_from_graph
 from cutclust.optimizer import (
+    ALPHA,
     DRAW_BLOCK,
+    GAMMA,
     PROBES,
+    C,
     ExactSolution,
     SpsaConfig,
     calibrate_lockstep,
@@ -24,6 +27,7 @@ from cutclust.optimizer import (
     row_energies,
     spsa_lockstep,
     spsa_minimize,
+    stability,
 )
 from cutclust.simulator import expectation_diagonal, new_state
 
@@ -63,14 +67,11 @@ class TestSpsaConfig:
         cfg = SpsaConfig()
         assert cfg.max_iters == 250
         assert cfg.a is None
-        assert cfg.c == 0.1
-        assert cfg.alpha == 0.602
-        assert cfg.gamma == 0.101
-        assert cfg.resolved_stability() == 25.0
-
-    def test_explicit_stability_wins(self):
-        cfg = SpsaConfig(max_iters=100, stability=3.0)
-        assert cfg.resolved_stability() == 3.0
+        assert cfg.seed == 0
+        assert C == 0.1
+        assert ALPHA == 0.602
+        assert GAMMA == 0.101
+        assert stability(cfg.max_iters) == 25.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,11 +79,6 @@ class TestSpsaConfig:
             {"max_iters": 0},
             {"a": 0.0},
             {"a": -1.0},
-            {"c": 0.0},
-            {"alpha": 0.0},
-            {"alpha": 1.5},
-            {"gamma": -0.1},
-            {"stability": -1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -192,13 +188,12 @@ class TestCalibration:
         x0 = np.ones(5)
         cfg = SpsaConfig(max_iters=500, seed=0)
         a = calibrate_step_gain(sphere, x0, cfg)
-        stability = cfg.resolved_stability()
-        a_0 = a / (stability + 1.0) ** cfg.alpha
+        a_0 = a / (stability(cfg.max_iters) + 1.0) ** ALPHA
         rng = np.random.default_rng(cfg.seed)
         delta = rng.integers(0, 2, size=5) * 2 - 1
-        f_plus = sphere(x0 + cfg.c * delta)
-        f_minus = sphere(x0 - cfg.c * delta)
-        step = a_0 * abs(f_plus - f_minus) / (2 * cfg.c)
+        f_plus = sphere(x0 + C * delta)
+        f_minus = sphere(x0 - C * delta)
+        step = a_0 * abs(f_plus - f_minus) / (2 * C)
         assert 0.02 < step < 0.5
 
     def test_flat_objective_falls_back(self):
@@ -364,8 +359,7 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_calibration_equals_sequential_runs(self, kind):
         objective, initial = self.batch(kind)
-        cfg = SpsaConfig(max_iters=30)
-        gains = calibrate_lockstep(objective, initial, cfg, self.seeds)
+        gains = calibrate_lockstep(objective, initial, 30, self.seeds)
         for slot, seed in enumerate(self.seeds):
             lone = calibrate_step_gain(
                 self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, seed=seed)
@@ -375,9 +369,8 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_spsa_equals_sequential_runs(self, kind):
         objective, initial = self.batch(kind)
-        cfg = SpsaConfig(max_iters=30)
         gains = [0.05, 0.2, 0.1, 0.3]
-        results = spsa_lockstep(objective, initial, cfg, self.seeds, gains)
+        results = spsa_lockstep(objective, initial, 30, self.seeds, gains)
         for slot, seed in enumerate(self.seeds):
             lone = spsa_minimize(
                 self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, a=gains[slot], seed=seed)
@@ -403,9 +396,8 @@ class TestLockstep:
                 values[hit[-1]] = np.inf
             return values
 
-        cfg = SpsaConfig(max_iters=20)
-        results = spsa_lockstep(poisoned, initial, cfg, self.seeds, [0.1] * 4)
-        clean = spsa_lockstep(objective, initial, cfg, self.seeds, [0.1] * 4)
+        results = spsa_lockstep(poisoned, initial, 20, self.seeds, [0.1] * 4)
+        clean = spsa_lockstep(objective, initial, 20, self.seeds, [0.1] * 4)
         assert isinstance(results[1], EvaluationError)
         lone_calls = {"n": 0}
 
@@ -429,8 +421,8 @@ class TestLockstep:
             values[owners == 2] = np.nan
             return values
 
-        gains = calibrate_lockstep(poisoned, initial, SpsaConfig(), self.seeds)
-        clean = calibrate_lockstep(objective, initial, SpsaConfig(), self.seeds)
+        gains = calibrate_lockstep(poisoned, initial, 250, self.seeds)
+        clean = calibrate_lockstep(objective, initial, 250, self.seeds)
         assert isinstance(gains[2], EvaluationError)
         assert "non-finite value nan" in str(gains[2])
         assert [g for i, g in enumerate(gains) if i != 2] == [g for i, g in enumerate(clean) if i != 2]
@@ -440,9 +432,8 @@ class TestLockstep:
         # point of probe 5; the error names the first of them in probe
         # order, plus before minus, and the other seeds keep their gains
         objective, initial = self.batch("vqe")
-        cfg = SpsaConfig()
         rng = np.random.default_rng([self.seeds[1], 0x5CA1])
-        deltas = [cfg.c * (rng.integers(0, 2, size=initial.shape[1]) * 2 - 1) for _ in range(6)]
+        deltas = [C * (rng.integers(0, 2, size=initial.shape[1]) * 2 - 1) for _ in range(6)]
         poison = {
             (initial[1] - deltas[3]).tobytes(): -np.inf,
             (initial[1] + deltas[5]).tobytes(): np.nan,
@@ -454,8 +445,8 @@ class TestLockstep:
                 values[r] = poison.get(points[r].tobytes(), values[r])
             return values
 
-        gains = calibrate_lockstep(poisoned, initial, cfg, self.seeds)
-        clean = calibrate_lockstep(objective, initial, cfg, self.seeds)
+        gains = calibrate_lockstep(poisoned, initial, 250, self.seeds)
+        clean = calibrate_lockstep(objective, initial, 250, self.seeds)
         assert isinstance(gains[1], EvaluationError)
         assert str(gains[1]) == (
             f"objective returned non-finite value -inf at params {initial[1].tolist()}"
@@ -471,8 +462,8 @@ def reference_spsa(objective, initial, cfg):
     x = np.array(initial, dtype=float)
     best_x, best_v, trace = x.copy(), np.inf, []
     for k in range(cfg.max_iters):
-        a_k = cfg.a / (cfg.resolved_stability() + k + 1.0) ** cfg.alpha
-        c_k = cfg.c / (k + 1.0) ** cfg.gamma
+        a_k = cfg.a / (stability(cfg.max_iters) + k + 1.0) ** ALPHA
+        c_k = C / (k + 1.0) ** GAMMA
         delta = rng.integers(0, 2, size=x.size) * 2 - 1
         plus, minus = x + c_k * delta, x - c_k * delta
         f_plus, f_minus = objective(plus), objective(minus)
@@ -494,10 +485,10 @@ def reference_gain(objective, initial, cfg, probes, target_step=0.1):
     mags = []
     for _ in range(probes):
         delta = rng.integers(0, 2, size=initial.size) * 2 - 1
-        f_plus = objective(initial + cfg.c * delta)
-        f_minus = objective(initial - cfg.c * delta)
-        mags.append(abs(f_plus - f_minus) / (2.0 * cfg.c))
-    return target_step * (cfg.resolved_stability() + 1.0) ** cfg.alpha / float(np.mean(mags))
+        f_plus = objective(initial + C * delta)
+        f_minus = objective(initial - C * delta)
+        mags.append(abs(f_plus - f_minus) / (2.0 * C))
+    return target_step * (stability(cfg.max_iters) + 1.0) ** ALPHA / float(np.mean(mags))
 
 
 def bumpy(x):
@@ -543,8 +534,7 @@ class TestDrawBlocks:
                 values[hit] = np.nan
             return values
 
-        cfg = SpsaConfig(max_iters=self.iters)
-        results = spsa_lockstep(objective, initial, cfg, seeds, [0.05] * 3)
+        results = spsa_lockstep(objective, initial, self.iters, seeds, [0.05] * 3)
         assert isinstance(results[1], EvaluationError)
         for slot in (0, 2):
             lone = SpsaConfig(max_iters=self.iters, a=0.05, seed=seeds[slot])
@@ -580,7 +570,7 @@ class TestDrawBlocks:
 
             return f
 
-        results = spsa_lockstep(objective, initial, SpsaConfig(max_iters=iters), seeds, [0.05] * 5)
+        results = spsa_lockstep(objective, initial, iters, seeds, [0.05] * 5)
         for slot, at in fail_at.items():
             cfg = SpsaConfig(max_iters=iters, a=0.05, seed=seeds[slot])
             with pytest.raises(EvaluationError) as exc:

@@ -96,19 +96,15 @@ class TestRelaxQubo:
             assert np.all(result.c_star >= 0.0)
             assert np.all(result.c_star <= 1.0)
 
-    def test_capped_flag_on_tiny_budget(self):
+    def test_capped_flag_on_tiny_budget(self, monkeypatch):
         rng = np.random.default_rng(10)
         qubo = random_qubo(rng, 6)
-        result = relax_qubo(qubo, RelaxConfig(restarts=1, max_iters=1, step=1e-6, seed=11))
+        monkeypatch.setattr(relaxation, "MAX_ITERS", 1)
+        result = relax_qubo(qubo, RelaxConfig(restarts=1, seed=11))
         assert result.capped
 
 
 class TestRelaxConfig:
-    def test_epsilon_range(self):
-        for eps in (0.5, -0.01, 0.0):
-            with pytest.raises(ValidationError, match="epsilon"):
-                RelaxConfig(epsilon=eps)
-
     def test_restarts_positive(self):
         with pytest.raises(ValidationError):
             RelaxConfig(restarts=0)
