@@ -59,9 +59,12 @@ def _parse_formats(text: str) -> tuple[str, ...]:
 def _check_out(text: str) -> None:
     """Fail before any compute if ``text`` cannot become the output
     directory: the nearest existing path on it must be a writable
-    directory.  The directory is made only when the report is written."""
+    directory.  A dangling symlink exists but is no directory.  The
+    directory is made only when the report is written."""
     out = Path(text)
-    base = next(p for p in (out, *out.parents) if p.exists())
+    base = next((p for p in (out, *out.parents) if os.path.lexists(p)), None)
+    if base is None:
+        raise ValidationError(f"--out {text}: no part of the path exists")
     if not base.is_dir():
         raise ValidationError(f"--out {text}: {base} is not a directory")
     if not os.access(base, os.W_OK):

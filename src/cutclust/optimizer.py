@@ -423,8 +423,6 @@ def row_energies(
 ) -> np.ndarray:
     """Exact energy of every prepared row: a batch objective once
     ``prepare`` and ``ising`` are bound."""
-    if len(params) <= row_cap(ising.n):
-        return expectation_rows(probability_rows(prepare(params, owners)), ising.energies)
     return np.concatenate(
         [
             expectation_rows(probs, ising.energies)

@@ -139,13 +139,19 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
-    def test_unusable_out_rejected_before_compute(self, tmp_path, capsys, monkeypatch, out):
+    @pytest.mark.parametrize("kind", ["file", "dangling symlink"])
+    def test_unusable_out_rejected_before_compute(
+        self, tmp_path, capsys, monkeypatch, out, kind
+    ):
         # an existing file used to fail with exit 2 after the whole run
         def no_compute(config):
             raise AssertionError("run_benchmark called")
 
         monkeypatch.setattr(cli, "run_benchmark", no_compute)
-        (tmp_path / "taken").write_text("", encoding="utf-8")
+        if kind == "file":
+            (tmp_path / "taken").write_text("", encoding="utf-8")
+        else:
+            (tmp_path / "taken").symlink_to(tmp_path / "missing")
         args = run_args(tmp_path, "--out", str(tmp_path / out))
         assert main(args) == 1
         assert f"{tmp_path / 'taken'} is not a directory" in capsys.readouterr().err
@@ -159,6 +165,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
         assert main(run_args(tmp_path, "--out", str(tmp_path / "new" / "out"))) == 1
         assert f"{tmp_path} is not writable" in capsys.readouterr().err
+
+    def test_out_with_no_existing_part_named(self, tmp_path, capsys, monkeypatch):
+        def no_compute(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_compute)
+        # a relative path in a removed working directory can find no part
+        monkeypatch.setattr(cli.os.path, "lexists", lambda path: False)
+        assert main(run_args(tmp_path, "--out", "gone/out")) == 1
+        assert "--out gone/out: no part of the path exists" in capsys.readouterr().err
 
     def test_non_utf8_csv_named(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
