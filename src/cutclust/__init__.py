@@ -15,7 +15,6 @@ from .ansatz import (
     build_ws_qaoa_state,
     vqe_param_count,
     ws_mixer_hamiltonian,
-    ws_mixer_unitary,
 )
 from .bench import (
     ALGORITHMS,
@@ -31,7 +30,7 @@ from .bench import (
     run_benchmark,
     shipped_datasets,
 )
-from .errors import EvaluationError, ResourceLimitError, ValidationError
+from .errors import EvaluationError, ValidationError
 from .graph_model import (
     QUBIT_CAP,
     Dataset,
@@ -66,7 +65,6 @@ from .simulator import (
     expectation_diagonal,
     new_state,
     probabilities,
-    sample_counts,
 )
 
 __all__ = [
@@ -83,7 +81,6 @@ __all__ = [
     "QuboProblem",
     "RelaxConfig",
     "RelaxResult",
-    "ResourceLimitError",
     "RunConfig",
     "RunRecord",
     "SpsaConfig",
@@ -116,10 +113,8 @@ __all__ = [
     "resolve_dataset",
     "run_algorithm",
     "run_benchmark",
-    "sample_counts",
     "shipped_datasets",
     "spsa_minimize",
     "vqe_param_count",
     "ws_mixer_hamiltonian",
-    "ws_mixer_unitary",
 ]

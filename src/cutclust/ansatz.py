@@ -50,10 +50,6 @@ class QaoaParams:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "gammas", gammas)
 
-    @property
-    def p(self) -> int:
-        return self.betas.size
-
 
 @dataclass(frozen=True)
 class WarmStart:
@@ -65,7 +61,8 @@ class WarmStart:
 
     def __post_init__(self):
         c = np.asarray(self.c_star, dtype=float)
-        if np.any((c < 0.0) | (c > 1.0)):
+        # NaN fails both comparisons, so it is out of range too
+        if not np.all((c >= 0.0) & (c <= 1.0)):
             raise ValidationError("c_star entries must lie in [0, 1]")
         object.__setattr__(self, "c_star", c)
         object.__setattr__(self, "thetas", 2.0 * np.arcsin(np.sqrt(c)))
@@ -113,12 +110,6 @@ def _mixer_unitaries(hams: np.ndarray, betas) -> np.ndarray:
     broadcast against the leading axes of the (..., 2, 2) Hamiltonians."""
     betas = np.asarray(betas)[..., None, None]
     return np.cos(betas) * IDENTITY - 1j * np.sin(betas) * hams
-
-
-def ws_mixer_unitary(c: float, beta: float) -> np.ndarray:
-    """exp(-i beta H) for the per-qubit warm-start mixer H (H^2 = I)."""
-    _check_interior(c)
-    return _mixer_unitaries(ws_mixer_hamiltonian(c), beta)
 
 
 def transverse_field(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from . import optimizer, relaxation
 from .ansatz import WarmStart
 from .errors import ValidationError
 from .graph_model import (
+    QUBIT_CAP,
     Dataset,
     IsingDiagonal,
     WeightedGraph,
@@ -573,6 +574,8 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     path = resolve_dataset(config.dataset)
     dataset = load_dataset(path, config.columns, config.normalize)
     n = dataset.points.shape[0]
+    if n > QUBIT_CAP:
+        raise ValidationError(f"{path}: {n} data rows exceed the cap of {QUBIT_CAP} qubits")
 
     t0 = time.perf_counter()
     problem = build_problem(dataset)
@@ -665,30 +668,27 @@ def _json_default(obj: Any) -> Any:
         return int(obj)
     if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _write_json(fh, obj: Any, level: int = 0) -> None:
     """Write ``obj`` to ``fh`` exactly as ``json.dumps(obj, indent=2,
-    sort_keys=True, default=_json_default)`` formats it, in pieces.
+    sort_keys=True, default=_json_default)`` formats it, in pieces, for
+    what reports hold: dicts with string keys, lists, tuples, strings,
+    numbers (numpy scalars too), booleans and None.  A key that is not a
+    string raises ``TypeError``.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder and holds
     every piece of the document at once; here a list of floats goes
     through the C encoder in one call and is split onto its lines, and
     the rest is written as it is walked."""
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, dict) and obj:
         sep = "{"
         for key in sorted(obj):
-            if not isinstance(key, (str, int, float, type(None))):
-                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key)}")
-            # json.dumps(key) is how json spells a non-string key too
-            name = key if isinstance(key, str) else json.dumps(key)
-            fh.write(sep + pad + json.dumps(name) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key)}")
+            fh.write(sep + pad + json.dumps(key) + ": ")
             _write_json(fh, obj[key], level + 1)
             sep = ","
         fh.write(pad[:-2] + "}")

@@ -2,11 +2,8 @@
 
 
 class ValidationError(ValueError):
-    """Bad input: malformed data, mismatched dimensions, out-of-range values."""
-
-
-class ResourceLimitError(RuntimeError):
-    """Instance exceeds a configured resource cap (e.g. qubit count)."""
+    """Bad input: malformed data, mismatched dimensions, out-of-range values,
+    an instance over the qubit cap."""
 
 
 class EvaluationError(RuntimeError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 
 QUBIT_CAP = 14
 
@@ -157,7 +157,7 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     """
     n = graph.n
     if n > QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
+        raise ValidationError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     half = 2 ** (n - 1)
     bits = all_bitstrings(n)[:half].astype(float)
     cut = ((bits @ graph.weights) * (1.0 - bits)).sum(axis=1)

@@ -64,8 +64,8 @@ class SpsaConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.a is not None and self.a <= 0:
-            raise ValidationError(f"step gain a must be > 0, got {self.a}")
+        if self.a is not None and not (np.isfinite(self.a) and self.a > 0):
+            raise ValidationError(f"step gain a must be finite and > 0, got {self.a}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,6 @@ Conventions, fixed once and used everywhere:
   - bit i of a basis index is the value of qubit i (qubit 0 = LSB);
   - rotations use the half-angle form R_p(theta) = exp(-i theta P / 2)
     for P in {X, Y, Z};
-  - bitstring keys in sampled counts are written MSB first, i.e.
-    format(index, "0nb") with qubit n-1 as the leftmost character;
   - sampling runs on numpy's PCG64 generator (RNG_ID below), so counts
     are reproducible from the seed alone.
 
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .graph_model import QUBIT_CAP, IsingDiagonal
 
 RNG_ID = "numpy-pcg64"
@@ -50,7 +48,7 @@ def new_state(n: int, init: str = "zeros") -> Statevector:
     if n < 1:
         raise ValidationError("need at least 1 qubit")
     if n > QUBIT_CAP:
-        raise ResourceLimitError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
+        raise ValidationError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     amps = np.zeros(2**n, dtype=complex)
     if init == "zeros":
         amps[0] = 1.0
@@ -291,12 +289,3 @@ def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     if shots < 1:
         raise ValidationError("shots must be >= 1")
     return np.random.default_rng(seed).multinomial(shots, probs)
-
-
-def sample_counts(state: Statevector, shots: int, seed: int) -> dict[str, int]:
-    """Draw `shots` i.i.d. basis-state samples; keys are MSB-first bitstrings."""
-    probs = probabilities(state)
-    counts = draw_counts(probs / probs.sum(), shots, seed)
-    return {
-        format(k, f"0{state.n}b"): int(c) for k, c in enumerate(counts) if c > 0
-    }

@@ -10,8 +10,8 @@ from cutclust.ansatz import (
     build_vqe_state,
     build_ws_qaoa_state,
     vqe_param_count,
+    _mixer_unitaries,
     ws_mixer_hamiltonian,
-    ws_mixer_unitary,
 )
 from cutclust.errors import ValidationError
 from cutclust.graph_model import WeightedGraph, ising_from_graph
@@ -97,9 +97,14 @@ class TestBuildQaoaState:
         assert build_qaoa_state(ising, params).norm_error() < 1e-9
 
 
+def mixer_unitary(c: float, beta: float) -> np.ndarray:
+    """exp(-i beta H(c)) as the ws-QAOA layers build it."""
+    return _mixer_unitaries(ws_mixer_hamiltonian(c), beta)
+
+
 class TestWsMixer:
     def test_beta_zero_identity(self):
-        assert np.allclose(ws_mixer_unitary(0.3, 0.0), np.eye(2))
+        assert np.allclose(mixer_unitary(0.3, 0.0), np.eye(2))
 
     def test_c_half_is_minus_x(self):
         # H(-X) => exp(-i beta H) = cos(beta) I + i sin(beta) X
@@ -107,7 +112,7 @@ class TestWsMixer:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         assert np.allclose(ws_mixer_hamiltonian(0.5), -x)
         expected = np.cos(beta) * np.eye(2) + 1j * np.sin(beta) * x
-        assert np.allclose(ws_mixer_unitary(0.5, beta), expected)
+        assert np.allclose(mixer_unitary(0.5, beta), expected)
 
     def test_matches_numeric_exponential(self):
         rng = np.random.default_rng(1)
@@ -115,17 +120,31 @@ class TestWsMixer:
             c = float(rng.uniform(0.01, 0.99))
             beta = float(rng.uniform(-np.pi, np.pi))
             numeric = scipy.linalg.expm(-1j * beta * ws_mixer_hamiltonian(c))
-            assert np.allclose(ws_mixer_unitary(c, beta), numeric, atol=1e-12)
+            assert np.allclose(mixer_unitary(c, beta), numeric, atol=1e-12)
 
     def test_unitary_everywhere(self):
         for c in np.linspace(0.05, 0.95, 19):
             for beta in np.linspace(-3.0, 3.0, 13):
-                assert is_unitary(ws_mixer_unitary(float(c), float(beta)))
+                assert is_unitary(mixer_unitary(float(c), float(beta)))
 
     def test_boundary_c_rejected(self):
-        for c in (0.0, 1.0, -0.1, 1.1):
-            with pytest.raises(ValidationError):
-                ws_mixer_unitary(c, 0.5)
+        for c in (-0.1, 1.1):
+            with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+                WarmStart([0.5, c])
+
+    def test_nan_c_rejected(self):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+            WarmStart([float("nan"), 0.5])
+
+    def test_binary_c_rejected_by_builder(self):
+        # WarmStart accepts 0 and 1; the ws-QAOA builder needs clipped values
+        for c in (0.0, 1.0):
+            with pytest.raises(ValidationError, match="strictly inside"):
+                build_ws_qaoa_state(
+                    single_edge_ising(),
+                    WarmStart([0.5, c]),
+                    QaoaParams(betas=[0.1], gammas=[0.1]),
+                )
 
     def test_eigen_structure(self):
         # eigenvalues {-1, +1}; R_y(theta)|0> is the -1 eigenvector

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from cutclust import cli
+from cutclust import bench, cli
 from cutclust.bench import RunConfig
 from cutclust.cli import main
 
@@ -198,15 +198,51 @@ class TestExitCodes:
         assert "seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_runtime_failure_is_exit_2(self, tmp_path, capsys):
-        # 15 rows exceed the statevector cap: the graph, built once
-        # before any run, fails, which is a runtime failure, not bad input
+    @staticmethod
+    def over_cap_args(tmp_path):
         rows = "\n".join(f"r{i},{i}.0" for i in range(15))
         big = tmp_path / "big.csv"
         big.write_text("name,a\n" + rows + "\n", encoding="utf-8")
-        code = main(["run", "--dataset", str(big), "--algo", "qaoa", "--seeds", "1",
-                     "--spsa-iters", "10", "--out", str(tmp_path / "out")])
-        assert code == 2
+        return run_args(tmp_path, "--dataset", str(big), "--algo", "qaoa", "--seeds", "1")
+
+    def test_over_cap_rejected_before_compute(self, tmp_path, capsys):
+        # 15 rows exceed the 14-qubit cap
+        assert main(self.over_cap_args(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'big.csv'}: 15 data rows exceed the cap of 14 qubits" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_over_cap_rejected_before_distances(self, tmp_path, capsys, monkeypatch):
+        def no_distances(points):
+            raise AssertionError("euclidean_weights called")
+
+        monkeypatch.setattr(bench, "euclidean_weights", no_distances)
+        assert main(self.over_cap_args(tmp_path)) == 1
+        assert "cap of 14" in capsys.readouterr().err
+
+    def test_runtime_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def broken(config):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(cli, "run_benchmark", broken)
+        assert main(run_args(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("runtime failure: disk on fire")
+
+    def test_failed_run_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        sample_run = bench.sample_run
+
+        def fail_seed_2(config, algorithm, seed, *rest):
+            if seed == 2:
+                raise RuntimeError("sampling broke")
+            return sample_run(config, algorithm, seed, *rest)
+
+        monkeypatch.setattr(bench, "sample_run", fail_seed_2)
+        assert main(run_args(tmp_path)) == 2
+        assert "ws-qaoa: seed 2 failed: sampling broke" in capsys.readouterr().err
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        block = report["algorithms"]["ws-qaoa"]
+        assert [r["seed"] for r in block["runs"]] == [1]
+        assert block["failed"] == [{"seed": 2, "error": "sampling broke"}]
 
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert main([]) == 1

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cutclust.errors import ResourceLimitError, ValidationError
+from cutclust.errors import ValidationError
 from cutclust.graph_model import (
     Dataset,
     IsingDiagonal,
@@ -121,7 +121,7 @@ class TestIsingFromGraph:
 
     def test_qubit_cap(self):
         g = WeightedGraph(weights=np.zeros((15, 15)))
-        with pytest.raises(ResourceLimitError, match="15 qubits exceeds the cap of 14"):
+        with pytest.raises(ValidationError, match="15 qubits exceeds the cap of 14"):
             ising_from_graph(g)
 
     def test_all_zeros_energy_is_zero(self):

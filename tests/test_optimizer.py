@@ -85,6 +85,11 @@ class TestSpsaConfig:
         with pytest.raises(ValidationError):
             SpsaConfig(**kwargs)
 
+    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
+    def test_rejects_non_finite_gain(self, a):
+        with pytest.raises(ValidationError, match="step gain a must be finite"):
+            SpsaConfig(a=a)
+
 
 class TestSpsaMinimize:
     def test_requires_step_gain(self):

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cutclust.errors import ResourceLimitError, ValidationError
+from cutclust.errors import ValidationError
 from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph
 from cutclust.simulator import (
     Statevector,
     apply_1q,
     apply_cnot,
     apply_diagonal_phase,
+    draw_counts,
     expectation_diagonal,
     new_state,
     probabilities,
     rx,
     ry,
-    sample_counts,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,7 +57,7 @@ class TestNewState:
         assert new_state(3, "plus").norm_error() < 1e-12
 
     def test_cap(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ValidationError, match="15 qubits exceeds the cap of 14"):
             new_state(15)
 
     def test_bad_init(self):
@@ -201,30 +201,32 @@ class TestProbabilities:
 
 
 class TestSampleCounts:
+    """draw_counts, the one multinomial draw: counts per basis index."""
+
     def test_basis_state_all_mass(self):
         amps = np.zeros(4, dtype=complex)
         amps[2] = 1.0
-        counts = sample_counts(Statevector(n=2, amps=amps), shots=100, seed=0)
-        assert counts == {"10": 100}
+        counts = draw_counts(probabilities(Statevector(n=2, amps=amps)), shots=100, seed=0)
+        assert counts.tolist() == [0, 0, 100, 0]
 
     def test_deterministic(self):
-        s = new_state(3, "plus")
-        assert sample_counts(s, 500, seed=42) == sample_counts(s, 500, seed=42)
+        p = probabilities(new_state(3, "plus"))
+        assert np.array_equal(draw_counts(p, 500, seed=42), draw_counts(p, 500, seed=42))
 
     def test_counts_sum_to_shots(self):
-        s = new_state(3, "plus")
-        assert sum(sample_counts(s, 999, seed=1).values()) == 999
+        p = probabilities(new_state(3, "plus"))
+        assert draw_counts(p, 999, seed=1).sum() == 999
 
     def test_binomial_5_sigma(self):
         shots = 100_000
-        counts = sample_counts(new_state(1, "plus"), shots, seed=7)
+        counts = draw_counts(probabilities(new_state(1, "plus")), shots, seed=7)
         sigma = np.sqrt(shots * 0.25)
-        for key in ("0", "1"):
-            assert abs(counts[key] - shots / 2) < 5 * sigma
+        for index in (0, 1):
+            assert abs(counts[index] - shots / 2) < 5 * sigma
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValidationError):
-            sample_counts(new_state(1), 0, seed=0)
+            draw_counts(probabilities(new_state(1)), 0, seed=0)
 
 
 class TestCircuitInvariants:
