@@ -14,10 +14,8 @@ import numpy as np
 
 from cutclust import (
     QaoaParams,
-    SpsaConfig,
     WarmStart,
     build_ws_qaoa_state,
-    calibrate_step_gain,
     clip_cstar,
     euclidean_weights,
     exact_solve,
@@ -63,9 +61,7 @@ print(f"initial energy                 {probs0 @ ising.energies:.4f}")
 # start is jittered away from (0, 0), which is a stationary point.
 objective, dim = make_objective("ws-qaoa", ising, warm=warm, p=1)
 init = np.random.default_rng([1, 1]).uniform(-0.1, 0.1, dim)
-config = SpsaConfig(max_iters=250, seed=1)
-gain = calibrate_step_gain(objective, init, config)
-result = spsa_minimize(objective, init, SpsaConfig(max_iters=250, a=gain, seed=1))
+result = spsa_minimize(objective, init, max_iters=250, seed=1)
 
 state1 = build_ws_qaoa_state(
     ising, warm, QaoaParams(betas=result.best_params[:1], gammas=result.best_params[1:])

@@ -11,10 +11,8 @@ Run:  python3 demos/04_vqe.py
 import numpy as np
 
 from cutclust import (
-    SpsaConfig,
     VqeParams,
     build_vqe_state,
-    calibrate_step_gain,
     euclidean_weights,
     exact_solve,
     ising_from_graph,
@@ -35,9 +33,7 @@ print(f"ground energy {solution.ground_energy:.4f}")
 
 objective, dim = make_objective("vqe", ising, vqe_reps=reps)
 init = np.random.default_rng(1).uniform(-0.1, 0.1, dim)
-config = SpsaConfig(max_iters=250, seed=1)
-gain = calibrate_step_gain(objective, init, config)
-result = spsa_minimize(objective, init, SpsaConfig(max_iters=250, a=gain, seed=1))
+result = spsa_minimize(objective, init, max_iters=250, seed=1)
 
 print(f"\nSPSA best energy {result.best_value:.4f} "
       f"({result.best_value / solution.ground_energy:.1%} of ground, "

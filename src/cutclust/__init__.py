@@ -45,8 +45,6 @@ from .graph_model import (
 from .optimizer import (
     ExactSolution,
     OptimizerResult,
-    SpsaConfig,
-    calibrate_step_gain,
     exact_solve,
     make_objective,
     spsa_minimize,
@@ -83,7 +81,6 @@ __all__ = [
     "RelaxResult",
     "RunConfig",
     "RunRecord",
-    "SpsaConfig",
     "Statevector",
     "ValidationError",
     "VqeParams",
@@ -95,7 +92,6 @@ __all__ = [
     "build_qaoa_state",
     "build_vqe_state",
     "build_ws_qaoa_state",
-    "calibrate_step_gain",
     "clip_cstar",
     "cluster_accuracy",
     "cut_value",

@@ -104,6 +104,14 @@ class RunConfig:
             )
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
+        # a float count would be truncated in one place and divided by in
+        # another, and a bool seed would be written to the report as true
+        counts = {"p": self.p, "vqe_reps": self.vqe_reps, "shots": self.shots,
+                  "spsa_iters": self.spsa_iters}
+        counts.update((f"seeds[{i}]", seed) for i, seed in enumerate(self.seeds))
+        for name, value in counts.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         for i, seed in enumerate(self.seeds):
             # numpy's generators take only non-negative seeds; one bad seed
             # would fail every seed that advances beside it
@@ -161,7 +169,8 @@ def load_dataset(
     and are never treated as features.  The feature columns used are
     recorded on the result as ``columns``.  Features are z-scored per
     column when ``normalize`` is set (population std; constant columns
-    are centered and left unscaled).
+    are centered and left unscaled); a column whose mean or std
+    overflows float64 is rejected.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark spreadsheets write before the header
@@ -232,9 +241,17 @@ def load_dataset(
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     if normalize:
-        std = points.std(axis=0)
-        points = points - points.mean(axis=0)
-        points = points / np.where(std > 0, std, 1.0)
+        # a column too large for float64 would z-score to zeros or to
+        # non-finite values; it is named here, without numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = points.mean(axis=0)
+            std = points.std(axis=0)
+        for j in np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std))):
+            raise ValidationError(
+                f"{path}: column {feature_cols[j]!r} overflows float64 when z-scored "
+                f"(mean {mean[j]}, std {std[j]})"
+            )
+        points = (points - mean) / np.where(std > 0, std, 1.0)
 
     return Dataset(
         points=points,
@@ -324,6 +341,24 @@ def build_problem(dataset: Dataset) -> Problem:
     graph = euclidean_weights(dataset)
     ising = ising_from_graph(graph)
     return Problem(dataset=dataset, graph=graph, ising=ising, solution=exact_solve(ising))
+
+
+def _load_problem(config: RunConfig) -> tuple[Path, Problem, float]:
+    """The dataset file of ``config`` and its problem, with the seconds the
+    build took: the one load path of :func:`run_benchmark` and
+    :func:`run_algorithm`.  A file over the qubit cap is rejected before
+    any distance is computed, and every invalid input fails as a
+    ``ValidationError`` naming the file."""
+    path = resolve_dataset(config.dataset)
+    dataset = load_dataset(path, config.columns, config.normalize)
+    if dataset.n > QUBIT_CAP:
+        raise ValidationError(f"{path}: {dataset.n} data rows exceed the cap of {QUBIT_CAP} qubits")
+    t0 = time.perf_counter()
+    try:
+        problem = build_problem(dataset)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return path, problem, time.perf_counter() - t0
 
 
 def _stage_error(algorithm: str, seed: int, stage: str, exc: Exception) -> RuntimeError:
@@ -490,26 +525,13 @@ def run_seeds(
     return [outcomes[seed] for seed in seeds]
 
 
-def run_algorithm(
-    config: RunConfig,
-    algorithm: str,
-    seed: int,
-    dataset: Dataset | None = None,
-) -> RunRecord:
+def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> RunRecord:
     """Execute one solver end to end for one seed: a one-seed
     :func:`run_seeds` on a problem built for it (its graph_build stage)."""
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
-    if dataset is None:
-        dataset = load_dataset(
-            resolve_dataset(config.dataset), config.columns, config.normalize
-        )
-    t0 = time.perf_counter()
-    try:
-        problem = build_problem(dataset)
-    except Exception as exc:
-        raise _stage_error(algorithm, seed, "graph_build", exc) from exc
-    (outcome,) = run_seeds(config, algorithm, problem, (seed,), time.perf_counter() - t0)
+    _, problem, build_s = _load_problem(config)
+    (outcome,) = run_seeds(config, algorithm, problem, (seed,), build_s)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -571,17 +593,12 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     error message; the report covers whatever completed.
     """
     t_start = time.perf_counter()
-    path = resolve_dataset(config.dataset)
-    dataset = load_dataset(path, config.columns, config.normalize)
-    n = dataset.points.shape[0]
-    if n > QUBIT_CAP:
-        raise ValidationError(f"{path}: {n} data rows exceed the cap of {QUBIT_CAP} qubits")
-
-    t0 = time.perf_counter()
-    problem = build_problem(dataset)
+    path, problem, build_s = _load_problem(config)
+    dataset = problem.dataset
+    n = dataset.n
     algorithms = config.selected_algorithms()
     # every run shares the one build; each is charged an equal part
-    graph_build_s = (time.perf_counter() - t0) / (len(algorithms) * len(config.seeds))
+    graph_build_s = build_s / (len(algorithms) * len(config.seeds))
     sol = problem.solution
     exact_top = most_probable_index(
         np.isin(np.arange(2**n), sol.ground_states).astype(float)

@@ -142,8 +142,13 @@ class QuboProblem:
 def euclidean_weights(dataset: Dataset) -> WeightedGraph:
     """Pairwise Euclidean distances between rows as edge weights."""
     x = dataset.points
-    diff = x[:, None, :] - x[None, :, :]
-    w = np.sqrt((diff**2).sum(axis=-1))
+    # a distance beyond float64 is reported below, without numpy's warning
+    with np.errstate(over="ignore"):
+        diff = x[:, None, :] - x[None, :, :]
+        w = np.sqrt((diff**2).sum(axis=-1))
+    if not np.isfinite(w).all():
+        i, j = np.argwhere(~np.isfinite(w))[0]
+        raise ValidationError(f"the distance between rows {i} and {j} overflows float64")
     np.fill_diagonal(w, 0.0)
     w = 0.5 * (w + w.T)
     return WeightedGraph(weights=w)

@@ -49,26 +49,6 @@ def stability(max_iters: int) -> float:
 
 
 @dataclass(frozen=True)
-class SpsaConfig:
-    """The budget, gain and seed of one SPSA run.
-
-    ``a`` is the step-size gain; leave it ``None`` and use
-    :func:`calibrate_step_gain` to pick a value whose first update has a
-    target magnitude, as the benchmark does for every seed.
-    """
-
-    max_iters: int = 250
-    a: float | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.a is not None and not (np.isfinite(self.a) and self.a > 0):
-            raise ValidationError(f"step gain a must be finite and > 0, got {self.a}")
-
-
-@dataclass(frozen=True)
 class OptimizerResult:
     """Outcome of an SPSA run.
 
@@ -77,8 +57,9 @@ class OptimizerResult:
     noisy and the best-seen point is the useful answer.  ``trace`` has
     one entry per iteration (the smaller of the two perturbed values)
     plus a final entry for the end-point evaluation, and ``evaluations``
-    counts objective calls, always ``2 * iterations + 1``: SPSA has no
-    convergence test and always spends its whole budget.
+    counts SPSA's objective calls, always ``2 * max_iters + 1``: SPSA has
+    no convergence test and always spends its whole budget.  The
+    ``2 * PROBES`` calibration calls made before them are not counted.
     """
 
     best_params: np.ndarray
@@ -122,16 +103,6 @@ def _signs(rngs: Sequence[np.random.Generator], active: np.ndarray, count: int, 
 def _one_seed(objective: Objective) -> BatchObjective:
     """A scalar objective as a batch objective over its rows."""
     return lambda points, owners: np.array([objective(x) for x in points])
-
-
-def _alone(lockstep, objective: Objective, initial, config: SpsaConfig, *gains) -> Any:
-    """The outcome of a ``lockstep`` run of ``config.seed`` alone on a
-    scalar objective, raised if it failed."""
-    initial = np.asarray(initial, dtype=float)[None]
-    (outcome,) = lockstep(_one_seed(objective), initial, config.max_iters, [config.seed], *gains)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 class _Lockstep:
@@ -180,8 +151,10 @@ def calibrate_lockstep(
     max_iters: int,
     seeds: Sequence[int],
 ) -> list[float | EvaluationError]:
-    """:func:`calibrate_step_gain` for every seed at once, for runs of
-    ``max_iters`` iterations.
+    """The step gain ``a`` of every seed for runs of ``max_iters``
+    iterations, from the mean of ``|f(x + C*delta) - f(x - C*delta)| / (2C)``
+    over ``PROBES`` Rademacher probes at its start point (a flat objective
+    gets a neutral gain).
 
     Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed
     draws its probes from its own stream, so its gain equals that of a
@@ -212,22 +185,6 @@ def calibrate_lockstep(
     return gains
 
 
-def calibrate_step_gain(
-    objective: Objective,
-    initial: np.ndarray,
-    config: SpsaConfig,
-) -> float:
-    """Pick the gain ``a`` so the first SPSA update moves each coordinate
-    by roughly ``TARGET_STEP``.
-
-    Averages ``|f(x + C*delta) - f(x - C*delta)| / (2C)`` over ``PROBES``
-    Rademacher probes; for unit perturbations this is the per-coordinate
-    magnitude of the gradient estimate.  Flat objectives fall back to a
-    neutral gain instead of dividing by zero.
-    """
-    return _alone(calibrate_lockstep, objective, initial, config)
-
-
 def spsa_lockstep(
     objective: BatchObjective,
     initial: np.ndarray,
@@ -235,7 +192,7 @@ def spsa_lockstep(
     seeds: Sequence[int],
     gains: Sequence[float],
 ) -> list[OptimizerResult | EvaluationError]:
-    """:func:`spsa_minimize` for every seed at once.
+    """SPSA for every seed at once, each at its own step gain.
 
     Row s of ``initial`` is seed ``seeds[s]``'s start point and
     ``gains[s]`` its step gain ``a``, or the error of its failed
@@ -312,10 +269,12 @@ def spsa_lockstep(
 def spsa_minimize(
     objective: Objective,
     initial: np.ndarray,
-    config: SpsaConfig,
+    max_iters: int = 250,
+    seed: int = 0,
 ) -> OptimizerResult:
     """Minimize ``objective`` with simultaneous-perturbation gradient
-    estimates.
+    estimates: the lockstep run of ``seed`` alone, its gain calibrated by
+    :func:`calibrate_lockstep` as the benchmark calibrates each seed's.
 
     Iteration k perturbs the current point along a random sign vector,
     estimates the gradient from the two evaluations, and steps downhill
@@ -323,14 +282,17 @@ def spsa_minimize(
     ``C / (k + 1)**GAMMA``.  The best evaluated point wins; a closing
     evaluation of the final iterate lets it compete.
     """
-    if config.a is None:
-        raise ValidationError(
-            "config.a is unset; call calibrate_step_gain first or set it explicitly"
-        )
+    if max_iters < 1:
+        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
     initial = np.asarray(initial, dtype=float)
-    if initial.ndim != 1:
+    if initial.ndim != 1 or initial.size == 0:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
-    return _alone(spsa_lockstep, objective, initial, config, [config.a])
+    batch, start = _one_seed(objective), initial[None]
+    gains = calibrate_lockstep(batch, start, max_iters, [seed])
+    (outcome,) = spsa_lockstep(batch, start, max_iters, [seed], gains)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 @dataclass(frozen=True)

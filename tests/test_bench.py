@@ -2,6 +2,7 @@
 aggregation, and report emission."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,25 @@ class TestLoadDataset:
         with pytest.raises(ValidationError) as exc:
             load_dataset(p, normalize=normalize)
         assert str(exc.value) == f"{p}: non-finite value {cell!r} at row 2, column 'b'"
+
+    def test_column_whose_spread_overflows_named(self, tmp_path):
+        # its variance used to overflow and z-score it silently to zeros
+        p = write_csv(tmp_path, "a,b\n1.0,1e308\n2.0,-1e308\n3.0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                load_dataset(p)
+        assert str(exc.value) == f"{p}: column 'b' overflows float64 when z-scored (mean 0.0, std inf)"
+
+    def test_column_whose_mean_overflows_named(self, tmp_path):
+        # it used to fail as a non-finite feature in row 0, naming neither
+        # the file nor the column
+        p = write_csv(tmp_path, "a,b\n1.0,1e308\n2.0,1e308\n3.0,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                load_dataset(p)
+        assert str(exc.value) == f"{p}: column 'b' overflows float64 when z-scored (mean inf, std inf)"
 
     def test_constant_column_centered_not_scaled(self, tmp_path):
         p = write_csv(tmp_path, "a,b\n1.0,5.0\n2.0,5.0\n3.0,5.0\n")
@@ -217,10 +237,9 @@ class TestRunAlgorithm:
 
     def test_objective_equals_cut_of_reported_bitstring(self):
         cfg = RunConfig(dataset="cars", seeds=(3,))
-        ds = load_dataset(resolve_dataset("cars"))
-        graph = euclidean_weights(ds)
+        graph = euclidean_weights(load_dataset(resolve_dataset("cars")))
         for algo in ("exact", "qaoa", "ws-qaoa", "vqe"):
-            rec = run_algorithm(cfg, algo, 3, dataset=ds)
+            rec = run_algorithm(cfg, algo, 3)
             assert rec.solution_objective == cut_value(graph, np.array(rec.labels))
 
     def test_energy_bounded_below_by_ground(self):
@@ -251,14 +270,32 @@ class TestRunAlgorithm:
         with pytest.raises(ValidationError):
             run_algorithm(cfg, "annealing", 1)
 
-    def test_failure_carries_stage_context(self, tmp_path):
-        # 15 rows exceed the dense-statevector cap: the graph_build
-        # stage raises and the wrapper names it
+    def test_failure_carries_stage_context(self, tmp_path, monkeypatch):
+        # 15 rows exceed the dense-statevector cap: the file is rejected as
+        # invalid input, as run_benchmark rejects it, before any distance
+        # is computed
+        def no_distances(points):
+            raise AssertionError("euclidean_weights called")
+
+        monkeypatch.setattr(bench, "euclidean_weights", no_distances)
         rows = "\n".join(f"r{i},{i}.0" for i in range(15))
         p = write_csv(tmp_path, "name,a\n" + rows + "\n")
         cfg = RunConfig(dataset=str(p), seeds=(1,))
-        with pytest.raises(RuntimeError, match="graph_build"):
+        with pytest.raises(ValidationError) as exc:
             run_algorithm(cfg, "qaoa", 1)
+        assert str(exc.value) == f"{p}: 15 data rows exceed the cap of 14 qubits"
+
+    def test_overflowing_distance_named_without_normalizing(self, tmp_path):
+        # it used to fail as "weights must be finite", after two warnings
+        # and without the file name
+        p = write_csv(tmp_path, "a,b\n1.0,1e308\n2.0,-1e308\n3.0,0\n")
+        cfg = RunConfig(dataset=str(p), normalize=False, algorithm="exact", seeds=(1,))
+        for run in (run_benchmark, lambda c: run_algorithm(c, "exact", 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError) as exc:
+                    run(cfg)
+            assert str(exc.value) == f"{p}: the distance between rows 0 and 1 overflows float64"
 
     def test_probabilities_sum_to_one(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
@@ -290,6 +327,26 @@ class TestRunConfig:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValidationError):
+            RunConfig(dataset="cars", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"shots": 10.5}, "shots"),
+            ({"p": 1.5}, "p"),
+            ({"p": True}, "p"),
+            ({"vqe_reps": 2.0}, "vqe_reps"),
+            ({"spsa_iters": 30.0}, "spsa_iters"),
+            ({"seeds": (1.5,)}, r"seeds\[0\]"),
+            ({"seeds": (1, True)}, r"seeds\[1\]"),
+        ],
+        ids=["shots-float", "p-float", "p-bool", "vqe_reps-float", "spsa_iters-float",
+             "seed-float", "seed-bool"],
+    )
+    def test_counts_must_be_integers(self, kwargs, name):
+        # shots=10.5 drew 10 shots and divided by 10.5, and seed True was
+        # written to report.json as true
+        with pytest.raises(ValidationError, match=rf"^{name} must be an integer, got "):
             RunConfig(dataset="cars", **kwargs)
 
     def test_epsilon_range(self):

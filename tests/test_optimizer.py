@@ -5,6 +5,8 @@ that scores every bipartition with an explicit pair loop, sharing no
 code with the library path.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,7 @@ from cutclust.optimizer import (
     PROBES,
     C,
     ExactSolution,
-    SpsaConfig,
     calibrate_lockstep,
-    calibrate_step_gain,
     exact_solve,
     make_ansatz,
     make_objective,
@@ -62,46 +62,47 @@ def sphere(x):
     return float(np.asarray(x) @ np.asarray(x))
 
 
-class TestSpsaConfig:
-    def test_defaults(self):
-        cfg = SpsaConfig()
-        assert cfg.max_iters == 250
-        assert cfg.a is None
-        assert cfg.seed == 0
-        assert C == 0.1
-        assert ALPHA == 0.602
-        assert GAMMA == 0.101
-        assert stability(cfg.max_iters) == 25.0
+def one_seed(objective):
+    """A scalar objective as a batch objective over its rows."""
+    return lambda points, owners: np.array([objective(x) for x in points])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iters": 0},
-            {"a": 0.0},
-            {"a": -1.0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValidationError):
-            SpsaConfig(**kwargs)
 
-    @pytest.mark.parametrize("a", [float("nan"), float("inf")])
-    def test_rejects_non_finite_gain(self, a):
-        with pytest.raises(ValidationError, match="step gain a must be finite"):
-            SpsaConfig(a=a)
+def lone_spsa(objective, initial, max_iters, a, seed):
+    """SPSA at the fixed gain ``a``: a one-seed lockstep run on a scalar
+    objective, raised if it failed."""
+    initial = np.asarray(initial, dtype=float)[None]
+    (outcome,) = spsa_lockstep(one_seed(objective), initial, max_iters, [seed], [a])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def lone_gain(objective, initial, max_iters, seed):
+    """The calibrated gain of a one-seed run on a scalar objective."""
+    initial = np.asarray(initial, dtype=float)[None]
+    (gain,) = calibrate_lockstep(one_seed(objective), initial, max_iters, [seed])
+    if isinstance(gain, Exception):
+        raise gain
+    return gain
 
 
 class TestSpsaMinimize:
-    def test_requires_step_gain(self):
-        with pytest.raises(ValidationError, match="calibrate"):
-            spsa_minimize(sphere, np.ones(3), SpsaConfig())
+    def test_defaults(self):
+        params = inspect.signature(spsa_minimize).parameters
+        assert params["max_iters"].default == 250
+        assert params["seed"].default == 0
+        assert C == 0.1
+        assert ALPHA == 0.602
+        assert GAMMA == 0.101
+        assert stability(250) == 25.0
+
+    def test_rejects_zero_iterations(self):
+        with pytest.raises(ValidationError, match="max_iters must be >= 1"):
+            spsa_minimize(sphere, np.ones(3), max_iters=0)
 
     def test_sphere_converges(self):
         # reference run: seeds 0-5 all land below 1e-5 with this setup
-        x0 = np.ones(5)
-        cfg = SpsaConfig(max_iters=500, seed=0)
-        a = calibrate_step_gain(sphere, x0, cfg)
-        res = spsa_minimize(sphere, x0, SpsaConfig(max_iters=500, a=a, seed=0))
+        res = spsa_minimize(sphere, np.ones(5), max_iters=500, seed=0)
         assert res.best_value < 1e-2
 
     def test_evaluation_count(self):
@@ -111,10 +112,10 @@ class TestSpsaMinimize:
             calls.append(x.copy())
             return sphere(x)
 
-        cfg = SpsaConfig(max_iters=40, a=0.2, seed=3)
-        res = spsa_minimize(counting, np.ones(4), cfg)
+        res = spsa_minimize(counting, np.ones(4), max_iters=40, seed=3)
         assert res.evaluations == 2 * 40 + 1
-        assert len(calls) == res.evaluations
+        # the calibration probes run first and are not counted
+        assert len(calls) == 2 * PROBES + res.evaluations
         assert res.trace.shape == (41,)
         # last trace entry is the closing evaluation of the final iterate
         assert res.trace[-1] == sphere(calls[-1])
@@ -127,23 +128,20 @@ class TestSpsaMinimize:
             values.append(v)
             return v
 
-        cfg = SpsaConfig(max_iters=60, a=0.3, seed=1)
-        res = spsa_minimize(recording, np.full(3, 2.0), cfg)
+        res = lone_spsa(recording, np.full(3, 2.0), 60, 0.3, 1)
         assert res.best_value == min(values)
         assert sphere(res.best_params) == res.best_value
 
     def test_constant_objective_leaves_params_unchanged(self):
-        cfg = SpsaConfig(max_iters=30, a=0.5, seed=0)
         x0 = np.array([0.3, -0.7, 1.1])
-        res = spsa_minimize(lambda x: 4.25, x0, cfg)
+        res = spsa_minimize(lambda x: 4.25, x0, max_iters=30, seed=0)
         np.testing.assert_array_equal(res.best_params, x0)
         assert res.best_value == 4.25
         assert np.all(res.trace == 4.25)
 
     def test_deterministic_given_seed(self):
-        cfg = SpsaConfig(max_iters=50, a=0.2, seed=9)
-        r1 = spsa_minimize(sphere, np.ones(4), cfg)
-        r2 = spsa_minimize(sphere, np.ones(4), cfg)
+        r1 = spsa_minimize(sphere, np.ones(4), max_iters=50, seed=9)
+        r2 = spsa_minimize(sphere, np.ones(4), max_iters=50, seed=9)
         np.testing.assert_array_equal(r1.best_params, r2.best_params)
         np.testing.assert_array_equal(r1.trace, r2.trace)
         assert r1.best_value == r2.best_value
@@ -152,14 +150,28 @@ class TestSpsaMinimize:
         def bad(x):
             return np.nan
 
-        cfg = SpsaConfig(max_iters=10, a=0.1, seed=0)
-        with pytest.raises(EvaluationError, match="non-finite"):
-            spsa_minimize(bad, np.ones(2), cfg)
+        with pytest.raises(EvaluationError, match="non-finite value nan at params"):
+            spsa_minimize(bad, np.ones(2), max_iters=10, seed=0)
 
     def test_rejects_empty_initial(self):
-        cfg = SpsaConfig(max_iters=10, a=0.1)
-        with pytest.raises(ValidationError):
-            spsa_minimize(sphere, np.array([]), cfg)
+        with pytest.raises(ValidationError, match="non-empty vector"):
+            spsa_minimize(sphere, np.array([]), max_iters=10)
+
+    def test_is_a_calibrated_lone_run(self):
+        x0 = np.random.default_rng(4).uniform(-1, 1, 6)
+        res = spsa_minimize(bumpy, x0, max_iters=70, seed=8)
+        lone = lone_spsa(bumpy, x0, 70, lone_gain(bumpy, x0, 70, 8), 8)
+        assert np.array_equal(res.best_params, lone.best_params)
+        assert res.best_value == lone.best_value
+        assert np.array_equal(res.trace, lone.trace)
+        assert res.evaluations == lone.evaluations
+        # and both are SPSA written out at the written-out gain
+        best_x, best_v, trace = reference_spsa(
+            bumpy, x0, 70, reference_gain(bumpy, x0, 70, 8, PROBES), 8
+        )
+        assert np.array_equal(res.best_params, best_x)
+        assert res.best_value == best_v
+        assert np.array_equal(res.trace, trace)
 
     def test_gradient_estimator_is_unbiased(self):
         # quadratic objective: the two-point estimate has mean equal to
@@ -191,10 +203,10 @@ class TestCalibration:
         # on the sphere at all-ones the calibrated gain should make the
         # first per-coordinate update land near TARGET_STEP
         x0 = np.ones(5)
-        cfg = SpsaConfig(max_iters=500, seed=0)
-        a = calibrate_step_gain(sphere, x0, cfg)
-        a_0 = a / (stability(cfg.max_iters) + 1.0) ** ALPHA
-        rng = np.random.default_rng(cfg.seed)
+        max_iters, seed = 500, 0
+        a = lone_gain(sphere, x0, max_iters, seed)
+        a_0 = a / (stability(max_iters) + 1.0) ** ALPHA
+        rng = np.random.default_rng(seed)
         delta = rng.integers(0, 2, size=5) * 2 - 1
         f_plus = sphere(x0 + C * delta)
         f_minus = sphere(x0 - C * delta)
@@ -202,15 +214,13 @@ class TestCalibration:
         assert 0.02 < step < 0.5
 
     def test_flat_objective_falls_back(self):
-        cfg = SpsaConfig(max_iters=100, seed=0)
-        a = calibrate_step_gain(lambda x: 1.0, np.ones(3), cfg)
+        a = lone_gain(lambda x: 1.0, np.ones(3), 100, 0)
         assert a > 0
         assert np.isfinite(a)
 
     def test_deterministic(self):
-        cfg = SpsaConfig(max_iters=100, seed=5)
-        a1 = calibrate_step_gain(sphere, np.ones(4), cfg)
-        a2 = calibrate_step_gain(sphere, np.ones(4), cfg)
+        a1 = lone_gain(sphere, np.ones(4), 100, 5)
+        a2 = lone_gain(sphere, np.ones(4), 100, 5)
         assert a1 == a2
 
 
@@ -335,8 +345,7 @@ class TestSpsaOnEnergy:
         obj, dim = make_objective("qaoa", ising, p=1)
         x0 = np.array([0.2, 0.2])
         start = obj(x0)
-        a = calibrate_step_gain(obj, x0, SpsaConfig(max_iters=200, seed=0))
-        res = spsa_minimize(obj, x0, SpsaConfig(max_iters=200, a=a, seed=0))
+        res = spsa_minimize(obj, x0, max_iters=200, seed=0)
         assert res.best_value < start
         # p=1 on a single edge can reach the ground state exactly
         assert res.best_value == pytest.approx(-1.0, abs=1e-2)
@@ -366,9 +375,7 @@ class TestLockstep:
         objective, initial = self.batch(kind)
         gains = calibrate_lockstep(objective, initial, 30, self.seeds)
         for slot, seed in enumerate(self.seeds):
-            lone = calibrate_step_gain(
-                self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, seed=seed)
-            )
+            lone = lone_gain(self.alone(kind, slot), initial[slot], 30, seed)
             assert gains[slot] == lone
 
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
@@ -377,9 +384,7 @@ class TestLockstep:
         gains = [0.05, 0.2, 0.1, 0.3]
         results = spsa_lockstep(objective, initial, 30, self.seeds, gains)
         for slot, seed in enumerate(self.seeds):
-            lone = spsa_minimize(
-                self.alone(kind, slot), initial[slot], SpsaConfig(max_iters=30, a=gains[slot], seed=seed)
-            )
+            lone = lone_spsa(self.alone(kind, slot), initial[slot], 30, gains[slot], seed)
             got = results[slot]
             assert np.array_equal(got.best_params, lone.best_params)
             assert got.best_value == lone.best_value
@@ -411,7 +416,7 @@ class TestLockstep:
             return np.inf if lone_calls["n"] >= 12 and lone_calls["n"] % 2 == 0 else self.alone("qaoa", 1)(x)
 
         with pytest.raises(EvaluationError) as exc:
-            spsa_minimize(lone, initial[1], SpsaConfig(max_iters=20, a=0.1, seed=self.seeds[1]))
+            lone_spsa(lone, initial[1], 20, 0.1, self.seeds[1])
         assert str(results[1]) == str(exc.value)
         assert "non-finite value inf" in str(results[1])
         for slot in (0, 2, 3):
@@ -460,14 +465,14 @@ class TestLockstep:
             assert gains[slot] == clean[slot]
 
 
-def reference_spsa(objective, initial, cfg):
+def reference_spsa(objective, initial, max_iters, a, seed):
     """SPSA written out for one seed, drawing one sign vector per
-    iteration from ``default_rng(cfg.seed)``."""
-    rng = np.random.default_rng(cfg.seed)
+    iteration from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
     x = np.array(initial, dtype=float)
     best_x, best_v, trace = x.copy(), np.inf, []
-    for k in range(cfg.max_iters):
-        a_k = cfg.a / (stability(cfg.max_iters) + k + 1.0) ** ALPHA
+    for k in range(max_iters):
+        a_k = a / (stability(max_iters) + k + 1.0) ** ALPHA
         c_k = C / (k + 1.0) ** GAMMA
         delta = rng.integers(0, 2, size=x.size) * 2 - 1
         plus, minus = x + c_k * delta, x - c_k * delta
@@ -484,16 +489,16 @@ def reference_spsa(objective, initial, cfg):
     return best_x, best_v, np.array(trace)
 
 
-def reference_gain(objective, initial, cfg, probes, target_step=0.1):
+def reference_gain(objective, initial, max_iters, seed, probes, target_step=0.1):
     """Step-gain calibration written out, one draw per probe."""
-    rng = np.random.default_rng([cfg.seed, 0x5CA1])
+    rng = np.random.default_rng([seed, 0x5CA1])
     mags = []
     for _ in range(probes):
         delta = rng.integers(0, 2, size=initial.size) * 2 - 1
         f_plus = objective(initial + C * delta)
         f_minus = objective(initial - C * delta)
         mags.append(abs(f_plus - f_minus) / (2.0 * C))
-    return target_step * (stability(cfg.max_iters) + 1.0) ** ALPHA / float(np.mean(mags))
+    return target_step * (stability(max_iters) + 1.0) ** ALPHA / float(np.mean(mags))
 
 
 def bumpy(x):
@@ -509,9 +514,8 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("dim", [7, 8])
     def test_spsa_equals_one_draw_per_iteration(self, dim):
         initial = np.random.default_rng(dim).uniform(-1, 1, dim)
-        cfg = SpsaConfig(max_iters=self.iters, a=0.05, seed=3)
-        res = spsa_minimize(bumpy, initial, cfg)
-        best_x, best_v, trace = reference_spsa(bumpy, initial, cfg)
+        res = lone_spsa(bumpy, initial, self.iters, 0.05, 3)
+        best_x, best_v, trace = reference_spsa(bumpy, initial, self.iters, 0.05, 3)
         assert np.array_equal(res.best_params, best_x)
         assert res.best_value == best_v
         assert np.array_equal(res.trace, trace)
@@ -520,9 +524,8 @@ class TestDrawBlocks:
     def test_calibration_equals_one_draw_per_probe(self, dim):
         initial = np.random.default_rng(dim).uniform(-1, 1, dim)
         # calibration draws PROBES vectors in one call, fewer than a block
-        cfg = SpsaConfig(seed=5)
-        gain = calibrate_step_gain(bumpy, initial, cfg)
-        assert gain == reference_gain(bumpy, initial, cfg, PROBES)
+        gain = lone_gain(bumpy, initial, 250, 5)
+        assert gain == reference_gain(bumpy, initial, 250, 5, PROBES)
 
     def test_seed_failing_in_a_later_block_leaves_the_others_exact(self):
         # slot 1 turns non-finite at its plus point of iteration
@@ -542,8 +545,7 @@ class TestDrawBlocks:
         results = spsa_lockstep(objective, initial, self.iters, seeds, [0.05] * 3)
         assert isinstance(results[1], EvaluationError)
         for slot in (0, 2):
-            lone = SpsaConfig(max_iters=self.iters, a=0.05, seed=seeds[slot])
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], lone)
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], self.iters, 0.05, seeds[slot])
             assert np.array_equal(results[slot].best_params, best_x)
             assert np.array_equal(results[slot].trace, trace)
 
@@ -577,14 +579,12 @@ class TestDrawBlocks:
 
         results = spsa_lockstep(objective, initial, iters, seeds, [0.05] * 5)
         for slot, at in fail_at.items():
-            cfg = SpsaConfig(max_iters=iters, a=0.05, seed=seeds[slot])
             with pytest.raises(EvaluationError) as exc:
-                spsa_minimize(lone(at), initial[slot], cfg)
+                lone_spsa(lone(at), initial[slot], iters, 0.05, seeds[slot])
             assert isinstance(results[slot], EvaluationError)
             assert str(results[slot]) == str(exc.value)
         for slot in (0, 2):
-            cfg = SpsaConfig(max_iters=iters, a=0.05, seed=seeds[slot])
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], cfg)
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], iters, 0.05, seeds[slot])
             assert np.array_equal(results[slot].best_params, best_x)
             assert results[slot].best_value == best_v
             assert np.array_equal(results[slot].trace, trace)
