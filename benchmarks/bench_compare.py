@@ -4,9 +4,8 @@
 
 DIR is a checkout of the code to compare against (for example made with
 ``git clone`` and ``git checkout <commit>``); the oldest it can be is the
-change that made ``RunConfig`` hold only the flags of ``bench run`` and
-gave ``calibrate_lockstep`` and ``spsa_lockstep`` an iteration budget in
-place of an ``SpsaConfig``.  The "after" side is the
+change that made ``spsa_lockstep(objective, initial, max_iters, seeds)``
+calibrate each seed's step gain itself.  The "after" side is the
 checkout this script lives in.  The topic recorded in the output is the
 ``<topic>`` part of its file name.  Five kinds of figure are written:
 
@@ -25,7 +24,8 @@ checkout this script lives in.  The topic recorded in the output is the
   14-qubit report;
 - per step: microseconds of the optimizer's own work per SPSA iteration
   and per calibration probe, for STEP_SEEDS seeds in lockstep on a
-  trivial batch objective, at each dimension in STEP_DIMS;
+  trivial batch objective, at each dimension in STEP_DIMS, from
+  ``spsa_lockstep`` runs of 250 iterations and of 1;
 - constants (after side only): the timings behind SPSA's draw block.
 
 The probes run at n in QUBITS on a fixed random graph; each figure is the
@@ -174,32 +174,33 @@ def probe_layers() -> dict:
 
 def probe_steps() -> dict:
     """{"spsa_us_per_iteration" | "calibration_us_per_probe": {d: us}}:
-    one ``spsa_lockstep`` run of the default 250 iterations and one
-    ``calibrate_lockstep`` of ``optimizer.PROBES`` probes, STEP_SEEDS
-    seeds at a time, on a sum of squares, so that the time is the
-    optimizer's own bookkeeping."""
+    ``spsa_lockstep`` runs of the default 250 iterations and of 1
+    iteration, STEP_SEEDS seeds at a time, on a sum of squares, so that
+    the time is the optimizer's own bookkeeping.  An iteration costs
+    ``(t(250) - t(1)) / 249``; the remainder of ``t(1)`` after one
+    iteration is the calibration's, over its ``optimizer.PROBES`` probes."""
     import numpy as np
     from cutclust.bench import RunConfig
-    from cutclust.optimizer import PROBES, calibrate_lockstep, spsa_lockstep
+    from cutclust.optimizer import PROBES, spsa_lockstep
 
     def objective(points, owners):
         return np.square(points).sum(axis=1)
 
     seeds = tuple(range(1, STEP_SEEDS + 1))
-    gains = [0.1] * STEP_SEEDS
     iters = RunConfig.spsa_iters
     out: dict = {"spsa_us_per_iteration": {}, "calibration_us_per_probe": {}}
     for dim in STEP_DIMS:
         initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
-        spsa_us, calibration_us = _best_us(
+        full_us, one_us = _best_us(
             [
-                lambda: spsa_lockstep(objective, initial, iters, seeds, gains),
-                lambda: calibrate_lockstep(objective, initial, iters, seeds),
+                lambda: spsa_lockstep(objective, initial, iters, seeds),
+                lambda: spsa_lockstep(objective, initial, 1, seeds),
             ],
             1,
         )
-        out["spsa_us_per_iteration"][str(dim)] = spsa_us / iters
-        out["calibration_us_per_probe"][str(dim)] = calibration_us / PROBES
+        iteration_us = (full_us - one_us) / (iters - 1)
+        out["spsa_us_per_iteration"][str(dim)] = iteration_us
+        out["calibration_us_per_probe"][str(dim)] = (one_us - iteration_us) / PROBES
     return out
 
 

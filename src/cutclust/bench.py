@@ -39,7 +39,6 @@ from .graph_model import (
 )
 from .optimizer import (
     ExactSolution,
-    calibrate_lockstep,
     exact_solve,
     make_ansatz,
     row_energies,
@@ -125,6 +124,11 @@ class RunConfig:
             raise ValidationError(f"vqe_reps must be >= 0, got {self.vqe_reps}")
         if self.shots < 1:
             raise ValidationError(f"shots must be >= 1, got {self.shots}")
+        # the sampler draws its counts as int64
+        if self.shots > np.iinfo(np.int64).max:
+            raise ValidationError(
+                f"shots must be <= {np.iinfo(np.int64).max} (the int64 limit), got {self.shots}"
+            )
         # epsilon = 0 would leave binary entries that the warm-start mixer
         # rejects, so every ws-QAOA run would fail after the relaxation
         if not 0.0 < self.epsilon < 0.5:
@@ -423,8 +427,7 @@ def _optimize(
     prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
     objective = partial(row_energies, prepare, ising)
     initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
-    gains = calibrate_lockstep(objective, initial, config.spsa_iters, seeds)
-    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa_iters, seeds, gains)
+    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa_iters, seeds)
 
     done = np.array([s for s, r in enumerate(outcomes) if not isinstance(r, Exception)], dtype=int)
     if not done.size:
@@ -436,7 +439,7 @@ def _optimize(
             "probabilities": p,
             "energy_expectation": float(e),
             "params": outcomes[s].best_params,
-            "calibrated_a": gains[s],
+            "calibrated_a": outcomes[s].gain,
             "evaluations": outcomes[s].evaluations,
         }
     return outcomes

@@ -60,12 +60,14 @@ class OptimizerResult:
     counts SPSA's objective calls, always ``2 * max_iters + 1``: SPSA has
     no convergence test and always spends its whole budget.  The
     ``2 * PROBES`` calibration calls made before them are not counted.
+    ``gain`` is the step gain ``a`` that calibration chose for the run.
     """
 
     best_params: np.ndarray
     best_value: float
     evaluations: int
     trace: np.ndarray
+    gain: float
 
 
 def _check_finite(value: float, params: np.ndarray) -> float:
@@ -106,14 +108,13 @@ def _one_seed(objective: Objective) -> BatchObjective:
 
 
 class _Lockstep:
-    """Seeds that advance together; a seed whose evaluation is non-finite
-    leaves the batch with its error and the others continue.  A seed whose
-    entry in ``inputs`` is already an exception takes no part."""
+    """``seeds`` seed slots that advance together; a seed whose evaluation
+    is non-finite leaves the batch with its error and the others continue."""
 
-    def __init__(self, objective: BatchObjective, inputs: Sequence):
+    def __init__(self, objective: BatchObjective, seeds: int):
         self.objective = objective
-        self.errors = {s: x for s, x in enumerate(inputs) if isinstance(x, Exception)}
-        self.active = np.array([s for s in range(len(inputs)) if s not in self.errors], dtype=int)
+        self.errors: dict[int, EvaluationError] = {}
+        self.active = np.arange(seeds)
         # the seed slot of every row of a batch of that many point sets
         self._owners: dict[int, np.ndarray] = {}
 
@@ -145,79 +146,49 @@ class _Lockstep:
         return values[:, keep], keep
 
 
-def calibrate_lockstep(
-    objective: BatchObjective,
-    initial: np.ndarray,
-    max_iters: int,
-    seeds: Sequence[int],
-) -> list[float | EvaluationError]:
-    """The step gain ``a`` of every seed for runs of ``max_iters``
-    iterations, from the mean of ``|f(x + C*delta) - f(x - C*delta)| / (2C)``
-    over ``PROBES`` Rademacher probes at its start point (a flat objective
-    gets a neutral gain).
-
-    Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed
-    draws its probes from its own stream, so its gain equals that of a
-    run on its own.  Returns one gain, or the error that ended the
-    seed's calibration, per seed.
-    """
-    initial = np.asarray(initial, dtype=float)
-    rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
-    batch = _Lockstep(objective, seeds)
-    gains: list[Any] = [None] * len(seeds)
-    act = batch.active
-    if act.size:
-        # every probe starts from the seed's start point, so all probes of
-        # all seeds run in one batch: the ± sets of probe 0, then probe 1, ...
-        signs = _signs(rngs, act, PROBES, initial.shape[1])
-        deltas = (C * signs).transpose(1, 0, 2)
-        start = initial[act]
-        points = np.stack([start + deltas, start - deltas], axis=1)
-        values, _ = batch.evaluate(points.reshape(2 * PROBES, *start.shape), at=start)
-        # one row per seed, each averaged on its own as a lone run does
-        magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * C)).T.copy()
-        scale = (stability(max_iters) + 1.0) ** ALPHA
-        for s, mags in zip(batch.active, magnitudes):
-            mean_mag = float(mags.mean())
-            gains[s] = TARGET_STEP * scale if mean_mag < 1e-12 else TARGET_STEP * scale / mean_mag
-    for s, exc in batch.errors.items():
-        gains[s] = exc
-    return gains
-
-
 def spsa_lockstep(
     objective: BatchObjective,
     initial: np.ndarray,
     max_iters: int,
     seeds: Sequence[int],
-    gains: Sequence[float],
 ) -> list[OptimizerResult | EvaluationError]:
-    """SPSA for every seed at once, each at its own step gain.
+    """SPSA for every seed at once, each at its own calibrated step gain.
 
-    Row s of ``initial`` is seed ``seeds[s]``'s start point and
-    ``gains[s]`` its step gain ``a``, or the error of its failed
-    calibration, which is then its outcome.  Each iteration evaluates the
-    ± points of every seed in one batch; each seed draws its perturbations
-    from its own stream and keeps its own best point, so its result equals
-    that of a run on its own.  Returns one result, or the error that ended
-    the seed's run, per seed.
+    Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed's
+    gain ``a`` is calibrated first, from the mean of
+    ``|f(x + C*delta) - f(x - C*delta)| / (2C)`` over ``PROBES`` Rademacher
+    probes at its start point (a flat objective gets a neutral gain); the
+    probes of all seeds are evaluated in one batch, and a seed whose probe
+    value is non-finite fails at its start point.  Each SPSA iteration then
+    evaluates the ± points of every seed in one batch.  Each seed draws its
+    probes and perturbations from its own streams and keeps its own best
+    point, so its result equals that of a run on its own.  Returns one
+    result, or the error that ended the seed's run, per seed.
     """
-    params = np.array(initial, dtype=float)
-    if params.ndim != 2 or params.shape[1] == 0:
-        raise ValidationError(
-            f"initial params must be a non-empty vector, got shape {params.shape[1:]}"
-        )
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    offset = stability(max_iters)
-    batch = _Lockstep(objective, gains)
     # the state of the active seeds, row i for seed slot batch.active[i];
     # a seed that fails is dropped from every array
-    act = batch.active
-    x = params[act]
-    gain = np.array([gains[s] for s in act], dtype=float)
+    x = np.array(initial, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValidationError(f"initial params must be a non-empty vector, got shape {x.shape[1:]}")
+    batch = _Lockstep(objective, len(seeds))
+    # every probe starts from the seed's start point, so all probes of all
+    # seeds run in one batch: the ± sets of probe 0, then probe 1, ...
+    probe_rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
+    deltas = (C * _signs(probe_rngs, batch.active, PROBES, x.shape[1])).transpose(1, 0, 2)
+    points = np.stack([x + deltas, x - deltas], axis=1)
+    values, keep = batch.evaluate(points.reshape(2 * PROBES, *x.shape), at=x)
+    if keep is not None:
+        x = x[keep]
+    # one row per seed, each averaged on its own as a lone run does
+    magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * C)).T.copy()
+    scale = (stability(max_iters) + 1.0) ** ALPHA
+    means = [float(mags.mean()) for mags in magnitudes]
+    gain = np.array([TARGET_STEP * scale if m < 1e-12 else TARGET_STEP * scale / m for m in means])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    offset = stability(max_iters)
     best_x = x.copy()
-    best_v = np.full(act.size, np.inf)
-    trace = np.empty((act.size, max_iters + 1))
+    best_v = np.full(len(x), np.inf)
+    trace = np.empty((len(x), max_iters + 1))
 
     for k in range(max_iters):
         if not batch.active.size:
@@ -248,7 +219,7 @@ def spsa_lockstep(
     if batch.active.size:
         (f_final,), keep = batch.evaluate(x[None])
         if keep is not None:
-            x, best_x, best_v, trace = x[keep], best_x[keep], best_v[keep], trace[keep]
+            x, gain, best_x, best_v, trace = x[keep], gain[keep], best_x[keep], best_v[keep], trace[keep]
         trace[:, -1] = f_final
         # ties go to the final iterate so an unmoved run reports its start
         final = f_final <= best_v
@@ -262,6 +233,7 @@ def spsa_lockstep(
             best_value=float(best_v[i]),
             evaluations=2 * max_iters + 1,
             trace=trace[i].copy(),
+            gain=float(gain[i]),
         )
     return [outcomes[s] for s in range(len(seeds))]
 
@@ -273,8 +245,8 @@ def spsa_minimize(
     seed: int = 0,
 ) -> OptimizerResult:
     """Minimize ``objective`` with simultaneous-perturbation gradient
-    estimates: the lockstep run of ``seed`` alone, its gain calibrated by
-    :func:`calibrate_lockstep` as the benchmark calibrates each seed's.
+    estimates: one :func:`spsa_lockstep` call for ``seed`` alone, which
+    calibrates its gain as the benchmark calibrates each seed's.
 
     Iteration k perturbs the current point along a random sign vector,
     estimates the gradient from the two evaluations, and steps downhill
@@ -282,14 +254,18 @@ def spsa_minimize(
     ``C / (k + 1)**GAMMA``.  The best evaluated point wins; a closing
     evaluation of the final iterate lets it compete.
     """
+    # the rule RunConfig applies to its counts and seeds
+    for name, value in {"max_iters": max_iters, "seed": seed}.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if max_iters < 1:
         raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     initial = np.asarray(initial, dtype=float)
     if initial.ndim != 1 or initial.size == 0:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
-    batch, start = _one_seed(objective), initial[None]
-    gains = calibrate_lockstep(batch, start, max_iters, [seed])
-    (outcome,) = spsa_lockstep(batch, start, max_iters, [seed], gains)
+    (outcome,) = spsa_lockstep(_one_seed(objective), initial[None], max_iters, [seed])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

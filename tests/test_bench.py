@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import cutclust.bench as bench
+from cutclust.ansatz import WarmStart
 from cutclust.bench import (
     BenchmarkReport,
     RunConfig,
     assign_clusters,
+    build_problem,
     cluster_accuracy,
     emit_report,
     load_dataset,
@@ -22,7 +24,9 @@ from cutclust.bench import (
     shipped_datasets,
 )
 from cutclust.errors import ValidationError
-from cutclust.graph_model import cut_value, euclidean_weights
+from cutclust.graph_model import cut_value, euclidean_weights, qubo_from_graph
+from cutclust.optimizer import make_objective, spsa_minimize
+from cutclust.relaxation import RelaxConfig, clip_cstar, relax_qubo
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +400,28 @@ class TestRunBenchmark:
         report = run_benchmark(cfg)
         assert set(report.payload["algorithms"]) == {"qaoa"}
         assert report.payload["exact"]["max_cut"] > 0
+
+    @pytest.mark.parametrize("algo", ["qaoa", "ws-qaoa", "vqe"])
+    def test_seed_run_is_the_library_run(self, algo):
+        # each seed's report entry is spsa_minimize on make_objective from
+        # the seed's start point, bit for bit; ws-QAOA is warmed as a lone
+        # relaxation of that seed warms it
+        report = run_benchmark(RunConfig(dataset="cars", algorithm=algo, seeds=(1, 2), spsa_iters=30))
+        problem = build_problem(load_dataset(resolve_dataset("cars")))
+        qubo = qubo_from_graph(problem.graph)
+        for run in report.payload["algorithms"][algo]["runs"]:
+            seed = run["seed"]
+            warm = None
+            if algo == "ws-qaoa":
+                relaxed = relax_qubo(qubo, RelaxConfig(seed=seed))
+                warm = WarmStart(clip_cstar(relaxed.c_star, 0.1))
+            objective, dim = make_objective(algo, problem.ising, warm=warm)
+            initial = np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim)
+            res = spsa_minimize(objective, initial, 30, seed)
+            assert run["params"] == res.best_params.tolist()
+            assert run["calibrated_a"] == res.gain
+            assert run["energy_expectation"] == res.best_value
+            assert run["evaluations"] == res.evaluations
 
     def test_repeated_seed_gives_identical_runs(self):
         # a seed's run does not depend on the seeds advancing beside it

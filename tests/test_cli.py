@@ -198,6 +198,20 @@ class TestExitCodes:
         assert "seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_shots_over_int64_rejected_before_load(self, tmp_path, capsys, monkeypatch):
+        # it used to run the whole benchmark and then fail every seed in
+        # sampling: "Python int too large to convert to C long", exit 2
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_dataset called")
+
+        monkeypatch.setattr(bench, "load_dataset", no_load)
+        shots = "100000000000000000000"
+        assert main(run_args(tmp_path, "--algo", "exact", "--seeds", "1", "--shots", shots)) == 1
+        err = capsys.readouterr().err
+        assert f"shots must be <= {2**63 - 1} (the int64 limit), got {shots}" in err
+        assert not (tmp_path / "out").exists()
+        assert RunConfig(dataset="cars", shots=2**63 - 1).shots == 2**63 - 1
+
     @staticmethod
     def over_cap_args(tmp_path):
         rows = "\n".join(f"r{i},{i}.0" for i in range(15))

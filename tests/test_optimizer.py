@@ -20,7 +20,6 @@ from cutclust.optimizer import (
     PROBES,
     C,
     ExactSolution,
-    calibrate_lockstep,
     exact_solve,
     make_ansatz,
     make_objective,
@@ -67,23 +66,14 @@ def one_seed(objective):
     return lambda points, owners: np.array([objective(x) for x in points])
 
 
-def lone_spsa(objective, initial, max_iters, a, seed):
-    """SPSA at the fixed gain ``a``: a one-seed lockstep run on a scalar
-    objective, raised if it failed."""
+def lone_spsa(objective, initial, max_iters, seed):
+    """A one-seed lockstep run on a scalar objective, its gain calibrated
+    by the run, raised if it failed."""
     initial = np.asarray(initial, dtype=float)[None]
-    (outcome,) = spsa_lockstep(one_seed(objective), initial, max_iters, [seed], [a])
+    (outcome,) = spsa_lockstep(one_seed(objective), initial, max_iters, [seed])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
-
-
-def lone_gain(objective, initial, max_iters, seed):
-    """The calibrated gain of a one-seed run on a scalar objective."""
-    initial = np.asarray(initial, dtype=float)[None]
-    (gain,) = calibrate_lockstep(one_seed(objective), initial, max_iters, [seed])
-    if isinstance(gain, Exception):
-        raise gain
-    return gain
 
 
 class TestSpsaMinimize:
@@ -99,6 +89,29 @@ class TestSpsaMinimize:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValidationError, match="max_iters must be >= 1"):
             spsa_minimize(sphere, np.ones(3), max_iters=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"seed": True}, "seed must be an integer, got True"),
+            ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+            ({"max_iters": True}, "max_iters must be an integer, got True"),
+        ],
+    )
+    def test_rejects_bad_arguments_before_evaluating(self, kwargs, message):
+        # the rule RunConfig applies: an int or np.integer, not a bool, and
+        # a seed numpy's generators accept
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return sphere(x)
+
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            spsa_minimize(counting, np.ones(2), **kwargs)
+        assert calls == []
 
     def test_sphere_converges(self):
         # reference run: seeds 0-5 all land below 1e-5 with this setup
@@ -128,8 +141,9 @@ class TestSpsaMinimize:
             values.append(v)
             return v
 
-        res = lone_spsa(recording, np.full(3, 2.0), 60, 0.3, 1)
-        assert res.best_value == min(values)
+        res = lone_spsa(recording, np.full(3, 2.0), 60, 1)
+        # the calibration probes come first and are not candidates
+        assert res.best_value == min(values[2 * PROBES :])
         assert sphere(res.best_params) == res.best_value
 
     def test_constant_objective_leaves_params_unchanged(self):
@@ -160,15 +174,15 @@ class TestSpsaMinimize:
     def test_is_a_calibrated_lone_run(self):
         x0 = np.random.default_rng(4).uniform(-1, 1, 6)
         res = spsa_minimize(bumpy, x0, max_iters=70, seed=8)
-        lone = lone_spsa(bumpy, x0, 70, lone_gain(bumpy, x0, 70, 8), 8)
+        lone = lone_spsa(bumpy, x0, 70, 8)
         assert np.array_equal(res.best_params, lone.best_params)
         assert res.best_value == lone.best_value
         assert np.array_equal(res.trace, lone.trace)
         assert res.evaluations == lone.evaluations
+        gain = reference_gain(bumpy, x0, 70, 8, PROBES)
+        assert res.gain == lone.gain == gain
         # and both are SPSA written out at the written-out gain
-        best_x, best_v, trace = reference_spsa(
-            bumpy, x0, 70, reference_gain(bumpy, x0, 70, 8, PROBES), 8
-        )
+        best_x, best_v, trace = reference_spsa(bumpy, x0, 70, gain, 8)
         assert np.array_equal(res.best_params, best_x)
         assert res.best_value == best_v
         assert np.array_equal(res.trace, trace)
@@ -204,7 +218,7 @@ class TestCalibration:
         # first per-coordinate update land near TARGET_STEP
         x0 = np.ones(5)
         max_iters, seed = 500, 0
-        a = lone_gain(sphere, x0, max_iters, seed)
+        a = lone_spsa(sphere, x0, max_iters, seed).gain
         a_0 = a / (stability(max_iters) + 1.0) ** ALPHA
         rng = np.random.default_rng(seed)
         delta = rng.integers(0, 2, size=5) * 2 - 1
@@ -214,13 +228,13 @@ class TestCalibration:
         assert 0.02 < step < 0.5
 
     def test_flat_objective_falls_back(self):
-        a = lone_gain(lambda x: 1.0, np.ones(3), 100, 0)
+        a = lone_spsa(lambda x: 1.0, np.ones(3), 100, 0).gain
         assert a > 0
         assert np.isfinite(a)
 
     def test_deterministic(self):
-        a1 = lone_gain(sphere, np.ones(4), 100, 5)
-        a2 = lone_gain(sphere, np.ones(4), 100, 5)
+        a1 = lone_spsa(sphere, np.ones(4), 100, 5).gain
+        a2 = lone_spsa(sphere, np.ones(4), 100, 5).gain
         assert a1 == a2
 
 
@@ -373,18 +387,17 @@ class TestLockstep:
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_calibration_equals_sequential_runs(self, kind):
         objective, initial = self.batch(kind)
-        gains = calibrate_lockstep(objective, initial, 30, self.seeds)
+        results = spsa_lockstep(objective, initial, 30, self.seeds)
         for slot, seed in enumerate(self.seeds):
-            lone = lone_gain(self.alone(kind, slot), initial[slot], 30, seed)
-            assert gains[slot] == lone
+            lone = lone_spsa(self.alone(kind, slot), initial[slot], 30, seed)
+            assert results[slot].gain == lone.gain
 
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_spsa_equals_sequential_runs(self, kind):
         objective, initial = self.batch(kind)
-        gains = [0.05, 0.2, 0.1, 0.3]
-        results = spsa_lockstep(objective, initial, 30, self.seeds, gains)
+        results = spsa_lockstep(objective, initial, 30, self.seeds)
         for slot, seed in enumerate(self.seeds):
-            lone = lone_spsa(self.alone(kind, slot), initial[slot], 30, gains[slot], seed)
+            lone = lone_spsa(self.alone(kind, slot), initial[slot], 30, seed)
             got = results[slot]
             assert np.array_equal(got.best_params, lone.best_params)
             assert got.best_value == lone.best_value
@@ -392,9 +405,9 @@ class TestLockstep:
             assert got.evaluations == lone.evaluations == 61
 
     def test_non_finite_row_fails_only_its_seed(self):
-        # seed slot 1's 12th evaluation (the minus point of iteration 5)
-        # is infinite; the error is the one a lone run raises, and the
-        # other seeds are unaffected
+        # seed slot 1's 12th SPSA evaluation (the minus point of iteration
+        # 5, after its 2 * PROBES calibration probes) is infinite; the error
+        # is the one a lone run raises, and the other seeds are unaffected
         objective, initial = self.batch("qaoa")
         calls = {"n": 0}
 
@@ -402,21 +415,22 @@ class TestLockstep:
             values = objective(points, owners)
             hit = np.flatnonzero(owners == 1)  # its plus row, then its minus row
             calls["n"] += hit.size
-            if hit.size and calls["n"] >= 12:
+            if hit.size and calls["n"] >= 2 * PROBES + 12:
                 values[hit[-1]] = np.inf
             return values
 
-        results = spsa_lockstep(poisoned, initial, 20, self.seeds, [0.1] * 4)
-        clean = spsa_lockstep(objective, initial, 20, self.seeds, [0.1] * 4)
+        results = spsa_lockstep(poisoned, initial, 20, self.seeds)
+        clean = spsa_lockstep(objective, initial, 20, self.seeds)
         assert isinstance(results[1], EvaluationError)
         lone_calls = {"n": 0}
 
         def lone(x):
             lone_calls["n"] += 1
-            return np.inf if lone_calls["n"] >= 12 and lone_calls["n"] % 2 == 0 else self.alone("qaoa", 1)(x)
+            n = lone_calls["n"]
+            return np.inf if n >= 2 * PROBES + 12 and n % 2 == 0 else self.alone("qaoa", 1)(x)
 
         with pytest.raises(EvaluationError) as exc:
-            lone_spsa(lone, initial[1], 20, 0.1, self.seeds[1])
+            lone_spsa(lone, initial[1], 20, self.seeds[1])
         assert str(results[1]) == str(exc.value)
         assert "non-finite value inf" in str(results[1])
         for slot in (0, 2, 3):
@@ -431,11 +445,12 @@ class TestLockstep:
             values[owners == 2] = np.nan
             return values
 
-        gains = calibrate_lockstep(poisoned, initial, 250, self.seeds)
-        clean = calibrate_lockstep(objective, initial, 250, self.seeds)
-        assert isinstance(gains[2], EvaluationError)
-        assert "non-finite value nan" in str(gains[2])
-        assert [g for i, g in enumerate(gains) if i != 2] == [g for i, g in enumerate(clean) if i != 2]
+        results = spsa_lockstep(poisoned, initial, 250, self.seeds)
+        clean = spsa_lockstep(objective, initial, 250, self.seeds)
+        assert isinstance(results[2], EvaluationError)
+        assert "non-finite value nan" in str(results[2])
+        for slot in (0, 1, 3):
+            assert results[slot].gain == clean[slot].gain
 
     def test_calibration_fails_at_the_first_non_finite_probe(self):
         # slot 1 is -inf at the minus point of probe 3 and nan at the plus
@@ -455,14 +470,14 @@ class TestLockstep:
                 values[r] = poison.get(points[r].tobytes(), values[r])
             return values
 
-        gains = calibrate_lockstep(poisoned, initial, 250, self.seeds)
-        clean = calibrate_lockstep(objective, initial, 250, self.seeds)
-        assert isinstance(gains[1], EvaluationError)
-        assert str(gains[1]) == (
+        results = spsa_lockstep(poisoned, initial, 250, self.seeds)
+        clean = spsa_lockstep(objective, initial, 250, self.seeds)
+        assert isinstance(results[1], EvaluationError)
+        assert str(results[1]) == (
             f"objective returned non-finite value -inf at params {initial[1].tolist()}"
         )
         for slot in (0, 2, 3):
-            assert gains[slot] == clean[slot]
+            assert results[slot].gain == clean[slot].gain
 
 
 def reference_spsa(objective, initial, max_iters, a, seed):
@@ -514,8 +529,8 @@ class TestDrawBlocks:
     @pytest.mark.parametrize("dim", [7, 8])
     def test_spsa_equals_one_draw_per_iteration(self, dim):
         initial = np.random.default_rng(dim).uniform(-1, 1, dim)
-        res = lone_spsa(bumpy, initial, self.iters, 0.05, 3)
-        best_x, best_v, trace = reference_spsa(bumpy, initial, self.iters, 0.05, 3)
+        res = lone_spsa(bumpy, initial, self.iters, 3)
+        best_x, best_v, trace = reference_spsa(bumpy, initial, self.iters, res.gain, 3)
         assert np.array_equal(res.best_params, best_x)
         assert res.best_value == best_v
         assert np.array_equal(res.trace, trace)
@@ -524,12 +539,13 @@ class TestDrawBlocks:
     def test_calibration_equals_one_draw_per_probe(self, dim):
         initial = np.random.default_rng(dim).uniform(-1, 1, dim)
         # calibration draws PROBES vectors in one call, fewer than a block
-        gain = lone_gain(bumpy, initial, 250, 5)
+        gain = lone_spsa(bumpy, initial, 250, 5).gain
         assert gain == reference_gain(bumpy, initial, 250, 5, PROBES)
 
     def test_seed_failing_in_a_later_block_leaves_the_others_exact(self):
         # slot 1 turns non-finite at its plus point of iteration
-        # DRAW_BLOCK + 10, after it drew its second block
+        # DRAW_BLOCK + 10, after its 2 * PROBES calibration probes and
+        # after it drew its second block
         seeds, dim = (4, 9, 2), 7
         initial = np.random.default_rng(1).uniform(-1, 1, (len(seeds), dim))
         calls = {"n": 0}
@@ -538,25 +554,28 @@ class TestDrawBlocks:
             values = np.array([bumpy(x) for x in points])
             hit = np.flatnonzero(owners == 1)
             calls["n"] += hit.size
-            if hit.size and calls["n"] > 2 * (DRAW_BLOCK + 10):
+            if hit.size and calls["n"] > 2 * PROBES + 2 * (DRAW_BLOCK + 10):
                 values[hit] = np.nan
             return values
 
-        results = spsa_lockstep(objective, initial, self.iters, seeds, [0.05] * 3)
+        results = spsa_lockstep(objective, initial, self.iters, seeds)
         assert isinstance(results[1], EvaluationError)
         for slot in (0, 2):
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], self.iters, 0.05, seeds[slot])
+            gain = results[slot].gain
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], self.iters, gain, seeds[slot])
             assert np.array_equal(results[slot].best_params, best_x)
             assert np.array_equal(results[slot].trace, trace)
 
     def test_seeds_failing_at_the_first_and_the_last_iteration(self):
-        # slot 1 is non-finite at its first evaluation (the plus point of
+        # after the 2 * PROBES calibration probes of each seed, slot 1 is
+        # non-finite at its first SPSA evaluation (the plus point of
         # iteration 0), slot 3 at the minus point of the last iteration and
         # slot 4 at the final evaluation; each fails as it would alone, and
         # the seeds that never fail equal the written-out SPSA
         seeds, dim, iters = (4, 9, 2, 6, 8), 5, DRAW_BLOCK + 6
         initial = np.random.default_rng(2).uniform(-1, 1, (len(seeds), dim))
-        fail_at = {1: 1, 3: 2 * iters, 4: 2 * iters + 1}
+        probes = 2 * PROBES
+        fail_at = {1: probes + 1, 3: probes + 2 * iters, 4: probes + 2 * iters + 1}
         calls = dict.fromkeys(fail_at, 0)
 
         def objective(points, owners):
@@ -577,14 +596,15 @@ class TestDrawBlocks:
 
             return f
 
-        results = spsa_lockstep(objective, initial, iters, seeds, [0.05] * 5)
+        results = spsa_lockstep(objective, initial, iters, seeds)
         for slot, at in fail_at.items():
             with pytest.raises(EvaluationError) as exc:
-                lone_spsa(lone(at), initial[slot], iters, 0.05, seeds[slot])
+                lone_spsa(lone(at), initial[slot], iters, seeds[slot])
             assert isinstance(results[slot], EvaluationError)
             assert str(results[slot]) == str(exc.value)
         for slot in (0, 2):
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], iters, 0.05, seeds[slot])
+            gain = results[slot].gain
+            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], iters, gain, seeds[slot])
             assert np.array_equal(results[slot].best_params, best_x)
             assert results[slot].best_value == best_v
             assert np.array_equal(results[slot].trace, trace)
