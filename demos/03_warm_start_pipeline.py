@@ -27,7 +27,6 @@ from cutclust import (
     relax_qubo,
     resolve_dataset,
     spsa_minimize,
-    RelaxConfig,
 )
 
 dataset = load_dataset(resolve_dataset("cars"))
@@ -40,7 +39,7 @@ print(f"exact ground energy {solution.ground_energy:.4f}")
 # instance the box maximum is an integral vertex, i.e. the relaxation
 # already solves the problem.
 qubo = qubo_from_graph(graph)
-relaxed = relax_qubo(qubo, RelaxConfig(seed=0))
+relaxed = relax_qubo(qubo, seed=0)
 print(f"relaxed objective   {relaxed.objective:.4f}  c* = {relaxed.c_star}")
 
 # Stage 2: clip so no qubit starts frozen at a pole.

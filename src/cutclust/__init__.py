@@ -20,7 +20,6 @@ from .bench import (
     ALGORITHMS,
     BenchmarkReport,
     RunConfig,
-    RunRecord,
     assign_clusters,
     cluster_accuracy,
     emit_report,
@@ -50,7 +49,6 @@ from .optimizer import (
     spsa_minimize,
 )
 from .relaxation import (
-    RelaxConfig,
     RelaxResult,
     clip_cstar,
     relax_qubo,
@@ -77,10 +75,8 @@ __all__ = [
     "OptimizerResult",
     "QaoaParams",
     "QuboProblem",
-    "RelaxConfig",
     "RelaxResult",
     "RunConfig",
-    "RunRecord",
     "Statevector",
     "ValidationError",
     "VqeParams",

@@ -45,7 +45,7 @@ from .optimizer import (
     row_probabilities,
     spsa_lockstep,
 )
-from .relaxation import RelaxConfig, clip_cstar, relax_qubo
+from .relaxation import clip_cstar, relax_qubo
 from .simulator import RNG_ID, draw_counts, expectation_rows
 
 ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
@@ -186,6 +186,8 @@ def load_dataset(
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise ValidationError(f"{path}: not UTF-8 text (byte 0x{bad:02x}: {exc.reason})") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if header is None:
         raise ValidationError(f"{path}: empty file")
     header = [h.strip() for h in header]
@@ -308,28 +310,6 @@ def bitstring_str(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-@dataclass
-class RunRecord:
-    """One (algorithm, seed) run."""
-
-    algorithm: str
-    seed: int
-    bitstring_index: int
-    labels: tuple[int, ...]
-    accuracy: float | None
-    energy_expectation: float
-    energy_sampled: float
-    solution_objective: float
-    probabilities: np.ndarray
-    params: np.ndarray | None
-    calibrated_a: float | None
-    evaluations: int
-    timings: dict[str, float]
-
-    def bitstring(self) -> str:
-        return bitstring_str(self.bitstring_index, int(np.log2(self.probabilities.size)))
-
-
 @dataclass(frozen=True)
 class Problem:
     """The max-cut instance of a dataset, built once and shared by every
@@ -376,14 +356,14 @@ def _warm_starts(
 ) -> dict[int, WarmStart | Exception]:
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
-    # seeds fewer than RelaxConfig.restarts apart share restarts; each
+    # seeds fewer than relaxation.RESTARTS apart share restarts; each
     # distinct start is ascended once, in the run of the first seed using it
     ascents: dict[int, tuple] = {}
     warms: dict[int, WarmStart | Exception] = {}
     for seed in seeds:
         t0 = time.perf_counter()
         try:
-            relaxed = relax_qubo(qubo, RelaxConfig(seed=seed), ascents)
+            relaxed = relax_qubo(qubo, seed, ascents)
             warms[seed] = WarmStart(clip_cstar(relaxed.c_star, config.epsilon))
         except Exception as exc:
             warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
@@ -400,12 +380,13 @@ def _optimize(
 ) -> list[dict[str, Any] | Exception]:
     """Optimization stage of every seed at once.
 
-    Returns, per seed, the error that ended it or the fields of its
-    RunRecord that this stage sets.  All seeds of a variational algorithm
-    advance through SPSA together; seed s starts from
-    ``default_rng([s, 1])`` and keeps its own streams, gain and best
-    point, so its result equals a run on its own.  Each seed's gain is
-    calibrated first.  The final states are prepared as one batch too.
+    Returns, per seed, the error that ended it or the report.json fields
+    this stage sets, ``probabilities`` as the array that sampling reads.
+    All seeds of a variational algorithm advance through SPSA together;
+    seed s starts from ``default_rng([s, 1])`` and keeps its own streams,
+    gain and best point, so its result equals a run on its own.  Each
+    seed's gain is calibrated first.  The final states are prepared as
+    one batch too.
     """
     ising = problem.ising
     if algorithm == "exact":
@@ -438,7 +419,7 @@ def _optimize(
         outcomes[s] = {
             "probabilities": p,
             "energy_expectation": float(e),
-            "params": outcomes[s].best_params,
+            "params": outcomes[s].best_params.tolist(),
             "calibrated_a": outcomes[s].gain,
             "evaluations": outcomes[s].evaluations,
         }
@@ -452,10 +433,11 @@ def sample_run(
     problem: Problem,
     final: dict[str, Any],
     timings: dict[str, float],
-) -> RunRecord:
+) -> dict[str, Any]:
     """Sampling stage of one run: measure the final state, score the most
-    probable bitstring and assemble the record with the fields ``final``
-    of the optimization stage."""
+    probable bitstring and return the run's report.json entry, the fields
+    ``final`` of the optimization stage joined by those set here.  The
+    stage's time is recorded in ``timings``."""
     t0 = time.perf_counter()
     try:
         probs = final["probabilities"]
@@ -471,17 +453,17 @@ def sample_run(
         raise _stage_error(algorithm, seed, "sampling", exc) from exc
     timings["sampling"] = time.perf_counter() - t0
 
-    return RunRecord(
-        algorithm=algorithm,
-        seed=seed,
-        bitstring_index=top,
-        labels=labels,
-        accuracy=accuracy,
-        energy_sampled=energy_sampled,
-        solution_objective=float(objective_value),
-        timings=timings,
+    return {
         **final,
-    )
+        "seed": seed,
+        "bitstring": bitstring_str(top, problem.ising.n),
+        "bitstring_index": top,
+        "labels": list(labels),
+        "accuracy": accuracy,
+        "energy_sampled": energy_sampled,
+        "solution_objective": float(objective_value),
+        "probabilities": probs.tolist(),
+    }
 
 
 def run_seeds(
@@ -489,17 +471,17 @@ def run_seeds(
     algorithm: str,
     problem: Problem,
     seeds: tuple[int, ...],
-    graph_build_s: float = 0.0,
-) -> list[RunRecord | Exception]:
+    graph_build_s: float,
+) -> tuple[list[dict[str, Any] | Exception], dict[int, dict[str, float]]]:
     """Run one solver for every seed, all seeds advancing together.
 
-    Returns one record, or the exception that ended the run, per seed.
-    Each record's timings hold its stages: graph_build (``graph_build_s``,
+    Returns ``(runs, timings)``.  ``runs`` holds, per seed, the run's
+    report.json entry or the exception that ended it; an entry is
+    reproducible from (config, seed).  ``timings`` maps each seed to the
+    wall time of the stages it reached: graph_build (``graph_build_s``,
     the run's share of building ``problem``), relaxation (warm start
     only), optimization and sampling.  The optimization stage runs once
     for the whole batch, so its time is split evenly across the seeds.
-    A record is reproducible from (config, seed); only the timings vary
-    between runs.
     """
     timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
     outcomes: dict[int, Any] = {}
@@ -525,16 +507,18 @@ def run_seeds(
             outcomes[seed] = sample_run(config, algorithm, seed, problem, final, timings[seed])
         except Exception as exc:
             outcomes[seed] = exc
-    return [outcomes[seed] for seed in seeds]
+    return [outcomes[seed] for seed in seeds], timings
 
 
-def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> RunRecord:
-    """Execute one solver end to end for one seed: a one-seed
-    :func:`run_seeds` on a problem built for it (its graph_build stage)."""
+def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> dict[str, Any]:
+    """Execute one solver end to end for one seed and return the run's
+    report.json entry: a one-seed :func:`run_seeds` on a problem built
+    for it.  A failed stage raises a ``RuntimeError`` naming the stage,
+    caused by the original exception."""
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
     _, problem, build_s = _load_problem(config)
-    (outcome,) = run_seeds(config, algorithm, problem, (seed,), build_s)
+    (outcome,), _ = run_seeds(config, algorithm, problem, (seed,), build_s)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -563,29 +547,12 @@ def _median(values) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def _representative(records: list[RunRecord]) -> RunRecord:
+def _representative(runs: list[dict[str, Any]]) -> dict[str, Any]:
     """The run whose achieved energy is closest to the median; ties go
     to the earliest seed."""
-    energies = np.array([r.energy_expectation for r in records])
+    energies = np.array([r["energy_expectation"] for r in runs])
     med = _median(energies)
-    return records[int(np.argmin(np.abs(energies - med)))]
-
-
-def _run_dict(rec: RunRecord) -> dict[str, Any]:
-    return {
-        "seed": rec.seed,
-        "bitstring": rec.bitstring(),
-        "bitstring_index": rec.bitstring_index,
-        "labels": list(rec.labels),
-        "accuracy": rec.accuracy,
-        "energy_expectation": rec.energy_expectation,
-        "energy_sampled": rec.energy_sampled,
-        "solution_objective": rec.solution_objective,
-        "params": None if rec.params is None else rec.params.tolist(),
-        "calibrated_a": rec.calibrated_a,
-        "evaluations": rec.evaluations,
-        "probabilities": rec.probabilities.tolist(),
-    }
+    return runs[int(np.argmin(np.abs(energies - med)))]
 
 
 def run_benchmark(config: RunConfig) -> BenchmarkReport:
@@ -621,7 +588,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
             "shots": config.shots,
             "seeds": list(config.seeds),
             "relaxation": {
-                "restarts": RelaxConfig.restarts,
+                "restarts": relaxation.RESTARTS,
                 "max_iters": relaxation.MAX_ITERS,
                 "step": relaxation.STEP,
                 "tol": relaxation.TOL,
@@ -657,26 +624,17 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     timings: dict[str, Any] = {"per_run": {}}
 
     for algorithm in algorithms:
-        runs: list[RunRecord] = []
-        failed: list[dict[str, Any]] = []
-        timings["per_run"][algorithm] = {}
-        outcomes = run_seeds(config, algorithm, problem, config.seeds, graph_build_s)
-        for seed, rec in zip(config.seeds, outcomes):
-            if isinstance(rec, Exception):
-                failed.append({"seed": seed, "error": str(rec)})
-                continue
-            runs.append(rec)
-            timings["per_run"][algorithm][str(seed)] = rec.timings
-        block: dict[str, Any] = {
-            "runs": [_run_dict(r) for r in runs],
-            "failed": failed,
-        }
+        outcomes, stage_times = run_seeds(config, algorithm, problem, config.seeds, graph_build_s)
+        runs = [r for r in outcomes if not isinstance(r, Exception)]
+        failed = [{"seed": seed, "error": str(r)} for seed, r in zip(config.seeds, outcomes)
+                  if isinstance(r, Exception)]
+        timings["per_run"][algorithm] = {str(r["seed"]): stage_times[r["seed"]] for r in runs}
+        block: dict[str, Any] = {"runs": runs, "failed": failed}
         if runs:
-            rep = _representative(runs)
-            block["median_energy_expectation"] = _median(r.energy_expectation for r in runs)
-            block["median_energy_sampled"] = _median(r.energy_sampled for r in runs)
-            block["median_solution_objective"] = _median(r.solution_objective for r in runs)
-            block["representative_seed"] = rep.seed
+            block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)
+            block["median_energy_sampled"] = _median(r["energy_sampled"] for r in runs)
+            block["median_solution_objective"] = _median(r["solution_objective"] for r in runs)
+            block["representative_seed"] = _representative(runs)["seed"]
         payload["algorithms"][algorithm] = block
 
     timings["total_s"] = time.perf_counter() - t_start
@@ -830,12 +788,12 @@ def emit_report(
 
     if "md" in formats:
         md = out / "table.md"
+        # item names are free text: a "|" would open a cell, a line break end the row
+        escape = str.maketrans({"|": "\\|", "\r": " ", "\n": " "})
         lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
+            "| " + " | ".join(c.translate(escape) for c in row) + " |"
+            for row in [header, ["---"] * len(header), *rows]
         ]
-        for row in rows:
-            lines.append("| " + " | ".join(row) + " |")
         lines.append("")
         lines.append(
             "Energies are dimensionless cut weights; the (Ha) row label "

@@ -16,25 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .graph_model import QuboProblem
 
-# an ascent stops after MAX_ITERS steps or once its projected gradient is
-# below TOL; each step tries the length STEP, halved down to _MIN_STEP
+# RESTARTS ascents, each stopped after MAX_ITERS steps or once its projected
+# gradient is below TOL; each step tries the length STEP, halved to _MIN_STEP
+RESTARTS = 32
 MAX_ITERS = 2000
 STEP = 1.0
 TOL = 1e-8
 _MIN_STEP = 1e-14
-
-
-@dataclass(frozen=True)
-class RelaxConfig:
-    restarts: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValidationError("restarts must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,20 +65,19 @@ def _ascend(qubo: QuboProblem, x0: np.ndarray):
 
 def relax_qubo(
     qubo: QuboProblem,
-    config: RelaxConfig | None = None,
+    seed: int = 0,
     ascents: dict[int, tuple] | None = None,
 ) -> RelaxResult:
-    """Best point over multi-start projected gradient ascent on [0,1]^n.
+    """Best point over ``RESTARTS`` projected gradient ascents on [0,1]^n.
 
-    Restart r starts from ``default_rng(config.seed + r)``, so runs whose
-    seeds lie fewer than ``restarts`` apart share starts.  ``ascents``
-    holds the ascent from each start seed already run; give every run of
-    one problem the same dict, and each distinct start is ascended once.
+    Restart r starts from ``default_rng(seed + r)``, so runs whose seeds
+    lie fewer than ``RESTARTS`` apart share starts.  ``ascents`` holds
+    the ascent from each start seed already run; give every run of one
+    problem the same dict, and each distinct start is ascended once.
     """
-    config = config or RelaxConfig()
     ascents = {} if ascents is None else ascents
     best_x, best_f, best_capped = None, -np.inf, False
-    for start in range(config.seed, config.seed + config.restarts):
+    for start in range(seed, seed + RESTARTS):
         if start not in ascents:
             x0 = np.random.default_rng(start).uniform(0.0, 1.0, size=qubo.n)
             ascents[start] = _ascend(qubo, x0)

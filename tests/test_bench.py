@@ -2,6 +2,7 @@
 aggregation, and report emission."""
 
 import json
+import re
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from cutclust.bench import (
 from cutclust.errors import ValidationError
 from cutclust.graph_model import cut_value, euclidean_weights, qubo_from_graph
 from cutclust.optimizer import make_objective, spsa_minimize
-from cutclust.relaxation import RelaxConfig, clip_cstar, relax_qubo
+from cutclust.relaxation import clip_cstar, relax_qubo
 
 
 @pytest.fixture(scope="module")
@@ -228,15 +229,15 @@ class TestRunAlgorithm:
     def test_exact_matches_truth_labels_up_to_flip(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
         rec = run_algorithm(cfg, "exact", 1)
-        assert rec.accuracy == 1.0
-        assert rec.energy_expectation == -rec.solution_objective
+        assert rec["accuracy"] == 1.0
+        assert rec["energy_expectation"] == -rec["solution_objective"]
 
     def test_ws_qaoa_matches_exact_labels(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
         exact = run_algorithm(cfg, "exact", 1)
         ws = run_algorithm(cfg, "ws-qaoa", 1)
-        same = ws.labels == exact.labels
-        flipped = tuple(1 - v for v in ws.labels) == exact.labels
+        same = ws["labels"] == exact["labels"]
+        flipped = [1 - v for v in ws["labels"]] == exact["labels"]
         assert same or flipped
 
     def test_objective_equals_cut_of_reported_bitstring(self):
@@ -244,35 +245,44 @@ class TestRunAlgorithm:
         graph = euclidean_weights(load_dataset(resolve_dataset("cars")))
         for algo in ("exact", "qaoa", "ws-qaoa", "vqe"):
             rec = run_algorithm(cfg, algo, 3)
-            assert rec.solution_objective == cut_value(graph, np.array(rec.labels))
+            assert rec["solution_objective"] == cut_value(graph, np.array(rec["labels"]))
 
     def test_energy_bounded_below_by_ground(self):
         cfg = RunConfig(dataset="cars", seeds=(2,))
-        ground = run_algorithm(cfg, "exact", 2).energy_expectation
+        ground = run_algorithm(cfg, "exact", 2)["energy_expectation"]
         for algo in ("qaoa", "ws-qaoa", "vqe"):
             rec = run_algorithm(cfg, algo, 2)
-            assert rec.energy_expectation >= ground - 1e-9
+            assert rec["energy_expectation"] >= ground - 1e-9
 
     def test_stage_timings_recorded_nonnegative(self):
-        cfg = RunConfig(dataset="cars", seeds=(1,))
-        rec = run_algorithm(cfg, "ws-qaoa", 1)
-        assert set(rec.timings) == {"graph_build", "relaxation", "optimization", "sampling"}
-        assert all(v >= 0.0 for v in rec.timings.values())
+        report = run_benchmark(RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(1,)))
+        stages = report.timings["per_run"]["ws-qaoa"]["1"]
+        assert set(stages) == {"graph_build", "relaxation", "optimization", "sampling"}
+        assert all(v >= 0.0 for v in stages.values())
 
     def test_record_reproducible_from_seed(self):
         cfg = RunConfig(dataset="cars", seeds=(4,))
         a = run_algorithm(cfg, "ws-qaoa", 4)
         b = run_algorithm(cfg, "ws-qaoa", 4)
-        assert a.energy_expectation == b.energy_expectation
-        assert a.energy_sampled == b.energy_sampled
-        assert a.bitstring_index == b.bitstring_index
-        np.testing.assert_array_equal(a.probabilities, b.probabilities)
-        np.testing.assert_array_equal(a.params, b.params)
+        assert a == b
 
     def test_unknown_algorithm(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
         with pytest.raises(ValidationError):
             run_algorithm(cfg, "annealing", 1)
+
+    def test_stage_error_raised_with_its_cause(self, monkeypatch):
+        cause = ArithmeticError("no draws")
+
+        def broken(*args):
+            raise cause
+
+        monkeypatch.setattr(bench, "draw_counts", broken)
+        cfg = RunConfig(dataset="cars", seeds=(1,))
+        with pytest.raises(RuntimeError) as exc:
+            run_algorithm(cfg, "exact", 1)
+        assert str(exc.value) == "exact run (seed 1) failed during sampling: no draws"
+        assert exc.value.__cause__ is cause
 
     def test_failure_carries_stage_context(self, tmp_path, monkeypatch):
         # 15 rows exceed the dense-statevector cap: the file is rejected as
@@ -305,7 +315,7 @@ class TestRunAlgorithm:
         cfg = RunConfig(dataset="cars", seeds=(1,))
         for algo in ("exact", "qaoa", "ws-qaoa", "vqe"):
             rec = run_algorithm(cfg, algo, 1)
-            assert abs(rec.probabilities.sum() - 1.0) < 1e-9
+            assert abs(sum(rec["probabilities"]) - 1.0) < 1e-9
 
 
 class TestRunConfig:
@@ -413,7 +423,7 @@ class TestRunBenchmark:
             seed = run["seed"]
             warm = None
             if algo == "ws-qaoa":
-                relaxed = relax_qubo(qubo, RelaxConfig(seed=seed))
+                relaxed = relax_qubo(qubo, seed)
                 warm = WarmStart(clip_cstar(relaxed.c_star, 0.1))
             objective, dim = make_objective(algo, problem.ising, warm=warm)
             initial = np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim)
@@ -463,6 +473,19 @@ class TestRunBenchmark:
         assert block["failed"] == [{"seed": 2, "error": "injected failure"}]
         files = emit_report(report, tmp_path / "out")
         assert (tmp_path / "out" / "report.json") in files
+
+    def test_sampling_failure_names_the_stage(self, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("no draws")
+
+        monkeypatch.setattr(bench, "draw_counts", broken)
+        cfg = RunConfig(dataset="cars", algorithm="qaoa", seeds=(1,), spsa_iters=30)
+        report = run_benchmark(cfg)
+        assert report.payload["algorithms"]["qaoa"] == {
+            "runs": [],
+            "failed": [{"seed": 1, "error": "qaoa run (seed 1) failed during sampling: no draws"}],
+        }
+        assert report.timings["per_run"]["qaoa"] == {}
 
     def test_non_finite_seed_fails_alone(self, monkeypatch):
         # seeds advance in one batch; seed 2's rows turn NaN and only
@@ -573,6 +596,20 @@ class TestEmitReport:
         for col, algo in enumerate(header[2:], start=2):
             bits = np.array([int(row[col]) for row in label_rows])
             assert float(objective_row[col]) == cut_value(graph, bits), algo
+
+    def test_table_md_cells_escaped(self, tmp_path):
+        # a "|" in a name used to add a cell to its row, and a line break
+        # split the row across two lines
+        p = write_csv(tmp_path, 'name,a\nx|y,0.0\n"two\nlines",5.0\nz,0.1\n')
+        report = run_benchmark(RunConfig(dataset=str(p), algorithm="exact", seeds=(1,)))
+        emit_report(report, tmp_path / "md", ("md",))
+        text = (tmp_path / "md" / "table.md").read_text(encoding="utf-8")
+        table = [line for line in text.splitlines() if line.startswith("|")]
+        assert len(table) == 2 + 3 + 3
+        for line in table:
+            assert len(re.split(r"(?<!\\)\|", line)) == 3 + 2, line
+        assert table[2].startswith("| x\\|y |")
+        assert table[3].startswith("| two lines |")
 
     def test_report_json_deterministic_bytes(self, tmp_path):
         cfg = RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(1, 2),

@@ -1,5 +1,6 @@
 """CLI tests: exit codes, flag parsing, and output files."""
 
+import csv
 import json
 import warnings
 
@@ -183,6 +184,31 @@ class TestExitCodes:
         assert main(run_args(tmp_path, "--dataset", str(bad))) == 1
         assert "latin1.csv: not UTF-8 text (byte 0xe9" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty file"),
+            ("name,label\nx,0\ny,1\n", "no feature columns"),
+            # csv's field limit used to end the run with exit 2, naming no file
+            ("name,a\nx," + "1" * 131073 + "\ny,2.0\n",
+             "line 2: field larger than field limit (131072)"),
+        ],
+        ids=["empty", "no_features", "oversized_cell"],
+    )
+    def test_unusable_csv_named(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        assert main(run_args(tmp_path, "--dataset", str(bad))) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, message", [("--columns", "columns list is empty"),
+                                               ("--format", "format list is empty")])
+    def test_empty_list_flag_named(self, tmp_path, capsys, flag, message):
+        assert main(run_args(tmp_path, flag, ",")) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1
 
@@ -257,6 +283,29 @@ class TestExitCodes:
         block = report["algorithms"]["ws-qaoa"]
         assert [r["seed"] for r in block["runs"]] == [1]
         assert block["failed"] == [{"seed": 2, "error": "sampling broke"}]
+
+    def test_relaxation_failing_every_seed_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise ArithmeticError("no ascent")
+
+        monkeypatch.setattr(bench, "relax_qubo", broken)
+        assert main(run_args(tmp_path)) == 2
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["algorithms"]["ws-qaoa"] == {
+            "runs": [],
+            "failed": [
+                {"seed": s, "error": f"ws-qaoa run (seed {s}) failed during relaxation: no ascent"}
+                for s in (1, 2)
+            ],
+        }
+        timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+        assert timings["per_run"]["ws-qaoa"] == {}
+        assert not (out / "histogram_ws-qaoa.csv").exists()
+        with open(out / "table.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["Item", "Label", "ws-qaoa"]
+        assert [row[2] for row in rows] == ["-"] * len(rows)
 
     def test_missing_subcommand_is_validation_error(self, capsys):
         assert main([]) == 1

@@ -8,7 +8,6 @@ from cutclust.ansatz import WarmStart
 from cutclust.errors import ValidationError
 from cutclust.graph_model import WeightedGraph, qubo_from_graph
 from cutclust.relaxation import (
-    RelaxConfig,
     clip_cstar,
     relax_qubo,
 )
@@ -52,7 +51,7 @@ def best_binary_vertex(qubo):
 class TestRelaxQubo:
     def test_zero_weights(self):
         qubo = qubo_from_graph(WeightedGraph(weights=np.zeros((3, 3))))
-        result = relax_qubo(qubo, RelaxConfig(seed=1))
+        result = relax_qubo(qubo, seed=1)
         assert result.objective == pytest.approx(0.0)
         assert np.all((result.c_star >= 0.0) & (result.c_star <= 1.0))
 
@@ -60,7 +59,7 @@ class TestRelaxQubo:
         qubo = single_edge_qubo(1.0)
         oracle_best, _ = grid_search_max(qubo, 201)
         assert oracle_best == pytest.approx(1.0, abs=1e-9)
-        result = relax_qubo(qubo, RelaxConfig(seed=2))
+        result = relax_qubo(qubo, seed=2)
         assert result.objective == pytest.approx(1.0, abs=1e-6)
         hit = np.allclose(result.c_star, [1.0, 0.0], atol=1e-3) or np.allclose(
             result.c_star, [0.0, 1.0], atol=1e-3
@@ -71,28 +70,28 @@ class TestRelaxQubo:
         qubo = triangle_qubo(1.0)
         oracle_best, _ = grid_search_max(qubo, 51)
         assert oracle_best == pytest.approx(2.0, abs=1e-9)
-        result = relax_qubo(qubo, RelaxConfig(seed=3))
+        result = relax_qubo(qubo, seed=3)
         assert result.objective == pytest.approx(2.0, abs=1e-6)
 
     def test_dominates_best_vertex_up_to_n10(self):
         rng = np.random.default_rng(4)
         for n in range(2, 11):
             qubo = random_qubo(rng, n)
-            result = relax_qubo(qubo, RelaxConfig(seed=5))
+            result = relax_qubo(qubo, seed=5)
             assert result.objective >= best_binary_vertex(qubo) - 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         qubo = random_qubo(rng, 5)
-        a = relax_qubo(qubo, RelaxConfig(seed=7))
-        b = relax_qubo(qubo, RelaxConfig(seed=7))
+        a = relax_qubo(qubo, seed=7)
+        b = relax_qubo(qubo, seed=7)
         assert np.array_equal(a.c_star, b.c_star)
         assert a.objective == b.objective
 
     def test_feasible_exactly(self):
         rng = np.random.default_rng(8)
         for n in (2, 5, 8):
-            result = relax_qubo(random_qubo(rng, n), RelaxConfig(seed=9))
+            result = relax_qubo(random_qubo(rng, n), seed=9)
             assert np.all(result.c_star >= 0.0)
             assert np.all(result.c_star <= 1.0)
 
@@ -100,14 +99,9 @@ class TestRelaxQubo:
         rng = np.random.default_rng(10)
         qubo = random_qubo(rng, 6)
         monkeypatch.setattr(relaxation, "MAX_ITERS", 1)
-        result = relax_qubo(qubo, RelaxConfig(restarts=1, seed=11))
+        monkeypatch.setattr(relaxation, "RESTARTS", 1)
+        result = relax_qubo(qubo, seed=11)
         assert result.capped
-
-
-class TestRelaxConfig:
-    def test_restarts_positive(self):
-        with pytest.raises(ValidationError):
-            RelaxConfig(restarts=0)
 
 
 class TestClipCstar:
@@ -160,7 +154,7 @@ class TestSharedRestarts:
         # with 32 restarts have 41 distinct starts
         rng = np.random.default_rng(12)
         qubo = random_qubo(rng, 6)
-        lone = [relax_qubo(qubo, RelaxConfig(seed=seed)) for seed in range(1, 11)]
+        lone = [relax_qubo(qubo, seed=seed) for seed in range(1, 11)]
         calls = {"n": 0}
         ascend = relaxation._ascend
 
@@ -171,7 +165,7 @@ class TestSharedRestarts:
         monkeypatch.setattr(relaxation, "_ascend", counted)
         ascents = {}
         for seed, alone in zip(range(1, 11), lone):
-            shared = relax_qubo(qubo, RelaxConfig(seed=seed), ascents)
+            shared = relax_qubo(qubo, seed, ascents)
             assert np.array_equal(shared.c_star, alone.c_star)
             assert shared.objective == alone.objective
             assert shared.capped == alone.capped
