@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -52,6 +53,10 @@ ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
 FORMATS = ("json", "csv", "md")
 
 SCHEMA_VERSION = 1
+
+# floats per piece when report.json and the histograms write a probability
+# vector, so that no whole-vector list or string is built
+CHUNK = 1024
 
 # behavioural identifiers embedded in every report so downstream readers
 # can interpret bitstrings and re-derive states without guessing
@@ -381,18 +386,19 @@ def _optimize(
     """Optimization stage of every seed at once.
 
     Returns, per seed, the error that ended it or the report.json fields
-    this stage sets, ``probabilities`` as the array that sampling reads.
-    All seeds of a variational algorithm advance through SPSA together;
-    seed s starts from ``default_rng([s, 1])`` and keeps its own streams,
-    gain and best point, so its result equals a run on its own.  Each
-    seed's gain is calibrated first.  The final states are prepared as
-    one batch too.
+    this stage sets, ``probabilities`` and ``params`` as read-only float64
+    arrays (the exact seeds share one).  All seeds of a variational
+    algorithm advance through SPSA together; seed s starts from
+    ``default_rng([s, 1])`` and keeps its own streams, gain and best
+    point, so its result equals a run on its own.  Each seed's gain is
+    calibrated first.  The final states are prepared as one batch too.
     """
     ising = problem.ising
     if algorithm == "exact":
         sol = problem.solution
         probs = np.zeros(2**ising.n)
         probs[list(sol.ground_states)] = 1.0 / len(sol.ground_states)
+        probs.flags.writeable = False
         exact = {
             "probabilities": probs,
             "energy_expectation": sol.ground_energy,
@@ -415,11 +421,14 @@ def _optimize(
         return outcomes
     best = np.array([outcomes[s].best_params for s in done])
     probs = np.concatenate(list(row_probabilities(prepare, best, done, ising.n)))
+    probs.flags.writeable = False
     for s, p, e in zip(done, probs, expectation_rows(probs, ising.energies)):
+        params = outcomes[s].best_params
+        params.flags.writeable = False
         outcomes[s] = {
             "probabilities": p,
             "energy_expectation": float(e),
-            "params": outcomes[s].best_params.tolist(),
+            "params": params,
             "calibrated_a": outcomes[s].gain,
             "evaluations": outcomes[s].evaluations,
         }
@@ -437,7 +446,9 @@ def sample_run(
     """Sampling stage of one run: measure the final state, score the most
     probable bitstring and return the run's report.json entry, the fields
     ``final`` of the optimization stage joined by those set here.  The
-    stage's time is recorded in ``timings``."""
+    entry keeps ``final``'s read-only arrays: ``probabilities`` is the
+    state's float64 probability vector itself, not a list.  The stage's
+    time is recorded in ``timings``."""
     t0 = time.perf_counter()
     try:
         probs = final["probabilities"]
@@ -462,7 +473,6 @@ def sample_run(
         "accuracy": accuracy,
         "energy_sampled": energy_sampled,
         "solution_objective": float(objective_value),
-        "probabilities": probs.tolist(),
     }
 
 
@@ -513,8 +523,9 @@ def run_seeds(
 def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> dict[str, Any]:
     """Execute one solver end to end for one seed and return the run's
     report.json entry: a one-seed :func:`run_seeds` on a problem built
-    for it.  A failed stage raises a ``RuntimeError`` naming the stage,
-    caused by the original exception."""
+    for it.  ``probabilities`` is a read-only float64 array, and so is
+    ``params`` (``None`` for exact).  A failed stage raises a
+    ``RuntimeError`` naming the stage, caused by the original exception."""
     if algorithm not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algorithm!r}")
     _, problem, build_s = _load_problem(config)
@@ -528,8 +539,9 @@ def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> dict[str, Any
 class BenchmarkReport:
     """Aggregated benchmark output.
 
-    ``payload`` is the deterministic section (what report.json holds);
-    ``timings`` is the wall-clock section (timings.json).
+    ``payload`` is the deterministic section (what report.json is written
+    from, float vectors as read-only float64 arrays); ``timings`` is the
+    wall-clock section (timings.json).
     """
 
     payload: dict[str, Any]
@@ -651,17 +663,28 @@ def _json_default(obj: Any) -> Any:
 
 def _write_json(fh, obj: Any, level: int = 0) -> None:
     """Write ``obj`` to ``fh`` exactly as ``json.dumps(obj, indent=2,
-    sort_keys=True, default=_json_default)`` formats it, in pieces, for
-    what reports hold: dicts with string keys, lists, tuples, strings,
-    numbers (numpy scalars too), booleans and None.  A key that is not a
-    string raises ``TypeError``.
+    sort_keys=True, default=_json_default)`` formats it with its arrays
+    given as lists, in pieces, for what reports hold: dicts with string
+    keys, lists, tuples, strings, numbers (numpy scalars too), booleans,
+    None and nonempty 1-D float64 arrays.  A key that is not a string, or
+    any other array, raises ``TypeError``.
 
     With an indent, ``json.dumps`` runs the pure-Python encoder and holds
-    every piece of the document at once; here a list of floats goes
-    through the C encoder in one call and is split onto its lines, and
-    the rest is written as it is walked."""
+    every piece of the document at once; here an array goes through the
+    C encoder CHUNK floats at a time, each chunk split onto its lines, so
+    no whole-vector list or string is built, and the rest is written as
+    it is walked."""
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+        # a float's repr holds no ", ", so the separators split it
+        line = "," + pad
+        sep = "[" + pad
+        for lo in range(0, obj.size, CHUNK):
+            fh.write(sep)
+            fh.write(json.dumps(obj[lo:lo + CHUNK].tolist())[1:-1].replace(", ", line))
+            sep = line
+        fh.write(pad[:-2] + "]")
+    elif isinstance(obj, dict) and obj:
         sep = "{"
         for key in sorted(obj):
             if not isinstance(key, str):
@@ -671,13 +694,6 @@ def _write_json(fh, obj: Any, level: int = 0) -> None:
             sep = ","
         fh.write(pad[:-2] + "}")
     elif isinstance(obj, (list, tuple)) and obj:
-        if all(type(v) is float for v in obj):
-            # a float's repr holds no ", ", so the separators split it; the
-            # brackets go in their own writes, which saves a copy of the text
-            fh.write("[" + pad)
-            fh.write(json.dumps(obj)[1:-1].replace(", ", "," + pad))
-            fh.write(pad[:-2] + "]")
-            return
         sep = "["
         for v in obj:
             fh.write(sep + pad)
@@ -772,19 +788,27 @@ def emit_report(
             writer.writerows(rows)
         written.append(table)
         n = report.payload["dataset"]["n_rows"]
-        bitstrings = [bitstring_str(k, n) for k in range(2**n)]
-        for a, block in report.payload["algorithms"].items():
-            if not block["runs"]:
-                continue
-            rep = next(
+        histograms = {
+            out / f"histogram_{a}.csv": next(
                 r for r in block["runs"] if r["seed"] == block["representative_seed"]
-            )
-            hist = out / f"histogram_{a}.csv"
-            # the rows csv.writer would write: no field needs quoting
-            with open(hist, "w", newline="", encoding="utf-8") as fh:
+            )["probabilities"]
+            for a, block in report.payload["algorithms"].items()
+            if block["runs"]
+        }
+        # the rows csv.writer would write: no field needs quoting; all
+        # histograms advance together, CHUNK rows at a time, so each chunk's
+        # bitstrings are formatted once and no whole-vector list is built
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(hist, "w", newline="", encoding="utf-8"))
+                     for hist in histograms]
+            for fh in files:
                 fh.write("bitstring,probability\r\n")
-                fh.writelines(map("{},{!r}\r\n".format, bitstrings, rep["probabilities"]))
-            written.append(hist)
+            for lo in range(0, 2**n, CHUNK):
+                hi = min(lo + CHUNK, 2**n)
+                bitstrings = [bitstring_str(k, n) for k in range(lo, hi)]
+                for fh, p in zip(files, histograms.values()):
+                    fh.writelines(map("{},{!r}\r\n".format, bitstrings, p[lo:hi].tolist()))
+        written += histograms
 
     if "md" in formats:
         md = out / "table.md"

@@ -24,11 +24,6 @@ def bits_from_index(index: int, n: int) -> np.ndarray:
     return (index >> np.arange(n)) & 1
 
 
-def all_bitstrings(n: int) -> np.ndarray:
-    """(2^n, n) matrix whose row k is bits_from_index(k, n)."""
-    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-
-
 @dataclass(frozen=True)
 class Dataset:
     """N rows of d real features, with optional names, class labels and
@@ -164,8 +159,14 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     if n > QUBIT_CAP:
         raise ValidationError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     half = 2 ** (n - 1)
-    bits = all_bitstrings(n)[:half].astype(float)
-    cut = ((bits @ graph.weights) * (1.0 - bits)).sum(axis=1)
+    # row k holds the bits of k; 1 - x overwrites x once x W is taken
+    bits = np.arange(half)[:, None] >> np.arange(n)
+    bits &= 1
+    bits = bits.astype(float)
+    cut = bits @ graph.weights
+    np.subtract(1.0, bits, out=bits)
+    cut *= bits
+    cut = cut.sum(axis=1)
     energies = np.empty(2**n)
     energies[:half] = -cut
     energies[half:] = -cut[::-1]  # index 2^n - 1 - k is the complement of k

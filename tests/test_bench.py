@@ -41,6 +41,46 @@ def write_csv(tmp_path, text, name="data.csv"):
     return p
 
 
+def same_array(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same(a, b):
+    """``a`` equals ``b`` exactly: dicts key for key, lists and tuples item
+    for item, arrays by dtype, shape and bytes, anything else by ``==``."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and same_array(a, b)
+    elif isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys()
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+def as_lists(obj):
+    """``obj`` with every array turned into a list, for ``json.dumps``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: as_lists(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(v) for v in obj]
+    return obj
+
+
+def histogram_text(probs, n: int) -> bytes:
+    """A histogram as a row-by-row writer makes it."""
+    lines = ["bitstring,probability"] + [
+        f"{k:0{n}b},{p!r}" for k, p in enumerate(probs.tolist())
+    ]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
 class TestShippedDatasets:
     def test_both_files_present(self):
         shipped = shipped_datasets()
@@ -264,7 +304,7 @@ class TestRunAlgorithm:
         cfg = RunConfig(dataset="cars", seeds=(4,))
         a = run_algorithm(cfg, "ws-qaoa", 4)
         b = run_algorithm(cfg, "ws-qaoa", 4)
-        assert a == b
+        assert_same(a, b)
 
     def test_unknown_algorithm(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
@@ -428,7 +468,7 @@ class TestRunBenchmark:
             objective, dim = make_objective(algo, problem.ising, warm=warm)
             initial = np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim)
             res = spsa_minimize(objective, initial, 30, seed)
-            assert run["params"] == res.best_params.tolist()
+            assert same_array(run["params"], res.best_params)
             assert run["calibrated_a"] == res.gain
             assert run["energy_expectation"] == res.best_value
             assert run["evaluations"] == res.evaluations
@@ -443,7 +483,7 @@ class TestRunBenchmark:
         )
         (r1,) = alone.payload["algorithms"]["ws-qaoa"]["runs"]
         r2 = beside.payload["algorithms"]["ws-qaoa"]["runs"][1]
-        assert r1 == r2
+        assert_same(r1, r2)
 
     def test_median_and_representative(self, small_report):
         _, report = small_report
@@ -502,7 +542,7 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(bench, "row_energies", poisoned)
         block = run_benchmark(cfg).payload["algorithms"]["vqe"]
-        assert block["runs"] == [clean[0], clean[2]]
+        assert_same(block["runs"], [clean[0], clean[2]])
         (failure,) = block["failed"]
         assert failure["seed"] == 2
         assert failure["error"].startswith(
@@ -523,7 +563,27 @@ class TestRunBenchmark:
     def test_deterministic_payload(self, small_report):
         cfg, report = small_report
         again = run_benchmark(cfg)
-        assert report.payload == again.payload
+        assert_same(report.payload, again.payload)
+
+    def test_payload_arrays_are_read_only(self, small_report):
+        _, report = small_report
+        for algo, block in report.payload["algorithms"].items():
+            for run in block["runs"]:
+                probs = run["probabilities"]
+                assert type(probs) is np.ndarray and probs.dtype == np.float64
+                assert probs.shape == (2**5,) and not probs.flags.writeable
+                with pytest.raises(ValueError):
+                    probs[0] = 0.5
+                if algo == "exact":
+                    assert run["params"] is None
+                    # every exact seed holds the one shared vector
+                    assert probs is block["runs"][0]["probabilities"]
+                    continue
+                params = run["params"]
+                assert type(params) is np.ndarray and params.dtype == np.float64
+                assert params.ndim == 1 and not params.flags.writeable
+                with pytest.raises(ValueError):
+                    params[0] = 0.5
 
 
 class TestEmitReport:
@@ -672,7 +732,8 @@ class TestReportWriter:
     def test_report_and_timings_match_json_dumps(self, small_report, tmp_path):
         _, report = small_report
         emit_report(report, tmp_path, ("json",))
-        assert (tmp_path / "report.json").read_text(encoding="utf-8") == self.dumps(report.payload)
+        expected = self.dumps(as_lists(report.payload))
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
         assert (tmp_path / "timings.json").read_text(encoding="utf-8") == self.dumps(report.timings)
 
     def test_rejects_keys_json_rejects(self, tmp_path):
@@ -689,11 +750,39 @@ class TestReportWriter:
         emit_report(report, tmp_path, ("csv",))
         for algo, block in report.payload["algorithms"].items():
             rep = next(r for r in block["runs"] if r["seed"] == block["representative_seed"])
-            lines = ["bitstring,probability"] + [
-                f"{k:05b},{p!r}" for k, p in enumerate(rep["probabilities"])
-            ]
-            expected = "\r\n".join(lines) + "\r\n"
-            assert (tmp_path / f"histogram_{algo}.csv").read_bytes() == expected.encode()
+            expected = histogram_text(rep["probabilities"], 5)
+            assert (tmp_path / f"histogram_{algo}.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("size", [1, 1023, 1024, 1025, 3000])
+    def test_float_arrays_written_as_lists(self, size, tmp_path):
+        # sizes on both sides of the CHUNK = 1024 pieces the writer takes
+        assert bench.CHUNK == 1024
+        values = np.random.default_rng(size).standard_normal(size) ** 3
+        values[::7] = 0.5
+        nested = {"a": values, "b": [values, {"c": values[::-1]}], "d": 1.0}
+        assert self.written(nested, tmp_path) == self.dumps(as_lists(nested))
+        assert self.written([values], tmp_path) == self.dumps([values.tolist()])
+
+    @pytest.mark.parametrize(
+        "array", [np.arange(3), np.zeros((2, 2)), np.zeros(3, np.float32), np.zeros(0)]
+    )
+    def test_other_arrays_rejected(self, array, tmp_path):
+        with pytest.raises(TypeError):
+            self.written({"a": [array]}, tmp_path)
+
+    def test_eleven_qubit_report_crosses_chunks(self, tmp_path):
+        # 2048 states: two chunks for report.json and every histogram
+        points = np.random.default_rng(11).standard_normal((11, 2))
+        text = "a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+        data = write_csv(tmp_path, text)
+        report = run_benchmark(RunConfig(dataset=str(data), seeds=(1,), spsa_iters=1))
+        emit_report(report, tmp_path / "out", ("json", "csv"))
+        written = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        assert written == self.dumps(as_lists(report.payload))
+        for algo, block in report.payload["algorithms"].items():
+            (run,) = block["runs"]
+            expected = histogram_text(run["probabilities"], 11)
+            assert (tmp_path / "out" / f"histogram_{algo}.csv").read_bytes() == expected
 
 
 class TestMedian:

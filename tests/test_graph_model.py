@@ -8,7 +8,6 @@ from cutclust.graph_model import (
     Dataset,
     IsingDiagonal,
     WeightedGraph,
-    all_bitstrings,
     bits_from_index,
     cut_value,
     euclidean_weights,
@@ -16,6 +15,11 @@ from cutclust.graph_model import (
     qubo_from_graph,
 )
 from cutclust.simulator import Statevector, apply_diagonal_phase
+
+
+def all_bitstrings(n: int) -> np.ndarray:
+    """(2^n, n) matrix whose row k is bits_from_index(k, n)."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
 
 
 def index_from_bits(bits) -> int:
@@ -118,6 +122,17 @@ class TestIsingFromGraph:
         assert np.allclose(ising.energies, oracle)
         assert ising.energies.min() == pytest.approx(-2.0)
         assert int((np.isclose(ising.energies, -2.0)).sum()) == 6
+
+    @pytest.mark.parametrize("n", [5, 10, 14])
+    def test_energies_equal_the_full_table_formula(self, n):
+        # the formula the build used before it stopped making the (2^n, n)
+        # table and its temporaries: same values, bit for bit
+        graph = random_graph(np.random.default_rng(n), n)
+        half = 2 ** (n - 1)
+        bits = all_bitstrings(n)[:half].astype(float)
+        cut = ((bits @ graph.weights) * (1.0 - bits)).sum(axis=1)
+        expected = np.concatenate([-cut, -cut[::-1]])
+        assert ising_from_graph(graph).energies.tobytes() == expected.tobytes()
 
     def test_qubit_cap(self):
         g = WeightedGraph(weights=np.zeros((15, 15)))
