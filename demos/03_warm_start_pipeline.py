@@ -13,20 +13,18 @@ Run:  python3 demos/03_warm_start_pipeline.py
 import numpy as np
 
 from cutclust import (
-    QaoaParams,
     WarmStart,
-    build_ws_qaoa_state,
     clip_cstar,
     euclidean_weights,
     exact_solve,
     ising_from_graph,
     load_dataset,
     make_objective,
-    probabilities,
     qubo_from_graph,
     relax_qubo,
     resolve_dataset,
     spsa_minimize,
+    state_probabilities,
 )
 
 dataset = load_dataset(resolve_dataset("cars"))
@@ -48,10 +46,9 @@ warm = WarmStart(clipped)
 print(f"clipped c*          {clipped}")
 print(f"rotation angles     {np.round(warm.thetas, 4)}")
 
-# Stage 3: before any optimization, the product state already puts most
-# of its probability on the two optimal bitstrings.
-state0 = build_ws_qaoa_state(ising, warm, QaoaParams(betas=[0.0], gammas=[0.0]))
-probs0 = probabilities(state0)
+# Stage 3: before any optimization, at (beta, gamma) = (0, 0), the product
+# state already puts most of its probability on the two optimal bitstrings.
+probs0 = state_probabilities("ws-qaoa", ising, np.zeros(2), warm=warm)
 mass0 = sum(probs0[s] for s in solution.ground_states)
 print(f"\ninitial mass on optimal pair   {mass0:.4f}")
 print(f"initial energy                 {probs0 @ ising.energies:.4f}")
@@ -62,10 +59,7 @@ objective, dim = make_objective("ws-qaoa", ising, warm=warm, p=1)
 init = np.random.default_rng([1, 1]).uniform(-0.1, 0.1, dim)
 result = spsa_minimize(objective, init, max_iters=250, seed=1)
 
-state1 = build_ws_qaoa_state(
-    ising, warm, QaoaParams(betas=result.best_params[:1], gammas=result.best_params[1:])
-)
-probs1 = probabilities(state1)
+probs1 = state_probabilities("ws-qaoa", ising, result.best_params, warm=warm)
 mass1 = sum(probs1[s] for s in solution.ground_states)
 print(f"\nafter 250 SPSA iterations")
 print(f"optimized energy               {result.best_value:.4f}")

@@ -11,16 +11,14 @@ Run:  python3 demos/04_vqe.py
 import numpy as np
 
 from cutclust import (
-    VqeParams,
-    build_vqe_state,
     euclidean_weights,
     exact_solve,
     ising_from_graph,
     load_dataset,
     make_objective,
-    probabilities,
     resolve_dataset,
     spsa_minimize,
+    state_probabilities,
     vqe_param_count,
 )
 
@@ -45,8 +43,7 @@ for k in range(0, len(trace), 25):
     bar = "#" * int(40 * (trace[k] - trace.min()) / (trace.max() - trace.min() + 1e-12))
     print(f"iter {k:4d}  {trace[k]:9.4f}  {bar}")
 
-state = build_vqe_state(ising.n, VqeParams(angles=result.best_params, reps=reps))
-probs = probabilities(state)
+probs = state_probabilities("vqe", ising, result.best_params, vqe_reps=reps)
 top = np.argsort(probs)[::-1][:4]
 print("\nmost probable bitstrings:")
 for k in top:

@@ -7,12 +7,7 @@ exhaustive reference solver.
 """
 
 from .ansatz import (
-    QaoaParams,
-    VqeParams,
     WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
     vqe_param_count,
     ws_mixer_hamiltonian,
 )
@@ -47,21 +42,14 @@ from .optimizer import (
     exact_solve,
     make_objective,
     spsa_minimize,
+    state_probabilities,
 )
 from .relaxation import (
     RelaxResult,
     clip_cstar,
     relax_qubo,
 )
-from .simulator import (
-    RNG_ID,
-    Statevector,
-    apply_cnot,
-    apply_diagonal_phase,
-    expectation_diagonal,
-    new_state,
-    probabilities,
-)
+from .simulator import RNG_ID
 
 __all__ = [
     "ALGORITHMS",
@@ -73,33 +61,22 @@ __all__ = [
     "ExactSolution",
     "IsingDiagonal",
     "OptimizerResult",
-    "QaoaParams",
     "QuboProblem",
     "RelaxResult",
     "RunConfig",
-    "Statevector",
     "ValidationError",
-    "VqeParams",
     "WarmStart",
     "WeightedGraph",
-    "apply_cnot",
-    "apply_diagonal_phase",
     "assign_clusters",
-    "build_qaoa_state",
-    "build_vqe_state",
-    "build_ws_qaoa_state",
     "clip_cstar",
     "cluster_accuracy",
     "cut_value",
     "emit_report",
     "euclidean_weights",
     "exact_solve",
-    "expectation_diagonal",
     "ising_from_graph",
     "load_dataset",
     "make_objective",
-    "new_state",
-    "probabilities",
     "qubo_from_graph",
     "relax_qubo",
     "resolve_dataset",
@@ -107,6 +84,7 @@ __all__ = [
     "run_benchmark",
     "shipped_datasets",
     "spsa_minimize",
+    "state_probabilities",
     "vqe_param_count",
     "ws_mixer_hamiltonian",
 ]

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import ValidationError
 from .graph_model import IsingDiagonal
 from .simulator import (
-    Statevector,
     _gate,
     apply_diagonal_phase_rows,
     apply_layer_rows,
@@ -33,22 +32,6 @@ from .simulator import (
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 IDENTITY = np.eye(2)
-
-
-@dataclass(frozen=True)
-class QaoaParams:
-    """Depth-p angle schedule: betas drive the mixer, gammas the cost phase."""
-
-    betas: np.ndarray
-    gammas: np.ndarray
-
-    def __post_init__(self):
-        betas = np.atleast_1d(np.asarray(self.betas, dtype=float))
-        gammas = np.atleast_1d(np.asarray(self.gammas, dtype=float))
-        if betas.size != gammas.size or betas.size < 1:
-            raise ValidationError("betas and gammas must have equal length p >= 1")
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "gammas", gammas)
 
 
 @dataclass(frozen=True)
@@ -72,24 +55,10 @@ class WarmStart:
         return self.c_star.size
 
 
-@dataclass(frozen=True)
-class VqeParams:
-    """Flat rotation angles for the R_y/CNOT circuit: n * (reps + 1) of them."""
-
-    angles: np.ndarray
-    reps: int = 5
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        if self.reps < 0:
-            raise ValidationError("reps must be >= 0")
-
-
 # row builders ----------------------------------------------------------------
 #
 # Each builder prepares one state per row of its parameter arrays, through
-# the row kernels of the simulator; the build_*_state functions are one-row
-# calls into them.
+# the row kernels of the simulator.
 
 def ws_mixer_hamiltonian(c) -> np.ndarray:
     """Per-qubit warm-start mixer H(c); an array of c gives a stack of them."""
@@ -164,32 +133,3 @@ def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
     for layer in range(1, angles.shape[1]):
         psi = apply_layer_rows(gather_rows(psi, chain), gates[:, layer])
     return psi
-
-
-# single-state builders --------------------------------------------------------
-
-def build_qaoa_state(ising: IsingDiagonal, params: QaoaParams) -> Statevector:
-    """Alternate exp(-i gamma H_C) and R_x(2 beta) layers on |+...+>."""
-    psi = qaoa_rows(ising, *transverse_field(ising.n), params.betas[None], params.gammas[None])
-    return Statevector(n=ising.n, amps=psi[0])
-
-
-def build_ws_qaoa_state(
-    ising: IsingDiagonal, ws: WarmStart, params: QaoaParams
-) -> Statevector:
-    """Warm-start circuit: R_y(theta_i) product state, then phased mixer layers."""
-    hams, initial = warm_start_rows([ws], ising.n)
-    psi = qaoa_rows(ising, hams, initial, params.betas[None], params.gammas[None])
-    return Statevector(n=ising.n, amps=psi[0])
-
-
-def build_vqe_state(n: int, params: VqeParams) -> Statevector:
-    """R_y layer, then `reps` blocks of [CNOT chain, R_y layer], from |0...0>."""
-    expected = vqe_param_count(n, params.reps)
-    if params.angles.size != expected:
-        raise ValidationError(
-            f"expected {expected} angles for n={n}, reps={params.reps}; "
-            f"got {params.angles.size}"
-        )
-    psi = vqe_rows(params.angles.reshape(1, params.reps + 1, n), cnot_chain_perm(n))
-    return Statevector(n=n, amps=psi[0])

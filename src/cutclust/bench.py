@@ -288,6 +288,8 @@ def cluster_accuracy(labels, truth) -> float:
         raise ValidationError(
             f"labels have shape {labels.shape}, truth has shape {truth.shape}"
         )
+    if labels.size == 0:
+        raise ValidationError("labels must be nonempty")
     m = int((labels == truth).sum())
     n = labels.size
     return max(m, n - m) / n

@@ -313,10 +313,13 @@ def make_ansatz(
     (rows, dimension) parameter array into (rows, 2^n) amplitudes; row r
     belongs to seed slot ``owners[r]``, which picks its warm start from
     ``warm``, one per slot.  QAOA and ws-QAOA take
-    ``[beta_1..beta_p, gamma_1..gamma_p]``; VQE takes the stacked rotation
-    angles.  This is the only place that knows which builder belongs to
-    which algorithm.
+    ``[beta_1..beta_p, gamma_1..gamma_p]`` (p >= 1); VQE takes the stacked
+    rotation angles of ``vqe_reps >= 0`` repetitions.  This is the only
+    place that knows which builder belongs to which algorithm.
     """
+    for name, value, least in (("p", p, 1), ("vqe_reps", vqe_reps, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     if kind == "qaoa":
         dim = 2 * p
         hams, initial = transverse_field(ising.n)
@@ -369,6 +372,40 @@ def row_energies(
     )
 
 
+def _one_row(
+    kind: str, ising: IsingDiagonal, p: int, warm: WarmStart | None, vqe_reps: int
+) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """``(probabilities, dimension)``: the probabilities of one flat
+    parameter vector, as a (1, 2^n) row, through :func:`make_ansatz`."""
+    warms = None if warm is None else [warm]
+    prepare, dim = make_ansatz(kind, ising, p=p, warm=warms, vqe_reps=vqe_reps)
+    owner = np.zeros(1, dtype=int)
+
+    def probabilities(params: np.ndarray) -> np.ndarray:
+        params = np.asarray(params, dtype=float)
+        if params.shape != (dim,):
+            raise ValidationError(f"{kind} expects {dim} parameters, got shape {params.shape}")
+        return probability_rows(prepare(params[None], owner))
+
+    return probabilities, dim
+
+
+def state_probabilities(
+    kind: str,
+    ising: IsingDiagonal,
+    params,
+    *,
+    p: int = 1,
+    warm: WarmStart | None = None,
+    vqe_reps: int = 5,
+) -> np.ndarray:
+    """|amplitude|^2 per basis index of the state that ``kind`` prepares at
+    the flat parameter vector ``params`` (the layout of :func:`make_ansatz`);
+    ws-QAOA starts from ``warm``."""
+    probabilities, _ = _one_row(kind, ising, p, warm, vqe_reps)
+    return probabilities(params)[0]
+
+
 def make_objective(
     kind: str,
     ising: IsingDiagonal,
@@ -382,16 +419,9 @@ def make_objective(
     Returns ``(objective, dimension)``; the parameter layout is that of
     :func:`make_ansatz`.  Each call is a one-row batch.
     """
-    warms = None if warm is None else [warm]
-    prepare, dim = make_ansatz(kind, ising, p=p, warm=warms, vqe_reps=vqe_reps)
-    owner = np.zeros(1, dtype=int)
+    probabilities, dim = _one_row(kind, ising, p, warm, vqe_reps)
 
     def objective(params: np.ndarray) -> float:
-        params = np.asarray(params, dtype=float)
-        if params.shape != (dim,):
-            raise ValidationError(
-                f"{kind} objective expects {dim} parameters, got shape {params.shape}"
-            )
-        return float(row_energies(prepare, ising, params[None], owner)[0])
+        return float(expectation_rows(probabilities(params), ising.energies)[0])
 
     return objective, dim

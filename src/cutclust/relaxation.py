@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .graph_model import QuboProblem
 
 # RESTARTS ascents, each stopped after MAX_ITERS steps or once its projected
@@ -75,6 +76,9 @@ def relax_qubo(
     the ascent from each start seed already run; give every run of one
     problem the same dict, and each distinct start is ascended once.
     """
+    # numpy's generators take only non-negative seeds
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     ascents = {} if ascents is None else ascents
     best_x, best_f, best_capped = None, -np.inf, False
     for start in range(seed, seed + RESTARTS):
@@ -88,6 +92,11 @@ def relax_qubo(
 
 
 def clip_cstar(c_star, epsilon: float) -> np.ndarray:
-    """Pull entries away from {0, 1} by the given margin."""
+    """Pull entries away from {0, 1} by the given margin, in [0, 0.5]; a
+    margin of 0 leaves the entries as they are."""
+    # past 0.5 the lower bound would pass the upper one, and np.clip then
+    # returns the upper bound everywhere
+    if not 0.0 <= epsilon <= 0.5:
+        raise ValidationError(f"epsilon must lie in [0, 0.5], got {epsilon}")
     c = np.asarray(c_star, dtype=float)
     return np.clip(c, epsilon, 1.0 - epsilon)

@@ -7,14 +7,10 @@ Conventions, fixed once and used everywhere:
   - sampling runs on numpy's PCG64 generator (RNG_ID below), so counts
     are reproducible from the seed alone.
 
-All operations are pure: they return a new Statevector or array and never
-mutate their input.  The work is done by row kernels over (rows, 2^n)
-arrays, one state per row; the Statevector functions are one-row calls
-into them.
+All operations are pure: they return a new array and never mutate their
+input.  Every kernel acts on a (rows, 2^n) array, one state per row.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,41 +18,6 @@ from .errors import ValidationError
 from .graph_model import QUBIT_CAP, IsingDiagonal
 
 RNG_ID = "numpy-pcg64"
-
-
-@dataclass(frozen=True)
-class Statevector:
-    """2^n complex amplitudes of an n-qubit pure state."""
-
-    n: int
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        if self.n < 1:
-            raise ValidationError("need at least 1 qubit")
-        if amps.shape != (2**self.n,):
-            raise ValidationError(f"amplitudes must have length 2^{self.n}")
-        object.__setattr__(self, "amps", amps)
-
-    def norm_error(self) -> float:
-        return abs(float(np.abs(self.amps).dot(np.abs(self.amps))) - 1.0)
-
-
-def new_state(n: int, init: str = "zeros") -> Statevector:
-    """Fresh register: 'zeros' -> |0...0>, 'plus' -> uniform superposition."""
-    if n < 1:
-        raise ValidationError("need at least 1 qubit")
-    if n > QUBIT_CAP:
-        raise ValidationError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
-    amps = np.zeros(2**n, dtype=complex)
-    if init == "zeros":
-        amps[0] = 1.0
-    elif init == "plus":
-        amps[:] = 2.0 ** (-n / 2.0)
-    else:
-        raise ValidationError(f"unknown init {init!r}; use 'zeros' or 'plus'")
-    return Statevector(n=n, amps=amps)
 
 
 # 2x2 gate constructors -----------------------------------------------------
@@ -75,11 +36,6 @@ def _gate(a, b, c, d) -> np.ndarray:
     return out
 
 
-def rx(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def ry(theta) -> np.ndarray:
     """Real-valued: R_y keeps real amplitudes real."""
     half = theta / 2.0
@@ -91,8 +47,7 @@ def ry(theta) -> np.ndarray:
 #
 # A kernel acts on a C-contiguous (rows, 2^n) array: one state per row, real
 # or complex.  Row r of a batch rounds exactly like the same state run alone,
-# so batching is invisible in the results.  The single-state functions below
-# are one-row calls into these kernels.
+# so batching is invisible in the results.
 
 def row_cap(n: int) -> int:
     """Most rows one kernel call takes: a batch holds no more amplitudes
@@ -108,21 +63,6 @@ def row_cap(n: int) -> int:
     return 2 ** max(QUBIT_CAP - 1 - n, 0)
 
 
-def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """Apply gate u[r] (shape (rows, 2, 2)) to the indexed qubit of row r."""
-    rows = psi.shape[0]
-    # view amplitudes as (row, high bits, target bit, low bits)
-    v = psi.reshape(rows, -1, 2, 1 << qubit)
-    a0, a1 = v[:, :, 0], v[:, :, 1]
-    u = u[..., None, None]
-    # allocate the output before the temporaries: the other order costs
-    # 10-15% per gate at 14 qubits
-    out = np.empty(v.shape, np.result_type(psi, u))
-    out[:, :, 0] = u[:, 0, 0] * a0 + u[:, 0, 1] * a1
-    out[:, :, 1] = u[:, 1, 0] * a0 + u[:, 1, 1] * a1
-    return out.reshape(rows, -1)
-
-
 def apply_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
     """Apply gates[r, q] (shape (rows, n, 2, 2)) to qubit q of row r, for
     q = 0..n-1 in order.
@@ -132,8 +72,9 @@ def apply_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
     one bit (the perfect shuffle): the next qubit is then the lowest bit,
     every gate is two products and a sum over the whole state, and after
     the n gates the order is standard again.  Every amplitude gets
-    u_b0·a0 + u_b1·a1 as in the loop of :func:`apply_1q_rows` calls, so
-    the result is bit-identical to it."""
+    u_b0·a0 + u_b1·a1 as in a loop of one-gate kernels, one per qubit
+    (the tests keep that loop as the reference), so the result is
+    bit-identical to it."""
     rows, size = psi.shape
     for q in range(gates.shape[1]):
         # (row, 1, other bits, lowest bit) against (row, output bit, 1)
@@ -231,55 +172,6 @@ def expectation_rows(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
     for i in range(1, pieces):
         total = total + dots[:, i, 0, 0]
     return total
-
-
-# single-state operations ----------------------------------------------------
-
-def _check_qubit(state: Statevector, qubit: int) -> None:
-    if not 0 <= qubit < state.n:
-        raise ValidationError(f"qubit {qubit} out of range for n={state.n}")
-
-
-def _check_diagonal(state: Statevector, ising: IsingDiagonal) -> None:
-    if state.n != ising.n:
-        raise ValidationError(f"state has {state.n} qubits, diagonal has {ising.n}")
-
-
-def apply_1q(state: Statevector, qubit: int, u: np.ndarray) -> Statevector:
-    """Apply a single-qubit unitary to the indexed qubit."""
-    _check_qubit(state, qubit)
-    u = np.asarray(u, dtype=complex)
-    return Statevector(n=state.n, amps=apply_1q_rows(state.amps[None], qubit, u[None])[0])
-
-
-def apply_cnot(state: Statevector, control: int, target: int) -> Statevector:
-    """Flip the target bit on basis states whose control bit is 1."""
-    if control == target:
-        raise ValidationError("control and target must differ")
-    for q in (control, target):
-        _check_qubit(state, q)
-    perm = cnot_perm(state.n, control, target)
-    return Statevector(n=state.n, amps=gather_rows(state.amps[None], perm)[0])
-
-
-def apply_diagonal_phase(state: Statevector, gamma: float, ising: IsingDiagonal) -> Statevector:
-    """Multiply amplitude[x] by exp(-i gamma E(x))."""
-    _check_diagonal(state, ising)
-    amps = apply_diagonal_phase_rows(state.amps[None], np.array([gamma], dtype=float), ising)
-    return Statevector(n=state.n, amps=amps[0])
-
-
-# measurement-side operations ------------------------------------------------
-
-def expectation_diagonal(state: Statevector, ising: IsingDiagonal) -> float:
-    """<state| H |state> for a diagonal H."""
-    _check_diagonal(state, ising)
-    return float(expectation_rows(probability_rows(state.amps[None]), ising.energies)[0])
-
-
-def probabilities(state: Statevector) -> np.ndarray:
-    """|amplitude|^2 per basis index."""
-    return probability_rows(state.amps[None])[0]
 
 
 def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:

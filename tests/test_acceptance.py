@@ -13,11 +13,7 @@ import pytest
 
 from cutclust import relaxation
 from cutclust.ansatz import (
-    QaoaParams,
     WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
     ws_mixer_hamiltonian,
     vqe_param_count,
 )
@@ -29,17 +25,15 @@ from cutclust.bench import (
     run_benchmark,
 )
 from cutclust.graph_model import WeightedGraph, ising_from_graph, qubo_from_graph
-from cutclust.optimizer import exact_solve, make_objective
+from cutclust.optimizer import exact_solve, make_objective, state_probabilities
 from cutclust.relaxation import clip_cstar, relax_qubo
 from cutclust.simulator import (
-    apply_cnot,
-    apply_diagonal_phase,
-    new_state,
-    probabilities,
+    apply_diagonal_phase_rows,
+    apply_layer_rows,
+    cnot_perm,
+    gather_rows,
     ry,
-    apply_1q,
 )
-from cutclust.ansatz import VqeParams
 
 
 def enumerate_max_cut(weights: np.ndarray) -> float:
@@ -182,8 +176,7 @@ class TestAcceptance:
         relaxed = relax_qubo(qubo_from_graph(graph), seed=0)
         clipped = clip_cstar(relaxed.c_star, 0.1)
         warm = WarmStart(clipped)
-        state = build_ws_qaoa_state(ising, warm, QaoaParams(betas=[0.0], gammas=[0.0]))
-        probs = probabilities(state)
+        probs = state_probabilities("ws-qaoa", ising, np.zeros(2), warm=warm)
         vertex = int(relaxed.c_star[0]) | (int(relaxed.c_star[1]) << 1)
         assert vertex in exact_solve(ising).ground_states
         assert probs[vertex] >= 0.81 - 1e-12, f"mass {probs[vertex]:.12f}"
@@ -191,21 +184,26 @@ class TestAcceptance:
     def test_criterion_6_property_suite(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(99)
 
-        # a) norm preservation through a long random circuit (1e-9)
-        state = new_state(4, "plus")
+        # a) norm preservation through a long random circuit (1e-9); one
+        #    R_y is a layer of identities but that gate
+        state = np.full((1, 16), 0.25, dtype=complex)
         energies = ising_from_graph(random_graph(rng, 4))
         for _ in range(200):
             op = rng.integers(0, 3)
             if op == 0:
-                state = apply_1q(state, int(rng.integers(4)),
-                                 ry(rng.uniform(-np.pi, np.pi)))
+                gates = np.zeros((1, 4, 2, 2))
+                gates[:] = np.eye(2)
+                q = int(rng.integers(4))
+                gates[0, q] = ry(rng.uniform(-np.pi, np.pi))
+                state = apply_layer_rows(state, gates)
             elif op == 1:
                 q = rng.permutation(4)[:2]
-                state = apply_cnot(state, int(q[0]), int(q[1]))
+                state = gather_rows(state, cnot_perm(4, int(q[0]), int(q[1])))
             else:
-                state = apply_diagonal_phase(state, rng.uniform(-np.pi, np.pi),
-                                             energies)
-        assert state.norm_error() < 1e-9
+                gamma = np.array([rng.uniform(-np.pi, np.pi)])
+                state = apply_diagonal_phase_rows(state, gamma, energies)
+        norm = float(np.abs(state[0]).dot(np.abs(state[0])))
+        assert abs(norm - 1.0) < 1e-9
 
         # b) bit-flip symmetry of the diagonal, exact
         for _ in range(20):
@@ -222,15 +220,17 @@ class TestAcceptance:
         warm = WarmStart(rng.uniform(0.05, 0.95, 4))
         draws = 0
         for _ in range(334):
-            p = QaoaParams(betas=rng.uniform(-np.pi, np.pi, 2),
-                           gammas=rng.uniform(-np.pi, np.pi, 2))
-            for st in (
-                build_qaoa_state(ising, p),
-                build_ws_qaoa_state(ising, warm, p),
-                build_vqe_state(4, VqeParams(
-                    angles=rng.uniform(-np.pi, np.pi, vqe_param_count(4, 2)), reps=2)),
+            # [betas, gammas] at p = 2
+            angles = np.concatenate([rng.uniform(-np.pi, np.pi, 2),
+                                     rng.uniform(-np.pi, np.pi, 2)])
+            for probs in (
+                state_probabilities("qaoa", ising, angles, p=2),
+                state_probabilities("ws-qaoa", ising, angles, p=2, warm=warm),
+                state_probabilities(
+                    "vqe", ising, rng.uniform(-np.pi, np.pi, vqe_param_count(4, 2)), vqe_reps=2
+                ),
             ):
-                energy = float(probabilities(st) @ ising.energies)
+                energy = float(probs @ ising.energies)
                 assert energy >= ground - 1e-9
                 draws += 1
         assert draws >= 1000

@@ -3,19 +3,16 @@ import pytest
 import scipy.linalg
 
 from cutclust.ansatz import (
-    QaoaParams,
-    VqeParams,
     WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
     vqe_param_count,
+    vqe_rows,
     _mixer_unitaries,
     ws_mixer_hamiltonian,
 )
 from cutclust.errors import ValidationError
-from cutclust.graph_model import WeightedGraph, ising_from_graph
-from cutclust.simulator import expectation_diagonal, probabilities
+from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph
+from cutclust.optimizer import make_ansatz, make_objective, state_probabilities
+from cutclust.simulator import cnot_chain_perm
 
 
 def is_unitary(u: np.ndarray, tol: float = 1e-9) -> bool:
@@ -31,6 +28,24 @@ def random_ising(rng, n):
     w = rng.uniform(0.0, 5.0, size=(n, n))
     w = np.triu(w, k=1)
     return ising_from_graph(WeightedGraph(weights=w + w.T))
+
+
+def qaoa_state(ising, betas, gammas, warm=None) -> np.ndarray:
+    """Amplitudes of QAOA, or of ws-QAOA from ``warm``, at the given
+    angles, through make_ansatz."""
+    params = np.concatenate([np.atleast_1d(betas), np.atleast_1d(gammas)]).astype(float)
+    kind, warms = ("qaoa", None) if warm is None else ("ws-qaoa", [warm])
+    prepare, _ = make_ansatz(kind, ising, p=params.size // 2, warm=warms)
+    return prepare(params[None], np.zeros(1, dtype=int))[0]
+
+
+def vqe_state(n, angles, reps) -> np.ndarray:
+    angles = np.asarray(angles, dtype=float).reshape(1, reps + 1, n)
+    return vqe_rows(angles, cnot_chain_perm(n))[0]
+
+
+def norm_error(amps) -> float:
+    return abs(float(np.abs(amps).dot(np.abs(amps))) - 1.0)
 
 
 def qaoa_grid_oracle(w, betas, gammas):
@@ -57,21 +72,24 @@ def qaoa_grid_oracle(w, betas, gammas):
 
 
 class TestQaoaParams:
+    """QAOA's flat angle vector [betas, gammas] and its depth."""
+
     def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            QaoaParams(betas=[0.1, 0.2], gammas=[0.3])
+        # two betas and one gamma: a vector of the wrong length for p = 2
+        with pytest.raises(ValidationError, match="4 parameters"):
+            state_probabilities("qaoa", single_edge_ising(), [0.1, 0.2, 0.3], p=2)
 
     def test_zero_depth_rejected(self):
-        with pytest.raises(ValidationError):
-            QaoaParams(betas=[], gammas=[])
+        with pytest.raises(ValidationError, match="p must be an integer >= 1"):
+            make_ansatz("qaoa", single_edge_ising(), p=0)
 
 
 class TestBuildQaoaState:
     def test_identity_layers_give_plus(self):
         ising = single_edge_ising()
-        state = build_qaoa_state(ising, QaoaParams(betas=[0.0], gammas=[0.0]))
-        assert np.allclose(state.amps, 0.5)
-        assert expectation_diagonal(state, ising) == pytest.approx(ising.energies.mean())
+        assert np.allclose(qaoa_state(ising, 0.0, 0.0), 0.5)
+        objective, _ = make_objective("qaoa", ising)
+        assert objective(np.zeros(2)) == pytest.approx(ising.energies.mean())
 
     def test_single_edge_grid_reaches_minus_w(self):
         # oracle grid: fine enough that the optimum -1 is hit within 1e-3
@@ -80,21 +98,15 @@ class TestBuildQaoaState:
         oracle_best, (b_star, g_star) = qaoa_grid_oracle(1.0, betas, gammas)
         assert oracle_best == pytest.approx(-1.0, abs=1e-3)
 
-        ising = single_edge_ising(1.0)
-        ours = min(
-            expectation_diagonal(
-                build_qaoa_state(ising, QaoaParams(betas=[b], gammas=[g])), ising
-            )
-            for b in betas
-            for g in gammas
-        )
+        objective, _ = make_objective("qaoa", single_edge_ising(1.0))
+        ours = min(objective(np.array([b, g])) for b in betas for g in gammas)
         assert ours == pytest.approx(oracle_best, abs=1e-9)
 
     def test_norm_one(self):
         rng = np.random.default_rng(0)
         ising = random_ising(rng, 3)
-        params = QaoaParams(betas=rng.normal(size=2), gammas=rng.normal(size=2))
-        assert build_qaoa_state(ising, params).norm_error() < 1e-9
+        state = qaoa_state(ising, rng.normal(size=2), rng.normal(size=2))
+        assert norm_error(state) < 1e-9
 
 
 def mixer_unitary(c: float, beta: float) -> np.ndarray:
@@ -140,10 +152,8 @@ class TestWsMixer:
         # WarmStart accepts 0 and 1; the ws-QAOA builder needs clipped values
         for c in (0.0, 1.0):
             with pytest.raises(ValidationError, match="strictly inside"):
-                build_ws_qaoa_state(
-                    single_edge_ising(),
-                    WarmStart([0.5, c]),
-                    QaoaParams(betas=[0.1], gammas=[0.1]),
+                state_probabilities(
+                    "ws-qaoa", single_edge_ising(), [0.1, 0.1], warm=WarmStart([0.5, c])
                 )
 
     def test_eigen_structure(self):
@@ -162,16 +172,12 @@ class TestBuildWsQaoaState:
         ws = WarmStart([0.5, 0.5, 0.5])
         rng = np.random.default_rng(2)
         ising = random_ising(rng, 3)
-        state = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[0.0], gammas=[0.0]))
-        assert np.allclose(state.amps, 2.0 ** (-1.5))
+        assert np.allclose(qaoa_state(ising, 0.0, 0.0, ws), 2.0 ** (-1.5))
 
     def test_clipped_binary_optimum_mass(self):
         # c* = clip((1, 0), 0.1) = (0.9, 0.1); P(bitstring (1,0)) = 0.9 * 0.9
         ws = WarmStart([0.9, 0.1])
-        state = build_ws_qaoa_state(
-            single_edge_ising(), ws, QaoaParams(betas=[0.0], gammas=[0.0])
-        )
-        probs = probabilities(state)
+        probs = state_probabilities("ws-qaoa", single_edge_ising(), np.zeros(2), warm=ws)
         # qubit 0 = 1, qubit 1 = 0 -> index 1
         assert probs[1] == pytest.approx(0.81)
 
@@ -180,13 +186,13 @@ class TestBuildWsQaoaState:
         rng = np.random.default_rng(3)
         ising = random_ising(rng, 3)
         ws = WarmStart(rng.uniform(0.1, 0.9, size=3))
-        ref = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[0.0], gammas=[0.0]))
+        ref = qaoa_state(ising, 0.0, 0.0, ws)
         for beta in (0.3, 1.1, -0.8):
-            state = build_ws_qaoa_state(ising, ws, QaoaParams(betas=[beta], gammas=[0.0]))
-            assert np.allclose(probabilities(state), probabilities(ref), atol=1e-12)
+            state = qaoa_state(ising, beta, 0.0, ws)
+            assert np.allclose(np.abs(state) ** 2, np.abs(ref) ** 2, atol=1e-12)
             # global phase exp(i beta n) per layer since eigenvalue is -1 on every qubit
             phase = np.exp(1j * beta * ising.n)
-            assert np.allclose(state.amps, phase * ref.amps, atol=1e-9)
+            assert np.allclose(state, phase * ref, atol=1e-9)
 
     def test_degenerates_to_qaoa_at_half(self):
         # mixer at c = 0.5 is -X, so ws(beta) equals plain QAOA at -beta
@@ -196,51 +202,45 @@ class TestBuildWsQaoaState:
             ws = WarmStart(np.full(n, 0.5))
             for beta in np.linspace(-1.0, 1.0, 5):
                 for gamma in np.linspace(-1.0, 1.0, 5):
-                    ws_state = build_ws_qaoa_state(
-                        ising, ws, QaoaParams(betas=[beta], gammas=[gamma])
-                    )
-                    qaoa_state = build_qaoa_state(
-                        ising, QaoaParams(betas=[-beta], gammas=[gamma])
-                    )
-                    assert np.allclose(
-                        probabilities(ws_state), probabilities(qaoa_state), atol=1e-6
-                    )
+                    ws_probs = state_probabilities("ws-qaoa", ising, [beta, gamma], warm=ws)
+                    qaoa_probs = state_probabilities("qaoa", ising, [-beta, gamma])
+                    assert np.allclose(ws_probs, qaoa_probs, atol=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
-            build_ws_qaoa_state(
-                single_edge_ising(),
-                WarmStart([0.5, 0.5, 0.5]),
-                QaoaParams(betas=[0.1], gammas=[0.1]),
+            state_probabilities(
+                "ws-qaoa", single_edge_ising(), [0.1, 0.1], warm=WarmStart([0.5, 0.5, 0.5])
             )
 
 
 class TestBuildVqeState:
     def test_zero_angles_keep_ground(self):
-        state = build_vqe_state(3, VqeParams(angles=np.zeros(18), reps=5))
-        assert state.amps[0] == pytest.approx(1.0)
+        state = vqe_state(3, np.zeros(18), reps=5)
+        assert state[0] == pytest.approx(1.0)
 
     def test_single_qubit_pi(self):
         angles = np.array([np.pi, 0, 0, 0, 0, 0])
-        state = build_vqe_state(1, VqeParams(angles=angles, reps=5))
-        assert np.allclose(state.amps, [0.0, 1.0])
+        assert np.allclose(vqe_state(1, angles, reps=5), [0.0, 1.0])
 
     def test_norm_one(self):
         rng = np.random.default_rng(5)
-        state = build_vqe_state(4, VqeParams(angles=rng.normal(size=24), reps=5))
-        assert state.norm_error() < 1e-9
+        state = vqe_state(4, rng.normal(size=24), reps=5)
+        assert norm_error(state) < 1e-9
 
     def test_wrong_count_lists_expected(self):
+        ising = IsingDiagonal(n=3, energies=np.zeros(8))
         with pytest.raises(ValidationError, match="12"):
-            build_vqe_state(3, VqeParams(angles=np.zeros(7), reps=3))
+            state_probabilities("vqe", ising, np.zeros(7), vqe_reps=3)
 
     def test_param_count_formula(self):
         for n in range(1, 7):
             for reps in (0, 1, 5):
                 count = vqe_param_count(n, reps)
                 assert count == n * (reps + 1)
-                state = build_vqe_state(n, VqeParams(angles=np.zeros(count), reps=reps))
-                assert state.amps.shape == (2**n,)
+                ising = IsingDiagonal(n=n, energies=np.zeros(2**n))
+                prepare, dim = make_ansatz("vqe", ising, vqe_reps=reps)
+                assert dim == count
+                assert prepare(np.zeros((1, count)), np.zeros(1, dtype=int)).shape == (1, 2**n)
 
 
 class TestVariationalBound:
@@ -248,13 +248,12 @@ class TestVariationalBound:
         rng = np.random.default_rng(6)
         ising = random_ising(rng, 4)
         ground = ising.energies.min()
+        qaoa, _ = make_objective("qaoa", ising, p=2)
+        vqe, _ = make_objective("vqe", ising, vqe_reps=5)
         for _ in range(50):
-            q = QaoaParams(betas=rng.normal(size=2), gammas=rng.normal(size=2))
-            assert expectation_diagonal(build_qaoa_state(ising, q), ising) >= ground - 1e-9
+            q = np.concatenate([rng.normal(size=2), rng.normal(size=2)])
+            assert qaoa(q) >= ground - 1e-9
             ws = WarmStart(rng.uniform(0.05, 0.95, size=4))
-            assert (
-                expectation_diagonal(build_ws_qaoa_state(ising, ws, q), ising)
-                >= ground - 1e-9
-            )
-            v = VqeParams(angles=rng.uniform(-np.pi, np.pi, size=24), reps=5)
-            assert expectation_diagonal(build_vqe_state(4, v), ising) >= ground - 1e-9
+            ws_qaoa, _ = make_objective("ws-qaoa", ising, p=2, warm=ws)
+            assert ws_qaoa(q) >= ground - 1e-9
+            assert vqe(rng.uniform(-np.pi, np.pi, size=24)) >= ground - 1e-9

@@ -245,6 +245,10 @@ class TestClusterAssignment:
         with pytest.raises(ValidationError):
             cluster_accuracy([1, 0], [1, 0, 1])
 
+    def test_accuracy_of_no_labels_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            cluster_accuracy([], [])
+
 
 class TestMostProbable:
     def test_plain_argmax(self):

@@ -14,7 +14,7 @@ from cutclust.graph_model import (
     ising_from_graph,
     qubo_from_graph,
 )
-from cutclust.simulator import Statevector, apply_diagonal_phase
+from cutclust.simulator import apply_diagonal_phase_rows
 
 
 def all_bitstrings(n: int) -> np.ndarray:
@@ -172,9 +172,9 @@ class TestMirrored:
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         gamma = float(rng.uniform(-np.pi, np.pi))
-        got = apply_diagonal_phase(Statevector(n=n, amps=psi), gamma, ising)
+        got = apply_diagonal_phase_rows(psi[None], np.array([gamma], dtype=float), ising)
         expected = psi * np.exp(-1j * gamma * ising.energies)
-        assert got.amps.tobytes() == expected.tobytes()
+        assert got[0].tobytes() == expected.tobytes()
 
 
 class TestQuboFromGraph:

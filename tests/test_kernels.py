@@ -23,40 +23,57 @@ import numpy as np
 import pytest
 
 from cutclust.ansatz import (
-    QaoaParams,
-    VqeParams,
     WarmStart,
-    build_qaoa_state,
-    build_vqe_state,
-    build_ws_qaoa_state,
     qaoa_rows,
     transverse_field,
     vqe_rows,
     ws_mixer_hamiltonian,
 )
 from cutclust.graph_model import QUBIT_CAP, IsingDiagonal, WeightedGraph, ising_from_graph
-from cutclust.optimizer import make_ansatz, make_objective, row_energies, row_probabilities
+from cutclust.errors import ValidationError
+from cutclust.optimizer import (
+    make_ansatz,
+    make_objective,
+    row_energies,
+    row_probabilities,
+    state_probabilities,
+)
 from cutclust.simulator import (
     DOT_PIECE,
-    Statevector,
-    apply_1q,
-    apply_1q_rows,
-    apply_cnot,
     apply_diagonal_phase_rows,
     apply_layer_rows,
     cnot_chain_perm,
-    expectation_diagonal,
+    cnot_perm,
     expectation_rows,
     gather_rows,
     probability_rows,
     product_rows,
     row_cap,
-    rx,
     ry,
 )
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ROWS = (1, 2, 4, 20)
+
+
+def rx(theta: float) -> np.ndarray:
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
+    """Apply gate u[r] (shape (rows, 2, 2)) to the indexed qubit of row r."""
+    rows = psi.shape[0]
+    # view amplitudes as (row, high bits, target bit, low bits)
+    v = psi.reshape(rows, -1, 2, 1 << qubit)
+    a0, a1 = v[:, :, 0], v[:, :, 1]
+    u = u[..., None, None]
+    # allocate the output before the temporaries: the other order costs
+    # 10-15% per gate at 14 qubits
+    out = np.empty(v.shape, np.result_type(psi, u))
+    out[:, :, 0] = u[:, 0, 0] * a0 + u[:, 0, 1] * a1
+    out[:, :, 1] = u[:, 1, 0] * a0 + u[:, 1, 1] * a1
+    return out.reshape(rows, -1)
 
 
 def random_graph(rng, n, high=1.0):
@@ -130,7 +147,8 @@ def warm_starts(rng, n, count):
 
 
 class TestBatchEqualsOneRow:
-    """Row r of a batch is bit-identical to the state built on its own."""
+    """Row r of a batch is bit-identical to the state built on its own
+    (its probabilities, from state_probabilities)."""
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_qaoa(self, rows):
@@ -139,10 +157,10 @@ class TestBatchEqualsOneRow:
         p = 2
         prepare, dim = make_ansatz("qaoa", ising, p=p)
         params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
-        psi = prepare(params, np.zeros(rows, dtype=int))
+        probs = probability_rows(prepare(params, np.zeros(rows, dtype=int)))
         for r in range(rows):
-            one = build_qaoa_state(ising, QaoaParams(betas=params[r, :p], gammas=params[r, p:]))
-            assert np.array_equal(psi[r], one.amps)
+            one = state_probabilities("qaoa", ising, params[r], p=p)
+            assert probs[r].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_ws_qaoa_with_a_warm_start_per_row(self, rows):
@@ -153,12 +171,10 @@ class TestBatchEqualsOneRow:
         owners = rng.integers(0, 3, size=rows)
         prepare, dim = make_ansatz("ws-qaoa", ising, p=p, warm=warms)
         params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
-        psi = prepare(params, owners)
+        probs = probability_rows(prepare(params, owners))
         for r in range(rows):
-            one = build_ws_qaoa_state(
-                ising, warms[owners[r]], QaoaParams(betas=params[r, :p], gammas=params[r, p:])
-            )
-            assert np.array_equal(psi[r], one.amps)
+            one = state_probabilities("ws-qaoa", ising, params[r], p=p, warm=warms[owners[r]])
+            assert probs[r].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_vqe(self, rows):
@@ -169,9 +185,10 @@ class TestBatchEqualsOneRow:
         params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
         psi = prepare(params, np.zeros(rows, dtype=int))
         assert psi.dtype == np.float64
+        probs = probability_rows(psi)
         for r in range(rows):
-            one = build_vqe_state(n, VqeParams(angles=params[r], reps=reps))
-            assert np.array_equal(psi[r], one.amps)
+            one = state_probabilities("vqe", ising, params[r], vqe_reps=reps)
+            assert probs[r].tobytes() == one.tobytes()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_vqe_after_the_cnot_gather(self, rows):
@@ -183,10 +200,10 @@ class TestBatchEqualsOneRow:
         gathered = gather_rows(vqe_rows(angles, cnot_chain_perm(n)), cnot_chain_perm(n))
         assert gathered.flags.c_contiguous
         for r in range(rows):
-            state = build_vqe_state(n, VqeParams(angles=angles[r, 0], reps=0))
+            state = vqe_rows(angles[r : r + 1], cnot_chain_perm(n))
             for q in range(n - 1):
-                state = apply_cnot(state, q, q + 1)
-            assert np.array_equal(gathered[r], state.amps)
+                state = gather_rows(state, cnot_perm(n, q, q + 1))
+            assert np.array_equal(gathered[r], state[0])
 
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_energies_equal_one_row_objective(self, kind):
@@ -202,6 +219,31 @@ class TestBatchEqualsOneRow:
             warm = warms[r] if warms else None
             objective, _ = make_objective(kind, ising, p=1, warm=warm, vqe_reps=2)
             assert batch[r] == objective(params[r])
+
+
+class TestStateProbabilities:
+    """The one-row entry against the chunked batch path that runs use."""
+
+    @pytest.mark.parametrize("rows", [1, 20])
+    @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
+    def test_rows_equal_state_probabilities(self, kind, rows):
+        rng = np.random.default_rng(50 + rows)
+        n = 5
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        warms = warm_starts(rng, n, rows) if kind == "ws-qaoa" else None
+        prepare, dim = make_ansatz(kind, ising, p=2, warm=warms, vqe_reps=2)
+        params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
+        probs = np.concatenate(list(row_probabilities(prepare, params, np.arange(rows), n)))
+        for r in range(rows):
+            warm = warms[r] if warms else None
+            one = state_probabilities(kind, ising, params[r], p=2, warm=warm, vqe_reps=2)
+            assert probs[r].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 4), ()])
+    def test_wrong_shape_rejected(self, shape):
+        ising = ising_from_graph(random_graph(np.random.default_rng(0), 3))
+        with pytest.raises(ValidationError, match="expects 4 parameters"):
+            state_probabilities("qaoa", ising, np.zeros(shape), p=2)
 
 
 class TestRowCap:
@@ -240,7 +282,8 @@ class TestRowCap:
 
 
 class TestApply1qRows:
-    """The apply_1q tests, run on batches with a gate per row."""
+    """The one-gate kernel, the reference that the layer kernel is checked
+    against, on batches with a gate per row."""
 
     def test_identity_unchanged_bitwise(self):
         psi = random_rows(np.random.default_rng(1), 4, 3)
@@ -273,8 +316,8 @@ class TestApply1qRows:
             out = apply_1q_rows(psi, q, u)
             assert out.flags.c_contiguous
             for r in range(20):
-                one = apply_1q(Statevector(n=n, amps=psi[r]), q, u[r])
-                assert np.array_equal(out[r], one.amps)
+                one = apply_1q_rows(psi[r : r + 1], q, u[r : r + 1])
+                assert np.array_equal(out[r], one[0])
 
     def test_real_rows_stay_real(self):
         psi = random_rows(np.random.default_rng(4), 2, 3, float)
@@ -290,10 +333,10 @@ class TestGatherRows:
         psi = random_rows(rng, 4, n)
         out = gather_rows(psi, cnot_chain_perm(n))
         for r in range(4):
-            state = Statevector(n=n, amps=psi[r])
+            state = psi[r : r + 1]
             for q in range(n - 1):
-                state = apply_cnot(state, q, q + 1)
-            assert np.array_equal(out[r], state.amps)
+                state = gather_rows(state, cnot_perm(n, q, q + 1))
+            assert np.array_equal(out[r], state[0])
 
     def test_chain_maps_basis_states(self):
         # qubit 0 set: CNOT(0,1) sets qubit 1, then CNOT(1,2) sets qubit 2
@@ -310,7 +353,8 @@ class TestGatherRows:
         psi = random_rows(rng, 20, n)
         batch = expectation_rows(probability_rows(psi), ising.energies)
         for r in range(20):
-            assert batch[r] == expectation_diagonal(Statevector(n=n, amps=psi[r]), ising)
+            one = expectation_rows(probability_rows(psi[r : r + 1]), ising.energies)
+            assert batch[r] == one[0]
 
 
 

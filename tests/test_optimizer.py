@@ -28,7 +28,6 @@ from cutclust.optimizer import (
     spsa_minimize,
     stability,
 )
-from cutclust.simulator import expectation_diagonal, new_state
 
 
 def enumerate_max_cut(weights):
@@ -336,6 +335,22 @@ class TestMakeObjective:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError, match="unknown"):
             make_objective("annealer", self.ising)
+
+    @pytest.mark.parametrize(
+        "kind, depth",
+        [
+            ("qaoa", {"p": 0}),
+            ("qaoa", {"p": 1.5}),
+            ("qaoa", {"p": True}),
+            ("vqe", {"vqe_reps": -1}),
+            ("vqe", {"vqe_reps": 2.0}),
+            ("vqe", {"vqe_reps": False}),
+        ],
+    )
+    def test_bad_depth_rejected(self, kind, depth):
+        (name,) = depth
+        with pytest.raises(ValidationError, match=name):
+            make_objective(kind, self.ising, **depth)
 
     def test_wrong_param_count(self):
         obj, _ = make_objective("qaoa", self.ising, p=1)

@@ -49,6 +49,10 @@ def best_binary_vertex(qubo):
 
 
 class TestRelaxQubo:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            relax_qubo(single_edge_qubo(1.0), seed=-1)
+
     def test_zero_weights(self):
         qubo = qubo_from_graph(WeightedGraph(weights=np.zeros((3, 3))))
         result = relax_qubo(qubo, seed=1)
@@ -115,6 +119,13 @@ class TestClipCstar:
     def test_interior_fixed_point(self):
         for eps in (0.0, 0.1, 0.49):
             assert clip_cstar([0.5], eps)[0] == 0.5
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.7, float("nan")])
+    def test_margin_outside_range_rejected(self, eps):
+        # at 0.7 np.clip's lower bound passes its upper one, and every
+        # entry would come back as 0.3
+        with pytest.raises(ValidationError, match=r"epsilon must lie in \[0, 0.5\]"):
+            clip_cstar([0.0, 1.0, 0.3], eps)
 
 
 class TestThetasFromCstar:
