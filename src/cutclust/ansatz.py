@@ -24,7 +24,6 @@ from .simulator import (
     _gate,
     apply_diagonal_phase_rows,
     apply_layer_rows,
-    cnot_chain_perm,
     gather_rows,
     product_rows,
     ry,

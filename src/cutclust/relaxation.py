@@ -76,9 +76,9 @@ def relax_qubo(
     the ascent from each start seed already run; give every run of one
     problem the same dict, and each distinct start is ascended once.
     """
-    # numpy's generators take only non-negative seeds
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    # numpy's generators take only non-negative integer seeds
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     ascents = {} if ascents is None else ascents
     best_x, best_f, best_capped = None, -np.inf, False
     for start in range(seed, seed + RESTARTS):

@@ -49,9 +49,10 @@ def best_binary_vertex(qubo):
 
 
 class TestRelaxQubo:
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
-            relax_qubo(single_edge_qubo(1.0), seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be an integer >= 0, got {seed!r}"):
+            relax_qubo(single_edge_qubo(1.0), seed=seed)
 
     def test_zero_weights(self):
         qubo = qubo_from_graph(WeightedGraph(weights=np.zeros((3, 3))))
