@@ -20,17 +20,25 @@ checkout this script lives in.  The topic recorded in the output is the
 - per layer: microseconds of one call of each layer of an evaluation (a
   real and a complex rotation layer, VQE's first layer on |0...0>, the
   cost phase, the CNOT-chain gather and the expectation) on a batch of
-  min(BATCH_ROWS, row cap) rows, and seconds of one ``emit_report`` of a
-  14-qubit report;
+  min(BATCH_ROWS, row cap) rows;
+- side by side in one process (the before tree imported under another
+  package name): seconds of one ``emit_report`` of a 14-qubit report and
+  microseconds per row of a QAOA batch evaluation, both sides alternating
+  AB_LOOPS times on the same input, with each side's median and
+  quartiles, the share of loops the after side won and whether both
+  sides' outputs are equal;
 - per step: microseconds of the optimizer's own work per SPSA iteration
   and per calibration probe, for STEP_SEEDS seeds in lockstep on a
   trivial batch objective, at each dimension in STEP_DIMS, from
   ``spsa_lockstep`` runs of 250 iterations and of 1;
 - constants (after side only): the timings behind SPSA's draw block.
 
-The probes run at n in QUBITS on a fixed random graph; each figure is the
-fastest of PROBE_RUNS probe processes, alternating sides, each keeping
-the best of PROBE_LOOPS alternating timing loops.  Timing uses
+The probes run at n in QUBITS on a fixed random graph; each figure but
+the side-by-side ones is the fastest of PROBE_RUNS probe processes,
+alternating sides, each keeping the best of PROBE_LOOPS alternating
+timing loops.  Figures from separate processes spread more than many
+changes move them; the side-by-side figures share one process, heap and
+input.  Timing uses
 ``time.perf_counter`` only; every measurement runs in a fresh process
 with ``OPENBLAS_NUM_THREADS=1``.  Both source trees are byte-compiled
 first, so that neither side pays for compiling a module whose cached
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import compileall
+import importlib.util
 import json
 import os
 import platform
@@ -68,6 +77,10 @@ PROBE_RUNS = 8
 PROBE_LOOPS = 7
 # interleaved before/after pairs per workload; a gain needs ten to show
 REPEATS = 10
+# alternations of the two sides in the side-by-side probes, and the
+# qubit counts of the QAOA one
+AB_LOOPS = 30
+AB_QUBITS = (5, 6, 10, 14)
 OUT_NAME = re.compile(r"BENCH_(\w+)\.json")
 
 
@@ -168,7 +181,6 @@ def probe_layers() -> dict:
         reps = max(3, 2**15 // (rows * 2**n))
         for name, us in zip(layers, _best_us(list(layers.values()), reps)):
             out.setdefault(name, {})[str(n)] = us
-    out["emit_report_s"] = _emit_report_s()
     return out
 
 
@@ -204,26 +216,92 @@ def probe_steps() -> dict:
     return out
 
 
-def _emit_report_s() -> float:
-    """Seconds of one emit_report (json, csv and md) of a report of every
-    algorithm with two seeds on a 14-qubit synthetic instance."""
+def _import_as(src: Path, name: str):
+    """The cutclust package under ``src``, imported as the package
+    ``name``: its relative imports resolve inside it, so it runs beside
+    the ``cutclust`` on ``sys.path``."""
+    init = src / "cutclust" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _side_by_side(fns: dict, loops: int) -> dict:
+    """Seconds per call of the ``before`` and ``after`` functions,
+    alternating ``loops`` times, the side that goes first swapping every
+    loop: each side's median and quartiles, and how many loops the after
+    side won."""
+    times: dict = {side: [] for side in fns}
+    for r in range(loops):
+        for side in (fns if r % 2 == 0 else reversed(list(fns))):
+            t0 = time.perf_counter()
+            fns[side]()
+            times[side].append(time.perf_counter() - t0)
+    out = {side: quartiles(ts) for side, ts in times.items()}
+    out["after_wins"] = sum(a < b for a, b in zip(times["after"], times["before"]))
+    out["loops"] = loops
+    return out
+
+
+def probe_side_by_side(before_src: str) -> dict:
+    """{"emit_report_s": ..., "qaoa_eval_us": {n: ...}}: the side-by-side
+    figures of :func:`_side_by_side`, with ``identical`` set when both
+    sides wrote the same report.json and histograms, or computed the
+    same energies to the bit.
+
+    The report is the after side's run of every algorithm with two seeds
+    on a 14-qubit synthetic instance, emitted in every format; the QAOA
+    figure is per row of a BATCH_ROWS-row ``row_energies`` batch at p = 1
+    on the graph of the other probes."""
+    import numpy as np
     from cutclust.bench import RunConfig, emit_report, run_benchmark
 
+    _import_as(Path(before_src), "cutclust_before")
+    old = {m: importlib.import_module(f"cutclust_before.{m}") for m in ("bench", "graph_model", "optimizer")}
     sys.path.insert(0, str(AFTER / "perfbench"))
     from workloads import synth_csv
 
+    _warm_heap()
+    out: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "synth14.csv"
         data.write_text(synth_csv(1), encoding="utf-8")
-        report = run_benchmark(
-            RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1)
+        report = run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1))
+        dirs = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
+        emit = {"before": old["bench"].emit_report, "after": emit_report}
+        out["emit_report_s"] = _side_by_side(
+            {side: (lambda side=side: emit[side](report, dirs[side])) for side in dirs}, AB_LOOPS
         )
-        times = []
-        for _ in range(PROBE_LOOPS):
-            t0 = time.perf_counter()
-            emit_report(report, Path(tmp) / "out")
-            times.append(time.perf_counter() - t0)
-    return min(times)
+        files = sorted(p.name for p in dirs["after"].iterdir() if p.name.startswith(("report", "histogram")))
+        out["emit_report_s"]["identical"] = all(
+            (dirs["before"] / f).read_bytes() == (dirs["after"] / f).read_bytes() for f in files
+        )
+
+    from cutclust.optimizer import make_ansatz, row_energies
+
+    out["qaoa_eval_us"] = {}
+    owners = np.arange(BATCH_ROWS)
+    for n in AB_QUBITS:
+        rng, ising = _ising(n)
+        params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, 2))
+        old_ising = old["graph_model"].IsingDiagonal(n, ising.energies)
+        prepare = {"before": old["optimizer"].make_ansatz("qaoa", old_ising)[0],
+                   "after": make_ansatz("qaoa", ising)[0]}
+        energies = {"before": lambda: old["optimizer"].row_energies(prepare["before"], old_ising, params, owners),
+                    "after": lambda: row_energies(prepare["after"], ising, params, owners)}
+        batches = max(1, 2**11 // 2**n)
+        scale = 1e6 / (batches * BATCH_ROWS)
+        row = _side_by_side(
+            {side: (lambda fn=fn: [fn() for _ in range(batches)]) for side, fn in energies.items()},
+            AB_LOOPS,
+        )
+        for side in energies:
+            row[side] = [t * scale for t in row[side]]
+        row["identical"] = energies["before"]().tobytes() == energies["after"]().tobytes()
+        out["qaoa_eval_us"][str(n)] = row
+    return out
 
 
 def probe_constants() -> dict:
@@ -251,12 +329,12 @@ def child_env(src: Path) -> dict[str, str]:
     return env
 
 
-def run_probe(root: Path, name: str) -> dict:
-    """Run ``probe_<name>`` of this script in a child whose cutclust is
-    the one under ``root``."""
+def run_probe(root: Path, name: str, *args: str) -> dict:
+    """Run ``probe_<name>(*args)`` of this script in a child whose
+    cutclust is the one under ``root``."""
     code = (
         f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-        f"import bench_compare; print(json.dumps(bench_compare.probe_{name}()))"
+        f"import bench_compare; print(json.dumps(bench_compare.probe_{name}(*{args!r})))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
@@ -376,7 +454,7 @@ def main() -> int:
         }
         for kind in KINDS
     }
-    layer_names = [k for k in probes["layers"]["after"][0] if k != "emit_report_s"]
+    layer_names = list(probes["layers"]["after"][0])
     per_layer = {
         name: {str(n): {side: fastest("layers", side, name, str(n)) for side in sides} for n in QUBITS}
         for name in layer_names
@@ -395,13 +473,15 @@ def main() -> int:
         "statistic": "end_to_end: median and quartiles over repeats of each perfbench/run.py "
         "call's median, after_wins = pairs where after < before; per_eval_us and "
         f"per_layer_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
-        f"{PROBE_LOOPS} alternating loops (per_step_us likewise)",
+        f"{PROBE_LOOPS} alternating loops (per_step_us likewise); side_by_side: quartiles "
+        f"[q1, median, q3] per side over {AB_LOOPS} alternations in one process, after_wins "
+        "= loops where after < before",
         "end_to_end": end_to_end,
         "per_eval_us": per_eval,
         "per_layer_us": per_layer,
         "per_step_us": per_step,
         "step_seeds": STEP_SEEDS,
-        "emit_report_s": {side: fastest("layers", side, "emit_report_s") for side in sides},
+        "side_by_side": run_probe(AFTER, "side_by_side", str(sides["before"] / "src")),
         "constants": run_probe(AFTER, "constants"),
         "batch_rows": BATCH_ROWS,
         "src_lines": {side: src_lines(root) for side, root in sides.items()},

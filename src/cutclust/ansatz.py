@@ -23,6 +23,7 @@ from .graph_model import IsingDiagonal
 from .simulator import (
     _gate,
     apply_diagonal_phase_rows,
+    apply_half_phase_rows,
     apply_layer_rows,
     gather_rows,
     product_rows,
@@ -116,6 +117,29 @@ def qaoa_rows(
         psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising)
         psi = apply_layer_rows(psi, _mixer_unitaries(hams, betas[:, layer, None]))
     return psi
+
+
+def qaoa_half_rows(ising: IsingDiagonal, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Standard QAOA on half the state: ``qaoa_rows(ising,
+    *transverse_field(n), betas, gammas)``, bit for bit, for a mirrored
+    ``ising``.
+
+    The cost, |+...+> and the X mixer all commute with X on every qubit,
+    so each state keeps psi[2^n - 1 - k] == psi[k]; only the first half,
+    with qubit n-1 at 0, is simulated.  Gates 0..n-2 never pair it with
+    the second half, which is the first reversed, so gate n-1 gives
+    ``u00 * half + u01 * half[:, ::-1]``, the products and sum of the
+    whole-state gate."""
+    n = ising.n
+    half = np.full((1, 2 ** (n - 1)), 2.0 ** (-n / 2.0))
+    hams = np.broadcast_to(PAULI_X, (1, n, 2, 2))
+    for layer in range(betas.shape[1]):
+        half = apply_half_phase_rows(half, gammas[:, layer], ising)
+        gates = _mixer_unitaries(hams, betas[:, layer, None])
+        half = apply_layer_rows(half, gates[:, :-1])
+        u = gates[:, -1, :, :, None]
+        half = u[:, 0, 0] * half + u[:, 0, 1] * half[:, ::-1]
+    return np.concatenate([half, half[:, ::-1]], axis=1)
 
 
 def vqe_param_count(n: int, reps: int) -> int:

@@ -15,12 +15,13 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -663,7 +664,17 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(fh, obj: Any, level: int = 0) -> None:
+# a sink takes the index of a chunk's first float and the chunk's text
+Sink = Callable[[int, str], None]
+
+
+def _float_text(chunk: np.ndarray) -> str:
+    """The floats of ``chunk`` as the C JSON encoder writes them, each its
+    shortest repr, separated by ", " (which no float's repr holds)."""
+    return json.dumps(chunk.tolist())[1:-1]
+
+
+def _write_json(fh, obj: Any, level: int = 0, sinks: dict[int, Sink] | None = None) -> None:
     """Write ``obj`` to ``fh`` exactly as ``json.dumps(obj, indent=2,
     sort_keys=True, default=_json_default)`` formats it with its arrays
     given as lists, in pieces, for what reports hold: dicts with string
@@ -675,15 +686,20 @@ def _write_json(fh, obj: Any, level: int = 0) -> None:
     every piece of the document at once; here an array goes through the
     C encoder CHUNK floats at a time, each chunk split onto its lines, so
     no whole-vector list or string is built, and the rest is written as
-    it is walked."""
+    it is walked.  ``sinks`` maps ``id(array)`` to a sink that is handed
+    each chunk's text too; it is popped when its array is first written,
+    so an array the document holds twice feeds it once."""
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-        # a float's repr holds no ", ", so the separators split it
+        sink = sinks.pop(id(obj), None) if sinks else None
         line = "," + pad
         sep = "[" + pad
         for lo in range(0, obj.size, CHUNK):
+            text = _float_text(obj[lo:lo + CHUNK])
             fh.write(sep)
-            fh.write(json.dumps(obj[lo:lo + CHUNK].tolist())[1:-1].replace(", ", line))
+            fh.write(text.replace(", ", line))
+            if sink is not None:
+                sink(lo, text)
             sep = line
         fh.write(pad[:-2] + "]")
     elif isinstance(obj, dict) and obj:
@@ -692,24 +708,50 @@ def _write_json(fh, obj: Any, level: int = 0) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key)}")
             fh.write(sep + pad + json.dumps(key) + ": ")
-            _write_json(fh, obj[key], level + 1)
+            _write_json(fh, obj[key], level + 1, sinks)
             sep = ","
         fh.write(pad[:-2] + "}")
     elif isinstance(obj, (list, tuple)) and obj:
         sep = "["
         for v in obj:
             fh.write(sep + pad)
-            _write_json(fh, v, level + 1)
+            _write_json(fh, v, level + 1, sinks)
             sep = ","
         fh.write(pad[:-2] + "]")
     else:
         fh.write(json.dumps(obj, default=_json_default))
 
 
-def _dump_json(data: dict, path: Path) -> None:
+def _dump_json(data: dict, path: Path, sinks: dict[int, Sink] | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, data)
+        _write_json(fh, data, sinks=sinks)
         fh.write("\n")
+
+
+def _bitstring_parts(n: int) -> tuple[list[str], Callable[[int], str]]:
+    """``(low, prefix)``: the MSB-first bitstring of index k is
+    ``prefix(k) + low[k % len(low)]``.  ``low`` holds the strings of the
+    min(n, log2 CHUNK) low bits, formatted once; ``prefix`` formats the
+    high bits, the same for every index of a CHUNK."""
+    bits = min(n, CHUNK.bit_length() - 1)
+    low = [format(k, f"0{bits}b") for k in range(2**bits)]
+    if n == bits:
+        return low, lambda k: ""
+    high = f"0{n - bits}b"
+    return low, lambda k: format(k >> bits, high)
+
+
+def _histogram_sink(fh, keys: list[str], prefix: Callable[[int], str]) -> Sink:
+    """A sink that writes a chunk's histogram rows to ``fh``, as a CSV
+    writer would (no field needs quoting).  ``keys`` are the low-bit
+    strings of :func:`_bitstring_parts`, each followed by a comma."""
+
+    def sink(lo: int, text: str) -> None:
+        head = prefix(lo)
+        rows = map(operator.add, keys, text.split(", "))
+        fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
+
+    return sink
 
 
 def _table_rows(report: BenchmarkReport) -> tuple[list[str], list[list[str]]]:
@@ -774,11 +816,36 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    histograms: dict[Path, np.ndarray] = {}
+    if "csv" in formats:
+        histograms = {
+            out / f"histogram_{a}.csv": next(
+                r for r in block["runs"] if r["seed"] == block["representative_seed"]
+            )["probabilities"]
+            for a, block in report.payload["algorithms"].items()
+            if block["runs"]
+        }
 
-    if "json" in formats:
-        _dump_json(report.payload, out / "report.json")
-        _dump_json(report.timings, out / "timings.json")
-        written += [out / "report.json", out / "timings.json"]
+    with ExitStack() as stack:
+        # each histogram takes its probabilities' text, CHUNK floats at a
+        # time, from report.json's writer, so every float is formatted once
+        low, prefix = _bitstring_parts(report.payload["dataset"]["n_rows"])
+        keys = [s + "," for s in low]
+        sinks: dict[int, Sink] = {}
+        for hist, probs in histograms.items():
+            fh = stack.enter_context(open(hist, "w", newline="", encoding="utf-8"))
+            fh.write("bitstring,probability\r\n")
+            sinks[id(probs)] = _histogram_sink(fh, keys, prefix)
+        if "json" in formats:
+            _dump_json(report.payload, out / "report.json", sinks)
+            _dump_json(report.timings, out / "timings.json")
+            written += [out / "report.json", out / "timings.json"]
+        # without report.json, each histogram formats its own text
+        for probs in histograms.values():
+            sink = sinks.pop(id(probs), None)
+            if sink is not None:
+                for lo in range(0, probs.size, CHUNK):
+                    sink(lo, _float_text(probs[lo:lo + CHUNK]))
 
     header, rows = _table_rows(report)
 
@@ -789,27 +856,6 @@ def emit_report(
             writer.writerow(header)
             writer.writerows(rows)
         written.append(table)
-        n = report.payload["dataset"]["n_rows"]
-        histograms = {
-            out / f"histogram_{a}.csv": next(
-                r for r in block["runs"] if r["seed"] == block["representative_seed"]
-            )["probabilities"]
-            for a, block in report.payload["algorithms"].items()
-            if block["runs"]
-        }
-        # the rows csv.writer would write: no field needs quoting; all
-        # histograms advance together, CHUNK rows at a time, so each chunk's
-        # bitstrings are formatted once and no whole-vector list is built
-        with ExitStack() as stack:
-            files = [stack.enter_context(open(hist, "w", newline="", encoding="utf-8"))
-                     for hist in histograms]
-            for fh in files:
-                fh.write("bitstring,probability\r\n")
-            for lo in range(0, 2**n, CHUNK):
-                hi = min(lo + CHUNK, 2**n)
-                bitstrings = [bitstring_str(k, n) for k in range(lo, hi)]
-                for fh, p in zip(files, histograms.values()):
-                    fh.writelines(map("{},{!r}\r\n".format, bitstrings, p[lo:hi].tolist()))
         written += histograms
 
     if "md" in formats:

@@ -55,11 +55,14 @@ def row_cap(n: int) -> int:
     near the cap runs one row at a time.
 
     The cap keeps batches bit-identical to one-row calls, not only in
-    cache: from 256 KiB on (2 complex rows at 13 qubits), numpy computes
-    ``psi * phase`` in place in the phase temporary with the operands
-    swapped, and its complex multiply rounds a*b and b*a differently.
-    Past the cap a gate's buffers also fall out of cache and a row costs
-    more batched than alone."""
+    cache: from ELIDE_BYTES (256 KiB, 2 complex rows at 13 qubits) on,
+    numpy computes ``psi * phase`` in place in the phase temporary with
+    the operands swapped, and its complex multiply rounds a*b and b*a
+    differently.  So under the cap the whole-state product is swapped
+    only for a row of 14 qubits, and the half-state QAOA path, whose
+    product is half as large, writes ``phase * half`` there alone (see
+    :func:`apply_half_phase_rows`).  Past the cap a gate's buffers also
+    fall out of cache and a row costs more batched than alone."""
     return 2 ** max(QUBIT_CAP - 1 - n, 0)
 
 
@@ -122,13 +125,25 @@ def gather_rows(psi: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(psi, perm, axis=1)
 
 
+# numpy computes a binary operation of this many bytes or more in place in
+# an operand that is a temporary, and for a product it swaps the operands
+# to do so: its complex multiply rounds a*b and b*a differently
+ELIDE_BYTES = 256 * 1024
+
+
+def _half_phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
+    """exp(-i gammas[r] E(x)) for the first half of the basis, the
+    indices with qubit n-1 at 0."""
+    return np.exp(-1j * gammas[:, None] * ising.energies[: ising.energies.size // 2])
+
+
 def _phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
     energies = ising.energies
     if not ising.mirrored:
         return np.exp(-1j * gammas[:, None] * energies)
     half = energies.size // 2
     phase = np.empty((gammas.size, energies.size), complex)
-    phase[:, :half] = np.exp(-1j * gammas[:, None] * energies[:half])
+    phase[:, :half] = _half_phases(gammas, ising)
     phase[:, half:] = phase[:, half - 1 :: -1]
     return phase
 
@@ -140,12 +155,28 @@ def apply_diagonal_phase_rows(
 
     For a mirrored diagonal (``ising.mirrored``) the phases of the first
     half are computed and copied in reverse to the second, which holds
-    the same values."""
-    # the phases enter the product as a temporary either way: numpy may
-    # then multiply into it in place with the operands swapped (for arrays
-    # of 256 KiB and more), and its complex multiply rounds a*b and b*a
-    # differently, so both ways must give numpy the same expression
+    the same values.  The phases enter the product as a temporary, so
+    from ELIDE_BYTES on numpy computes ``phase * psi``;
+    :func:`apply_half_phase_rows` rounds the same way on half the
+    state."""
+    # both ways of computing the phases must give numpy this expression
     return psi * _phases(gammas, ising)
+
+
+def apply_half_phase_rows(
+    half: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
+) -> np.ndarray:
+    """The cost phase on the first halves of mirrored states (the
+    amplitudes with qubit n-1 at 0), bit-identical to the first half of
+    :func:`apply_diagonal_phase_rows` on the whole states.
+
+    The operands go in the order numpy uses for the whole states: from
+    ELIDE_BYTES on, the whole product is computed as ``phase * psi``, and
+    the half product, half that size, must be written that way."""
+    phase = _half_phases(gammas, ising)
+    if 2 * phase.nbytes >= ELIDE_BYTES:
+        return phase * half
+    return half * phase
 
 
 def probability_rows(psi: np.ndarray) -> np.ndarray:

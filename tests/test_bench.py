@@ -789,6 +789,51 @@ class TestReportWriter:
             assert (tmp_path / "out" / f"histogram_{algo}.csv").read_bytes() == expected
 
 
+class TestHistogramsFromReportText:
+    """Histograms take their probabilities' text from report.json's writer,
+    or format it themselves without it; either way they equal a row-by-row
+    writer's."""
+
+    @pytest.fixture(scope="class")
+    def report11(self, tmp_path_factory):
+        # 2048 states: two chunks per vector
+        points = np.random.default_rng(12).standard_normal((11, 2))
+        text = "a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+        data = write_csv(tmp_path_factory.mktemp("data"), text)
+        return run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1))
+
+    @pytest.mark.parametrize("formats", [("json", "csv"), ("csv",), ("csv", "md", "json")])
+    def test_histograms_equal_row_by_row_writer(self, report11, formats, tmp_path):
+        emit_report(report11, tmp_path, formats)
+        for algo, block in report11.payload["algorithms"].items():
+            rep = next(r for r in block["runs"] if r["seed"] == block["representative_seed"])
+            expected = histogram_text(rep["probabilities"], 11)
+            assert (tmp_path / f"histogram_{algo}.csv").read_bytes() == expected, algo
+
+    def test_exact_runs_share_one_array_and_give_one_histogram(self, report11, tmp_path):
+        first, second = report11.payload["algorithms"]["exact"]["runs"]
+        assert first["probabilities"] is second["probabilities"]
+        emit_report(report11, tmp_path, ("json", "csv"))
+        expected = histogram_text(first["probabilities"], 11)
+        assert (tmp_path / "histogram_exact.csv").read_bytes() == expected
+
+    def test_paths_returned_in_order(self, report11, tmp_path):
+        names = [p.name for p in emit_report(report11, tmp_path)]
+        assert names == [
+            "report.json", "timings.json", "table.csv",
+            "histogram_exact.csv", "histogram_vqe.csv", "histogram_qaoa.csv",
+            "histogram_ws-qaoa.csv", "table.md",
+        ]
+        names = [p.name for p in emit_report(report11, tmp_path, ("md", "csv"))]
+        assert names[0] == "table.csv" and names[-1] == "table.md"
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 14])
+    def test_bitstrings_equal_bitstring_str(self, n):
+        low, prefix = bench._bitstring_parts(n)
+        got = [prefix(lo) + s for lo in range(0, 2**n, bench.CHUNK) for s in low]
+        assert got == [bench.bitstring_str(k, n) for k in range(2**n)]
+
+
 class TestMedian:
     """bench's sorted-list median against np.median, bit for bit."""
 

@@ -6,9 +6,9 @@ Three kinds of check:
   - bit identity of each layer shortcut against the plain computation it
     replaces: the layer kernel against a loop of one-gate calls, the
     product first layer against the gates applied to |0...0>, the
-    mirrored cost phase against the phase of every energy, the stacked
-    expectation against one dot per row, and gate stacks filled in place
-    against stacked entries;
+    mirrored cost phase against the phase of every energy, half-state
+    QAOA against the whole state, the stacked expectation against one
+    dot per row, and gate stacks filled in place against stacked entries;
   - an independent oracle: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
     which shares no code with the simulator.
@@ -22,8 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cutclust.optimizer as optimizer
 from cutclust.ansatz import (
     WarmStart,
+    qaoa_half_rows,
     qaoa_rows,
     transverse_field,
     vqe_rows,
@@ -498,6 +500,60 @@ class TestMirroredPhase:
         assert np.allclose(psi, ref, atol=1e-12)
         angles = params[:, :p], params[:, p:]
         assert np.array_equal(psi, qaoa_rows(ising, *transverse_field(n), *angles))
+
+
+class TestHalfStateQaoa:
+    """QAOA on the half of each state with qubit n-1 at 0 against the
+    whole-state builder, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 10, 13, 14])
+    @pytest.mark.parametrize("p", [1, 2, 4])
+    @pytest.mark.parametrize("batch", ["one", "cap"])
+    def test_equals_whole_state(self, n, p, batch):
+        # at 14 qubits the whole-state phase product is swapped by numpy,
+        # so the half product must be written phase first there alone
+        rows = 1 if batch == "one" else row_cap(n)
+        rng = np.random.default_rng(300 + 10 * n + p)
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        betas = rng.uniform(-np.pi, np.pi, size=(rows, p))
+        gammas = rng.uniform(-np.pi, np.pi, size=(rows, p))
+        whole = qaoa_rows(ising, *transverse_field(n), betas, gammas)
+        half = qaoa_half_rows(ising, betas, gammas)
+        assert np.array_equal(half, whole)
+        assert half.tobytes() == whole.tobytes()
+
+    def test_make_ansatz_takes_it_only_on_a_mirrored_diagonal(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        n, p, rows = 6, 2, 4
+        mirrored = ising_from_graph(random_graph(rng, n))
+        skewed = IsingDiagonal(n=n, energies=rng.normal(size=2**n))
+        assert mirrored.mirrored and not skewed.mirrored
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return qaoa_half_rows(*args)
+
+        monkeypatch.setattr(optimizer, "qaoa_half_rows", counted)
+        params = rng.uniform(-np.pi, np.pi, size=(rows, 2 * p))
+        owners = np.zeros(rows, dtype=int)
+        for ising in (mirrored, skewed):
+            prepare, _ = make_ansatz("qaoa", ising, p=p)
+            psi = prepare(params, owners)
+            whole = qaoa_rows(ising, *transverse_field(n), params[:, :p], params[:, p:])
+            assert psi.tobytes() == whole.tobytes()
+        assert calls == [mirrored]
+
+    def test_one_qubit(self):
+        # the one gate is gate n-1, and the half is a single amplitude
+        ising = IsingDiagonal(n=1, energies=np.array([0.7, 0.7]))
+        assert ising.mirrored
+        rng = np.random.default_rng(1)
+        betas, gammas = rng.uniform(-np.pi, np.pi, size=(2, 3, 2))
+        whole = qaoa_rows(ising, *transverse_field(1), betas, gammas)
+        prepare, _ = make_ansatz("qaoa", ising, p=2)
+        psi = prepare(np.hstack([betas, gammas]), np.zeros(3, dtype=int))
+        assert psi.tobytes() == whole.tobytes()
 
 
 class TestExpectationRows:
