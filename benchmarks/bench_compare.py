@@ -22,11 +22,11 @@ checkout this script lives in.  The topic recorded in the output is the
   cost phase, the CNOT-chain gather and the expectation) on a batch of
   min(BATCH_ROWS, row cap) rows;
 - side by side in one process (the before tree imported under another
-  package name): seconds of one ``emit_report`` of a 14-qubit report and
-  microseconds per row of a QAOA batch evaluation, both sides alternating
-  AB_LOOPS times on the same input, with each side's median and
-  quartiles, the share of loops the after side won and whether both
-  sides' outputs are equal;
+  package name): seconds of one ``emit_report`` of a 14-qubit report,
+  microseconds per row of a QAOA batch evaluation and milliseconds of one
+  ``spsa_lockstep`` run, both sides alternating AB_LOOPS times on the
+  same input, with each side's median and quartiles, the share of loops
+  the after side won and whether both sides' outputs are equal;
 - per step: microseconds of the optimizer's own work per SPSA iteration
   and per calibration probe, for STEP_SEEDS seeds in lockstep on a
   trivial batch objective, at each dimension in STEP_DIMS, from
@@ -246,15 +246,18 @@ def _side_by_side(fns: dict, loops: int) -> dict:
 
 
 def probe_side_by_side(before_src: str) -> dict:
-    """{"emit_report_s": ..., "qaoa_eval_us": {n: ...}}: the side-by-side
-    figures of :func:`_side_by_side`, with ``identical`` set when both
-    sides wrote the same report.json and histograms, or computed the
-    same energies to the bit.
+    """{"emit_report_s": ..., "qaoa_eval_us": {n: ...}, "spsa_lockstep_ms":
+    {d: ...}}: the side-by-side figures of :func:`_side_by_side`, with
+    ``identical`` set when both sides wrote the same report.json and
+    histograms, computed the same energies to the bit, or returned the
+    same gains, traces and best points to the bit.
 
     The report is the after side's run of every algorithm with two seeds
     on a 14-qubit synthetic instance, emitted in every format; the QAOA
     figure is per row of a BATCH_ROWS-row ``row_energies`` batch at p = 1
-    on the graph of the other probes."""
+    on the graph of the other probes; the SPSA figure is one
+    ``spsa_lockstep`` run of STEP_SEEDS seeds and the default 250
+    iterations on a sum of squares, at each dimension in STEP_DIMS."""
     import numpy as np
     from cutclust.bench import RunConfig, emit_report, run_benchmark
 
@@ -301,6 +304,30 @@ def probe_side_by_side(before_src: str) -> dict:
             row[side] = [t * scale for t in row[side]]
         row["identical"] = energies["before"]().tobytes() == energies["after"]().tobytes()
         out["qaoa_eval_us"][str(n)] = row
+
+    from cutclust.optimizer import spsa_lockstep
+
+    def squares(points, owners):
+        return np.square(points).sum(axis=1)
+
+    out["spsa_lockstep_ms"] = {}
+    seeds = tuple(range(1, STEP_SEEDS + 1))
+    lockstep = {"before": old["optimizer"].spsa_lockstep, "after": spsa_lockstep}
+    for dim in STEP_DIMS:
+        initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
+        runs = {side: (lambda fn=fn: fn(squares, initial, RunConfig.spsa_iters, seeds))
+                for side, fn in lockstep.items()}
+        row = _side_by_side(runs, AB_LOOPS)
+        for side in runs:
+            row[side] = [t * 1e3 for t in row[side]]
+        results = {side: run() for side, run in runs.items()}
+        row["identical"] = all(
+            b.gain == a.gain
+            and b.trace.tobytes() == a.trace.tobytes()
+            and b.best_params.tobytes() == a.best_params.tobytes()
+            for b, a in zip(results["before"], results["after"])
+        )
+        out["spsa_lockstep_ms"][str(dim)] = row
     return out
 
 
@@ -315,8 +342,7 @@ def probe_constants() -> dict:
     by_block = {}
     for block in (1, 8, 64, 512):
         rngs = [np.random.default_rng(s) for s in range(seeds)]
-        active = np.arange(seeds)
-        (us,) = _best_us([lambda: optimizer._signs(rngs, active, block, dim)], 20)
+        (us,) = _best_us([lambda: optimizer._signs(rngs, block, dim)], 20)
         by_block[str(block)] = us / block
     return {"draw_us_per_iteration_by_block": by_block, "draw_block": optimizer.DRAW_BLOCK}
 

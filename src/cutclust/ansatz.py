@@ -44,6 +44,8 @@ class WarmStart:
 
     def __post_init__(self):
         c = np.asarray(self.c_star, dtype=float)
+        if c.ndim != 1 or c.size == 0:
+            raise ValidationError(f"c_star must be a non-empty vector, got shape {c.shape}")
         # NaN fails both comparisons, so it is out of range too
         if not np.all((c >= 0.0) & (c <= 1.0)):
             raise ValidationError("c_star entries must lie in [0, 1]")

@@ -385,16 +385,17 @@ def _optimize(
     problem: Problem,
     seeds: tuple[int, ...],
     warms: dict[int, WarmStart],
-) -> list[dict[str, Any] | Exception]:
+) -> list[dict[str, Any]]:
     """Optimization stage of every seed at once.
 
-    Returns, per seed, the error that ended it or the report.json fields
-    this stage sets, ``probabilities`` and ``params`` as read-only float64
-    arrays (the exact seeds share one).  All seeds of a variational
-    algorithm advance through SPSA together; seed s starts from
-    ``default_rng([s, 1])`` and keeps its own streams, gain and best
-    point, so its result equals a run on its own.  Each seed's gain is
-    calibrated first.  The final states are prepared as one batch too.
+    Returns, per seed, the report.json fields this stage sets,
+    ``probabilities`` and ``params`` as read-only float64 arrays (the
+    exact seeds share one).  All seeds of a variational algorithm advance
+    through SPSA together; seed s starts from ``default_rng([s, 1])`` and
+    keeps its own streams, gain and best point, so its result equals a
+    run on its own.  Each seed's gain is calibrated first.  The final
+    states are prepared as one batch too.  A non-finite objective value
+    raises ``EvaluationError``, which ends every seed of the batch.
     """
     ising = problem.ising
     if algorithm == "exact":
@@ -417,25 +418,21 @@ def _optimize(
     prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
     objective = partial(row_energies, prepare, ising)
     initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
-    outcomes: list[Any] = spsa_lockstep(objective, initial, config.spsa_iters, seeds)
+    results = spsa_lockstep(objective, initial, config.spsa_iters, seeds)
 
-    done = np.array([s for s, r in enumerate(outcomes) if not isinstance(r, Exception)], dtype=int)
-    if not done.size:
-        return outcomes
-    best = np.array([outcomes[s].best_params for s in done])
-    probs = np.concatenate(list(row_probabilities(prepare, best, done, ising.n)))
-    probs.flags.writeable = False
-    for s, p, e in zip(done, probs, expectation_rows(probs, ising.energies)):
-        params = outcomes[s].best_params
-        params.flags.writeable = False
-        outcomes[s] = {
+    best = np.array([r.best_params for r in results])
+    probs = np.concatenate(list(row_probabilities(prepare, best, np.arange(len(seeds)), ising.n)))
+    best.flags.writeable = probs.flags.writeable = False
+    return [
+        {
             "probabilities": p,
             "energy_expectation": float(e),
-            "params": params,
-            "calibrated_a": outcomes[s].gain,
-            "evaluations": outcomes[s].evaluations,
+            "params": x,
+            "calibrated_a": r.gain,
+            "evaluations": r.evaluations,
         }
-    return outcomes
+        for r, x, p, e in zip(results, best, probs, expectation_rows(probs, ising.energies))
+    ]
 
 
 def sample_run(

@@ -10,7 +10,7 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,15 +71,6 @@ class OptimizerResult:
     gain: float
 
 
-def _check_finite(value: float, params: np.ndarray) -> float:
-    value = float(value)
-    if not np.isfinite(value):
-        raise EvaluationError(
-            f"objective returned non-finite value {value!r} at params {params.tolist()}"
-        )
-    return value
-
-
 # iterations whose perturbations a seed draws in one call: one draw per
 # iteration cost about 13 us per seed, and a bounded block keeps a long run
 # from holding all of its draws at once (timings in BENCH_layers.json)
@@ -91,15 +82,15 @@ TARGET_STEP = 0.1
 PROBES = 10
 
 
-def _signs(rngs: Sequence[np.random.Generator], active: np.ndarray, count: int, dim: int):
-    """The next ``count`` Rademacher vectors of each active seed s, drawn
-    from ``rngs[s]`` in one call, as ±1.0 in a (active, count, dim) array.
+def _signs(rngs: Sequence[np.random.Generator], count: int, dim: int):
+    """The next ``count`` Rademacher vectors of each seed s, drawn from
+    ``rngs[s]`` in one call, as ±1.0 in a (seeds, count, dim) array.
     PCG64 keeps the spare half of a 64-bit draw in the generator, so one
     call of size (count, dim) returns the values of ``count`` calls of
     size ``dim``."""
-    out = np.empty((len(active), count, dim))
-    for i, s in enumerate(active):
-        out[i] = rngs[s].integers(0, 2, size=(count, dim)) * 2.0 - 1.0
+    out = np.empty((len(rngs), count, dim))
+    for i, rng in enumerate(rngs):
+        out[i] = rng.integers(0, 2, size=(count, dim)) * 2.0 - 1.0
     return out
 
 
@@ -108,43 +99,21 @@ def _one_seed(objective: Objective) -> BatchObjective:
     return lambda points, owners: np.array([objective(x) for x in points])
 
 
-class _Lockstep:
-    """``seeds`` seed slots that advance together; a seed whose evaluation
-    is non-finite leaves the batch with its error and the others continue."""
-
-    def __init__(self, objective: BatchObjective, seeds: int):
-        self.objective = objective
-        self.errors: dict[int, EvaluationError] = {}
-        self.active = np.arange(seeds)
-        # the seed slot of every row of a batch of that many point sets
-        self._owners: dict[int, np.ndarray] = {}
-
-    def evaluate(self, points: np.ndarray, at: np.ndarray | None = None):
-        """Values of every active seed at each of the (active, dim) point
-        sets of the (sets, active, dim) ``points``, all in one batch.  A
-        non-finite value is reported at the matching point of ``at``
-        (default: the points), checking the sets in order; the failed
-        seeds are dropped.  Returns the (sets, survivors) values and the
-        mask of survivors, or None when every seed survives."""
-        sets, _, dim = points.shape
-        owners = self._owners.get(sets)
-        if owners is None:
-            owners = self._owners[sets] = np.tile(self.active, sets)
-        values = np.asarray(self.objective(points.reshape(-1, dim), owners), dtype=float)
-        values = values.reshape(sets, -1)
-        if np.isfinite(values).all():
-            return values, None
-        keep = np.isfinite(values).all(axis=0)
-        for slot in np.flatnonzero(~keep):
-            for i, vals in enumerate(values):
-                try:
-                    _check_finite(vals[slot], points[i, slot] if at is None else at[slot])
-                except EvaluationError as exc:
-                    self.errors[int(self.active[slot])] = exc
-                    break
-        self.active = self.active[keep]
-        self._owners = {}
-        return values[:, keep], keep
+def _evaluate(objective: BatchObjective, points, owners, seeds, at=None) -> np.ndarray:
+    """The (sets, seeds) values at the (sets, seeds, dim) ``points``, in one
+    batch whose row r belongs to seed slot ``owners[r]``.  The first
+    non-finite value (sets in order, then slots) raises ``EvaluationError``
+    at its point of ``at`` (default: the points), naming its seed when
+    there are several."""
+    sets, _, dim = points.shape
+    values = np.asarray(objective(points.reshape(-1, dim), owners), dtype=float).reshape(sets, -1)
+    if np.isfinite(values).all():
+        return values
+    i, slot = np.argwhere(~np.isfinite(values))[0]
+    where = (points[i] if at is None else at)[slot].tolist()
+    suffix = f" (seed {seeds[slot]})" if len(seeds) > 1 else ""
+    value = float(values[i, slot])
+    raise EvaluationError(f"objective returned non-finite value {value!r} at params {where}{suffix}")
 
 
 def spsa_lockstep(
@@ -152,34 +121,34 @@ def spsa_lockstep(
     initial: np.ndarray,
     max_iters: int,
     seeds: Sequence[int],
-) -> list[OptimizerResult | EvaluationError]:
+) -> list[OptimizerResult]:
     """SPSA for every seed at once, each at its own calibrated step gain.
 
     Row s of ``initial`` is seed ``seeds[s]``'s start point.  Each seed's
     gain ``a`` is calibrated first, from the mean of
     ``|f(x + C*delta) - f(x - C*delta)| / (2C)`` over ``PROBES`` Rademacher
     probes at its start point (a flat objective gets a neutral gain); the
-    probes of all seeds are evaluated in one batch, and a seed whose probe
-    value is non-finite fails at its start point.  Each SPSA iteration then
-    evaluates the ± points of every seed in one batch.  Each seed draws its
-    probes and perturbations from its own streams and keeps its own best
-    point, so its result equals that of a run on its own.  Returns one
-    result, or the error that ended the seed's run, per seed.
+    probes of all seeds are evaluated in one batch.  Each SPSA iteration
+    then evaluates the ± points of every seed in one batch.  Each seed
+    draws its probes and perturbations from its own streams and keeps its
+    own best point, so its result equals that of a run on its own.
+    Returns one result per seed.  A non-finite value ends every seed's
+    run with an ``EvaluationError``: a probe's is reported at the seed's
+    start point, an SPSA value at its ± point.
     """
-    # the state of the active seeds, row i for seed slot batch.active[i];
-    # a seed that fails is dropped from every array
     x = np.array(initial, dtype=float)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {x.shape[1:]}")
-    batch = _Lockstep(objective, len(seeds))
+    # the seed slot of every row of the probe batch, of a ± pair and of
+    # the final points, built once per call rather than per evaluation
+    slots = np.arange(len(seeds))
+    probe_owners, pair_owners = np.tile(slots, 2 * PROBES), np.tile(slots, 2)
     # every probe starts from the seed's start point, so all probes of all
     # seeds run in one batch: the ± sets of probe 0, then probe 1, ...
     probe_rngs = [np.random.default_rng([seed, 0x5CA1]) for seed in seeds]
-    deltas = (C * _signs(probe_rngs, batch.active, PROBES, x.shape[1])).transpose(1, 0, 2)
+    deltas = (C * _signs(probe_rngs, PROBES, x.shape[1])).transpose(1, 0, 2)
     points = np.stack([x + deltas, x - deltas], axis=1)
-    values, keep = batch.evaluate(points.reshape(2 * PROBES, *x.shape), at=x)
-    if keep is not None:
-        x = x[keep]
+    values = _evaluate(objective, points.reshape(2 * PROBES, *x.shape), probe_owners, seeds, at=x)
     # one row per seed, each averaged on its own as a lone run does
     magnitudes = (np.abs(values[0::2] - values[1::2]) / (2.0 * C)).T.copy()
     scale = (stability(max_iters) + 1.0) ** ALPHA
@@ -192,19 +161,14 @@ def spsa_lockstep(
     trace = np.empty((len(x), max_iters + 1))
 
     for k in range(max_iters):
-        if not batch.active.size:
-            break
         c_k = C / (k + 1.0) ** GAMMA
         if k % DRAW_BLOCK == 0:
-            signs = _signs(rngs, batch.active, min(DRAW_BLOCK, max_iters - k), x.shape[1])
+            signs = _signs(rngs, min(DRAW_BLOCK, max_iters - k), x.shape[1])
         step = c_k * signs[:, k % DRAW_BLOCK]
         points = np.empty((2, *x.shape))
         np.add(x, step, out=points[0])
         np.subtract(x, step, out=points[1])
-        values, keep = batch.evaluate(points)
-        if keep is not None:
-            x, gain, best_x, best_v, trace = x[keep], gain[keep], best_x[keep], best_v[keep], trace[keep]
-            signs, points = signs[keep], points[:, keep]
+        values = _evaluate(objective, points, pair_owners, seeds)
         for v, pts in zip(values, points):
             better = v < best_v
             np.copyto(best_v, v, where=better)
@@ -217,26 +181,22 @@ def spsa_lockstep(
         a_k = gain / (offset + k + 1.0) ** ALPHA
         x = x - a_k[:, None] * grad
 
-    if batch.active.size:
-        (f_final,), keep = batch.evaluate(x[None])
-        if keep is not None:
-            x, gain, best_x, best_v, trace = x[keep], gain[keep], best_x[keep], best_v[keep], trace[keep]
-        trace[:, -1] = f_final
-        # ties go to the final iterate so an unmoved run reports its start
-        final = f_final <= best_v
-        np.copyto(best_v, f_final, where=final)
-        np.copyto(best_x, x, where=final[:, None])
-
-    outcomes: dict[int, Any] = dict(batch.errors)
-    for i, s in enumerate(batch.active.tolist()):
-        outcomes[s] = OptimizerResult(
+    (f_final,) = _evaluate(objective, x[None], slots, seeds)
+    trace[:, -1] = f_final
+    # ties go to the final iterate so an unmoved run reports its start
+    final = f_final <= best_v
+    np.copyto(best_v, f_final, where=final)
+    np.copyto(best_x, x, where=final[:, None])
+    return [
+        OptimizerResult(
             best_params=best_x[i].copy(),
             best_value=float(best_v[i]),
             evaluations=2 * max_iters + 1,
             trace=trace[i].copy(),
             gain=float(gain[i]),
         )
-    return [outcomes[s] for s in range(len(seeds))]
+        for i in range(len(seeds))
+    ]
 
 
 def spsa_minimize(
@@ -266,10 +226,8 @@ def spsa_minimize(
     initial = np.asarray(initial, dtype=float)
     if initial.ndim != 1 or initial.size == 0:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
-    (outcome,) = spsa_lockstep(_one_seed(objective), initial[None], max_iters, [seed])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (result,) = spsa_lockstep(_one_seed(objective), initial[None], max_iters, [seed])
+    return result
 
 
 @dataclass(frozen=True)

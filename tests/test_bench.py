@@ -531,12 +531,11 @@ class TestRunBenchmark:
         }
         assert report.timings["per_run"]["qaoa"] == {}
 
-    def test_non_finite_seed_fails_alone(self, monkeypatch):
-        # seeds advance in one batch; seed 2's rows turn NaN and only
-        # seed 2 fails, with the stage named, while 1 and 3 complete
-        cfg = RunConfig(dataset="cars", algorithm="vqe", seeds=(1, 2, 3),
-                        spsa_iters=30)
-        clean = run_benchmark(cfg).payload["algorithms"]["vqe"]["runs"]
+    def test_non_finite_seed_fails_every_seed(self, monkeypatch):
+        # seeds advance in one batch; seed 2's rows turn NaN, and every seed
+        # of each variational algorithm fails with the stage and seed 2
+        # named, while exact completes
+        cfg = RunConfig(dataset="cars", seeds=(1, 2, 3), spsa_iters=30)
         real = bench.row_energies
 
         def poisoned(prepare, ising, points, owners):
@@ -545,13 +544,20 @@ class TestRunBenchmark:
             return values
 
         monkeypatch.setattr(bench, "row_energies", poisoned)
-        block = run_benchmark(cfg).payload["algorithms"]["vqe"]
-        assert_same(block["runs"], [clean[0], clean[2]])
-        (failure,) = block["failed"]
-        assert failure["seed"] == 2
-        assert failure["error"].startswith(
-            "vqe run (seed 2) failed during optimization: objective returned non-finite value nan"
-        )
+        algorithms = run_benchmark(cfg).payload["algorithms"]
+        assert [r["seed"] for r in algorithms["exact"]["runs"]] == [1, 2, 3]
+        assert algorithms["exact"]["failed"] == []
+        for algo in ("vqe", "qaoa", "ws-qaoa"):
+            block = algorithms[algo]
+            assert block["runs"] == []
+            assert [f["seed"] for f in block["failed"]] == [1, 2, 3]
+            for failure in block["failed"]:
+                error = failure["error"]
+                assert error.startswith(
+                    f"{algo} run (seed {failure['seed']}) failed during optimization: "
+                    "objective returned non-finite value nan at params ["
+                ), error
+                assert error.endswith("] (seed 2)"), error
 
     def test_stage_times_split_evenly_across_the_batch(self, small_report):
         _, report = small_report

@@ -67,12 +67,10 @@ def one_seed(objective):
 
 def lone_spsa(objective, initial, max_iters, seed):
     """A one-seed lockstep run on a scalar objective, its gain calibrated
-    by the run, raised if it failed."""
+    by the run."""
     initial = np.asarray(initial, dtype=float)[None]
-    (outcome,) = spsa_lockstep(one_seed(objective), initial, max_iters, [seed])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    (result,) = spsa_lockstep(one_seed(objective), initial, max_iters, [seed])
+    return result
 
 
 class TestSpsaMinimize:
@@ -419,81 +417,6 @@ class TestLockstep:
             assert np.array_equal(got.trace, lone.trace)
             assert got.evaluations == lone.evaluations == 61
 
-    def test_non_finite_row_fails_only_its_seed(self):
-        # seed slot 1's 12th SPSA evaluation (the minus point of iteration
-        # 5, after its 2 * PROBES calibration probes) is infinite; the error
-        # is the one a lone run raises, and the other seeds are unaffected
-        objective, initial = self.batch("qaoa")
-        calls = {"n": 0}
-
-        def poisoned(points, owners):
-            values = objective(points, owners)
-            hit = np.flatnonzero(owners == 1)  # its plus row, then its minus row
-            calls["n"] += hit.size
-            if hit.size and calls["n"] >= 2 * PROBES + 12:
-                values[hit[-1]] = np.inf
-            return values
-
-        results = spsa_lockstep(poisoned, initial, 20, self.seeds)
-        clean = spsa_lockstep(objective, initial, 20, self.seeds)
-        assert isinstance(results[1], EvaluationError)
-        lone_calls = {"n": 0}
-
-        def lone(x):
-            lone_calls["n"] += 1
-            n = lone_calls["n"]
-            return np.inf if n >= 2 * PROBES + 12 and n % 2 == 0 else self.alone("qaoa", 1)(x)
-
-        with pytest.raises(EvaluationError) as exc:
-            lone_spsa(lone, initial[1], 20, self.seeds[1])
-        assert str(results[1]) == str(exc.value)
-        assert "non-finite value inf" in str(results[1])
-        for slot in (0, 2, 3):
-            assert np.array_equal(results[slot].best_params, clean[slot].best_params)
-            assert np.array_equal(results[slot].trace, clean[slot].trace)
-
-    def test_non_finite_calibration_fails_only_its_seed(self):
-        objective, initial = self.batch("vqe")
-
-        def poisoned(points, owners):
-            values = objective(points, owners)
-            values[owners == 2] = np.nan
-            return values
-
-        results = spsa_lockstep(poisoned, initial, 250, self.seeds)
-        clean = spsa_lockstep(objective, initial, 250, self.seeds)
-        assert isinstance(results[2], EvaluationError)
-        assert "non-finite value nan" in str(results[2])
-        for slot in (0, 1, 3):
-            assert results[slot].gain == clean[slot].gain
-
-    def test_calibration_fails_at_the_first_non_finite_probe(self):
-        # slot 1 is -inf at the minus point of probe 3 and nan at the plus
-        # point of probe 5; the error names the first of them in probe
-        # order, plus before minus, and the other seeds keep their gains
-        objective, initial = self.batch("vqe")
-        rng = np.random.default_rng([self.seeds[1], 0x5CA1])
-        deltas = [C * (rng.integers(0, 2, size=initial.shape[1]) * 2 - 1) for _ in range(6)]
-        poison = {
-            (initial[1] - deltas[3]).tobytes(): -np.inf,
-            (initial[1] + deltas[5]).tobytes(): np.nan,
-        }
-
-        def poisoned(points, owners):
-            values = objective(points, owners)
-            for r in np.flatnonzero(owners == 1):
-                values[r] = poison.get(points[r].tobytes(), values[r])
-            return values
-
-        results = spsa_lockstep(poisoned, initial, 250, self.seeds)
-        clean = spsa_lockstep(objective, initial, 250, self.seeds)
-        assert isinstance(results[1], EvaluationError)
-        assert str(results[1]) == (
-            f"objective returned non-finite value -inf at params {initial[1].tolist()}"
-        )
-        for slot in (0, 2, 3):
-            assert results[slot].gain == clean[slot].gain
-
 
 def reference_spsa(objective, initial, max_iters, a, seed):
     """SPSA written out for one seed, drawing one sign vector per
@@ -557,69 +480,68 @@ class TestDrawBlocks:
         gain = lone_spsa(bumpy, initial, 250, 5).gain
         assert gain == reference_gain(bumpy, initial, 250, 5, PROBES)
 
-    def test_seed_failing_in_a_later_block_leaves_the_others_exact(self):
-        # slot 1 turns non-finite at its plus point of iteration
-        # DRAW_BLOCK + 10, after its 2 * PROBES calibration probes and
-        # after it drew its second block
-        seeds, dim = (4, 9, 2), 7
-        initial = np.random.default_rng(1).uniform(-1, 1, (len(seeds), dim))
-        calls = {"n": 0}
+
+# each seed's calls: 2 * PROBES calibration probes (probe k's plus point is
+# call 2k + 1, its minus point 2k + 2), then a plus and a minus point per
+# iteration, then the final point
+FAIL_ITERS = 2 * DRAW_BLOCK + 5
+SPSA_CALL = 2 * PROBES
+
+
+class TestNonFinite:
+    """A non-finite value ends every seed of the batch with the error a
+    lone run of the seed it belongs to raises, plus that seed's number."""
+
+    seeds, dim = (4, 9, 2, 6), 5
+
+    @pytest.mark.parametrize(
+        "poison, first, start_value",
+        [
+            # calibration: the first non-finite probe in probe order, plus
+            # before minus, each reported at the seed's start point
+            ({1: {2 * 3 + 2: -np.inf, 2 * 5 + 1: np.nan}}, 1, -np.inf),
+            ({1: {2 * 4 + 1: np.nan, 2 * 4 + 2: -np.inf}}, 1, np.nan),
+            # an earlier probe of a later seed comes first
+            ({0: {2 * 4 + 1: np.nan}, 2: {2 * 1 + 2: np.inf}}, 2, np.inf),
+            # SPSA: the plus point of iteration 0, for one seed and for two
+            ({1: {SPSA_CALL + 1: np.nan}}, 1, None),
+            ({3: {SPSA_CALL + 1: np.nan}, 2: {SPSA_CALL + 1: np.inf}}, 2, None),
+            # the plus point of iteration DRAW_BLOCK + 10, in the second block
+            ({1: {SPSA_CALL + 2 * (DRAW_BLOCK + 10) + 1: np.nan}}, 1, None),
+            # the minus point of the last iteration, and the final point
+            ({1: {SPSA_CALL + 2 * FAIL_ITERS: np.nan}}, 1, None),
+            ({3: {SPSA_CALL + 2 * FAIL_ITERS + 1: np.inf}}, 3, None),
+        ],
+        ids=[
+            "probe-order", "probe-plus-before-minus", "probe-sets-before-slots",
+            "iteration-0-plus", "slots-in-order", "later-block", "last-minus", "final",
+        ],
+    )
+    def test_fails_every_seed_as_the_first_alone(self, poison, first, start_value):
+        initial = np.random.default_rng(2).uniform(-1, 1, (len(self.seeds), self.dim))
+        calls = dict.fromkeys(poison, 0)
 
         def objective(points, owners):
             values = np.array([bumpy(x) for x in points])
-            hit = np.flatnonzero(owners == 1)
-            calls["n"] += hit.size
-            if hit.size and calls["n"] > 2 * PROBES + 2 * (DRAW_BLOCK + 10):
-                values[hit] = np.nan
-            return values
-
-        results = spsa_lockstep(objective, initial, self.iters, seeds)
-        assert isinstance(results[1], EvaluationError)
-        for slot in (0, 2):
-            gain = results[slot].gain
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], self.iters, gain, seeds[slot])
-            assert np.array_equal(results[slot].best_params, best_x)
-            assert np.array_equal(results[slot].trace, trace)
-
-    def test_seeds_failing_at_the_first_and_the_last_iteration(self):
-        # after the 2 * PROBES calibration probes of each seed, slot 1 is
-        # non-finite at its first SPSA evaluation (the plus point of
-        # iteration 0), slot 3 at the minus point of the last iteration and
-        # slot 4 at the final evaluation; each fails as it would alone, and
-        # the seeds that never fail equal the written-out SPSA
-        seeds, dim, iters = (4, 9, 2, 6, 8), 5, DRAW_BLOCK + 6
-        initial = np.random.default_rng(2).uniform(-1, 1, (len(seeds), dim))
-        probes = 2 * PROBES
-        fail_at = {1: probes + 1, 3: probes + 2 * iters, 4: probes + 2 * iters + 1}
-        calls = dict.fromkeys(fail_at, 0)
-
-        def objective(points, owners):
-            values = np.array([bumpy(x) for x in points])
-            for slot, at in fail_at.items():
-                for r in np.flatnonzero(owners == slot):  # plus row, then minus row
+            for slot, at in poison.items():
+                for r in np.flatnonzero(owners == slot):  # in call order
                     calls[slot] += 1
-                    if calls[slot] == at:
-                        values[r] = np.nan
+                    values[r] = at.get(calls[slot], values[r])
             return values
 
-        def lone(at):
-            count = {"n": 0}
+        count = {"n": 0}
 
-            def f(x):
-                count["n"] += 1
-                return np.nan if count["n"] == at else bumpy(x)
+        def alone(x):
+            count["n"] += 1
+            return poison[first].get(count["n"], bumpy(x))
 
-            return f
-
-        results = spsa_lockstep(objective, initial, iters, seeds)
-        for slot, at in fail_at.items():
-            with pytest.raises(EvaluationError) as exc:
-                lone_spsa(lone(at), initial[slot], iters, seeds[slot])
-            assert isinstance(results[slot], EvaluationError)
-            assert str(results[slot]) == str(exc.value)
-        for slot in (0, 2):
-            gain = results[slot].gain
-            best_x, best_v, trace = reference_spsa(bumpy, initial[slot], iters, gain, seeds[slot])
-            assert np.array_equal(results[slot].best_params, best_x)
-            assert results[slot].best_value == best_v
-            assert np.array_equal(results[slot].trace, trace)
+        with pytest.raises(EvaluationError) as lone:
+            lone_spsa(alone, initial[first], FAIL_ITERS, self.seeds[first])
+        if start_value is not None:
+            assert str(lone.value) == (
+                f"objective returned non-finite value {start_value!r} "
+                f"at params {initial[first].tolist()}"
+            )
+        with pytest.raises(EvaluationError) as batch:
+            spsa_lockstep(objective, initial, FAIL_ITERS, self.seeds)
+        assert str(batch.value) == f"{lone.value} (seed {self.seeds[first]})"

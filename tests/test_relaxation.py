@@ -159,6 +159,17 @@ class TestThetasFromCstar:
             with pytest.raises(ValidationError, match=r"\[0, 1\]"):
                 WarmStart(c)
 
+    @pytest.mark.parametrize(
+        "c, shape",
+        [(np.full((2, 2), 0.4), "(2, 2)"), (0.3, "()"), ([], "(0,)")],
+        ids=["matrix", "scalar", "empty"],
+    )
+    def test_not_a_vector(self, c, shape):
+        # rejected before make_objective could fail unpacking the shape
+        with pytest.raises(ValidationError) as exc:
+            WarmStart(c)
+        assert str(exc.value) == f"c_star must be a non-empty vector, got shape {shape}"
+
 
 class TestSharedRestarts:
     def test_shared_ascents_equal_lone_runs(self, monkeypatch):
