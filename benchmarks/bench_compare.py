@@ -14,19 +14,19 @@ checkout this script lives in.  The topic recorded in the output is the
   medians of ``wall_s``, ``setup_s`` and ``peak_anon_mb`` are kept, and
   per side their median and quartiles are reported, with the number of
   pairs the after side won and every run's correctness verdict;
-- per evaluation: microseconds of one exact-energy evaluation of each
-  ansatz, as a one-row ``make_objective`` call and per row of a lockstep
-  batch of BATCH_ROWS rows (split into chunks of the row cap);
 - per layer: microseconds of one call of each layer of an evaluation (a
   real and a complex rotation layer, VQE's first layer on |0...0>, the
   cost phase, the CNOT-chain gather and the expectation) on a batch of
   min(BATCH_ROWS, row cap) rows;
 - side by side in one process (the before tree imported under another
   package name): seconds of one ``emit_report`` of a 14-qubit report,
-  microseconds per row of a QAOA batch evaluation and milliseconds of one
-  ``spsa_lockstep`` run, both sides alternating AB_LOOPS times on the
-  same input, with each side's median and quartiles, the share of loops
-  the after side won and whether both sides' outputs are equal;
+  microseconds of one exact-energy evaluation of each ansatz at each n
+  in QUBITS, as a one-row ``make_objective`` call and per row of a
+  lockstep batch of BATCH_ROWS rows (split into chunks of the row cap),
+  and milliseconds of one ``spsa_lockstep`` run, both sides alternating
+  AB_LOOPS times on the same input, with each side's median and
+  quartiles, the share of loops the after side won and whether both
+  sides' outputs are equal;
 - per step: microseconds of the optimizer's own work per SPSA iteration
   and per calibration probe, for STEP_SEEDS seeds in lockstep on a
   trivial batch objective, at each dimension in STEP_DIMS, from
@@ -77,10 +77,8 @@ PROBE_RUNS = 8
 PROBE_LOOPS = 7
 # interleaved before/after pairs per workload; a gain needs ten to show
 REPEATS = 10
-# alternations of the two sides in the side-by-side probes, and the
-# qubit counts of the QAOA one
+# alternations of the two sides in the side-by-side probes
 AB_LOOPS = 30
-AB_QUBITS = (5, 6, 10, 14)
 OUT_NAME = re.compile(r"BENCH_(\w+)\.json")
 
 
@@ -118,37 +116,6 @@ def _ising(n: int):
     rng = np.random.default_rng(n)
     w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), k=1)
     return rng, ising_from_graph(WeightedGraph(weights=w + w.T))
-
-
-def probe_evals() -> dict:
-    """{kind: {n: {"one_row": us, "batched": us}}} per exact evaluation."""
-    import numpy as np
-    from cutclust import WarmStart, make_objective
-    from cutclust.optimizer import make_ansatz, row_energies
-
-    _warm_heap()
-    out: dict = {}
-    for kind in KINDS:
-        out[kind] = {}
-        for n in QUBITS:
-            rng, ising = _ising(n)
-            warms = [WarmStart(rng.uniform(0.1, 0.9, n)) for _ in range(BATCH_ROWS)]
-            objective, dim = make_objective(kind, ising, warm=warms[0])
-            params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, dim))
-            prepare, _ = make_ansatz(kind, ising, warm=warms if kind == "ws-qaoa" else None)
-            owners = np.arange(BATCH_ROWS)
-            batches = max(1, 2**11 // 2**n)
-            # both loops evaluate the same batches * BATCH_ROWS points
-            one_row, batched = _best_us(
-                [
-                    lambda: [objective(x) for _ in range(batches) for x in params],
-                    lambda: [row_energies(prepare, ising, params, owners) for _ in range(batches)],
-                ],
-                1,
-            )
-            scale = batches * BATCH_ROWS
-            out[kind][str(n)] = {"one_row": one_row / scale, "batched": batched / scale}
-    return out
 
 
 def probe_layers() -> dict:
@@ -245,24 +212,51 @@ def _side_by_side(fns: dict, loops: int) -> dict:
     return out
 
 
+def _evaluators(modules: dict, kind: str, n: int, energies, c_stars):
+    """``(one_row, batched, dim)`` through one side's ``modules``:
+    ``one_row(params)`` evaluates each row of ``params`` as a one-row
+    ``make_objective`` call from the first warm start, ``batched(params)``
+    all rows as one ``row_energies`` batch, row r from warm start r."""
+    import numpy as np
+
+    optimizer = modules["optimizer"]
+    ising = modules["graph_model"].IsingDiagonal(n, energies)
+    warms = [modules["ansatz"].WarmStart(c) for c in c_stars]
+    objective, dim = optimizer.make_objective(kind, ising, warm=warms[0])
+    prepare, _ = optimizer.make_ansatz(kind, ising, warm=warms if kind == "ws-qaoa" else None)
+    owners = np.arange(len(warms))
+
+    def one_row(params):
+        return np.array([objective(x) for x in params])
+
+    def batched(params):
+        return optimizer.row_energies(prepare, ising, params, owners)
+
+    return one_row, batched, dim
+
+
 def probe_side_by_side(before_src: str) -> dict:
-    """{"emit_report_s": ..., "qaoa_eval_us": {n: ...}, "spsa_lockstep_ms":
-    {d: ...}}: the side-by-side figures of :func:`_side_by_side`, with
-    ``identical`` set when both sides wrote the same report.json and
-    histograms, computed the same energies to the bit, or returned the
-    same gains, traces and best points to the bit.
+    """{"emit_report_s": ..., "eval_us": {kind: {n: {"one_row" | "batched":
+    ...}}}, "spsa_lockstep_ms": {d: ...}}: the side-by-side figures of
+    :func:`_side_by_side`, with ``identical`` set when both sides wrote the
+    same report.json and histograms, computed the same energies to the
+    bit, or returned the same gains, traces and best points to the bit.
 
     The report is the after side's run of every algorithm with two seeds
-    on a 14-qubit synthetic instance, emitted in every format; the QAOA
-    figure is per row of a BATCH_ROWS-row ``row_energies`` batch at p = 1
-    on the graph of the other probes; the SPSA figure is one
+    on a 14-qubit synthetic instance, emitted in every format; an
+    evaluation figure is per point of BATCH_ROWS points at the defaults
+    (p = 1, five VQE repetitions) on the graph of the other probes, in
+    rounds of 2^11 amplitudes or more; the SPSA figure is one
     ``spsa_lockstep`` run of STEP_SEEDS seeds and the default 250
     iterations on a sum of squares, at each dimension in STEP_DIMS."""
     import numpy as np
     from cutclust.bench import RunConfig, emit_report, run_benchmark
 
     _import_as(Path(before_src), "cutclust_before")
-    old = {m: importlib.import_module(f"cutclust_before.{m}") for m in ("bench", "graph_model", "optimizer")}
+    names = ("ansatz", "bench", "graph_model", "optimizer")
+    sides = {side: {m: importlib.import_module(f"{package}.{m}") for m in names}
+             for side, package in (("before", "cutclust_before"), ("after", "cutclust"))}
+    old = sides["before"]
     sys.path.insert(0, str(AFTER / "perfbench"))
     from workloads import synth_csv
 
@@ -282,28 +276,25 @@ def probe_side_by_side(before_src: str) -> dict:
             (dirs["before"] / f).read_bytes() == (dirs["after"] / f).read_bytes() for f in files
         )
 
-    from cutclust.optimizer import make_ansatz, row_energies
-
-    out["qaoa_eval_us"] = {}
-    owners = np.arange(BATCH_ROWS)
-    for n in AB_QUBITS:
-        rng, ising = _ising(n)
-        params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, 2))
-        old_ising = old["graph_model"].IsingDiagonal(n, ising.energies)
-        prepare = {"before": old["optimizer"].make_ansatz("qaoa", old_ising)[0],
-                   "after": make_ansatz("qaoa", ising)[0]}
-        energies = {"before": lambda: old["optimizer"].row_energies(prepare["before"], old_ising, params, owners),
-                    "after": lambda: row_energies(prepare["after"], ising, params, owners)}
-        batches = max(1, 2**11 // 2**n)
-        scale = 1e6 / (batches * BATCH_ROWS)
-        row = _side_by_side(
-            {side: (lambda fn=fn: [fn() for _ in range(batches)]) for side, fn in energies.items()},
-            AB_LOOPS,
-        )
-        for side in energies:
-            row[side] = [t * scale for t in row[side]]
-        row["identical"] = energies["before"]().tobytes() == energies["after"]().tobytes()
-        out["qaoa_eval_us"][str(n)] = row
+    out["eval_us"] = {kind: {} for kind in KINDS}
+    for kind in KINDS:
+        for n in QUBITS:
+            rng, ising = _ising(n)
+            c_stars = rng.uniform(0.1, 0.9, size=(BATCH_ROWS, n))
+            ways = {side: _evaluators(mods, kind, n, ising.energies, c_stars) for side, mods in sides.items()}
+            params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, ways["after"][2]))
+            # both sides evaluate the same batches * BATCH_ROWS points
+            batches = max(1, 2**11 // 2**n)
+            scale = 1e6 / (batches * BATCH_ROWS)
+            figures = {}
+            for i, way in enumerate(("one_row", "batched")):
+                fns = {side: (lambda fn=w[i]: [fn(params) for _ in range(batches)]) for side, w in ways.items()}
+                row = _side_by_side(fns, AB_LOOPS)
+                for side in fns:
+                    row[side] = [t * scale for t in row[side]]
+                row["identical"] = ways["before"][i](params).tobytes() == ways["after"][i](params).tobytes()
+                figures[way] = row
+            out["eval_us"][kind][str(n)] = figures
 
     from cutclust.optimizer import spsa_lockstep
 
@@ -455,7 +446,7 @@ def main() -> int:
             }
         end_to_end[workload]["all_correct"] = all(x["correct"] for s in sides for x in by_side[s])
 
-    probes: dict = {name: {side: [] for side in sides} for name in ("evals", "layers", "steps")}
+    probes: dict = {name: {side: [] for side in sides} for name in ("layers", "steps")}
     for _, side, root in interleaved(sides, PROBE_RUNS):
         for name in probes:
             probes[name][side].append(run_probe(root, name))
@@ -469,17 +460,6 @@ def main() -> int:
 
         return min(get(p) for p in probes[name][side])
 
-    per_eval = {
-        kind: {
-            str(n): {
-                f"{side}_{key}_us": fastest("evals", side, kind, str(n), key)
-                for side in sides
-                for key in ("one_row", "batched")
-            }
-            for n in QUBITS
-        }
-        for kind in KINDS
-    }
     layer_names = list(probes["layers"]["after"][0])
     per_layer = {
         name: {str(n): {side: fastest("layers", side, name, str(n)) for side in sides} for n in QUBITS}
@@ -497,13 +477,12 @@ def main() -> int:
         "machine": machine(),
         "repeats": REPEATS,
         "statistic": "end_to_end: median and quartiles over repeats of each perfbench/run.py "
-        "call's median, after_wins = pairs where after < before; per_eval_us and "
-        f"per_layer_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
-        f"{PROBE_LOOPS} alternating loops (per_step_us likewise); side_by_side: quartiles "
+        "call's median, after_wins = pairs where after < before; per_layer_us and "
+        f"per_step_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
+        f"{PROBE_LOOPS} alternating loops; side_by_side: quartiles "
         f"[q1, median, q3] per side over {AB_LOOPS} alternations in one process, after_wins "
         "= loops where after < before",
         "end_to_end": end_to_end,
-        "per_eval_us": per_eval,
         "per_layer_us": per_layer,
         "per_step_us": per_step,
         "step_seeds": STEP_SEEDS,

@@ -83,13 +83,6 @@ def _mixer_unitaries(hams: np.ndarray, betas) -> np.ndarray:
     return np.cos(betas) * IDENTITY - 1j * np.sin(betas) * hams
 
 
-def transverse_field(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard QAOA's per-qubit mixer Hamiltonian X and start |+...+>, as
-    one row each for :func:`qaoa_rows`; exp(-i beta X) = R_x(2 beta)."""
-    uniform = np.full((1, 2**n), 2.0 ** (-n / 2.0))
-    return np.broadcast_to(PAULI_X, (1, n, 2, 2)), uniform
-
-
 def warm_start_rows(warms: Sequence[WarmStart], n: int) -> tuple[np.ndarray, np.ndarray]:
     """ws-QAOA's per-qubit mixer Hamiltonians and R_y(theta_i) product
     start state, one row per warm start, for :func:`qaoa_rows`."""
@@ -122,14 +115,14 @@ def qaoa_rows(
 
 
 def qaoa_half_rows(ising: IsingDiagonal, betas: np.ndarray, gammas: np.ndarray) -> np.ndarray:
-    """Standard QAOA on half the state: ``qaoa_rows(ising,
-    *transverse_field(n), betas, gammas)``, bit for bit, for a mirrored
-    ``ising``.
+    """Standard QAOA on half the state: :func:`qaoa_rows` from |+...+>
+    with the mixer X on every qubit (exp(-i beta X) = R_x(2 beta)), bit
+    for bit.
 
-    The cost, |+...+> and the X mixer all commute with X on every qubit,
-    so each state keeps psi[2^n - 1 - k] == psi[k]; only the first half,
-    with qubit n-1 at 0, is simulated.  Gates 0..n-2 never pair it with
-    the second half, which is the first reversed, so gate n-1 gives
+    The cut cost, |+...+> and the X mixer all commute with X on every
+    qubit, so each state keeps psi[2^n - 1 - k] == psi[k]; only the first
+    half, with qubit n-1 at 0, is simulated.  Gates 0..n-2 never pair it
+    with the second half, which is the first reversed, so gate n-1 gives
     ``u00 * half + u01 * half[:, ::-1]``, the products and sum of the
     whole-state gate."""
     n = ising.n

@@ -10,7 +10,7 @@ ground states of the Ising diagonal are exactly the maximum cuts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,8 @@ class WeightedGraph:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValidationError("weights must be a square matrix")
+        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
+            raise ValidationError(f"weights must be a non-empty square matrix, got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValidationError("weights must be finite")
         if not np.allclose(w, w.T, atol=1e-12):
@@ -86,22 +86,31 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class IsingDiagonal:
-    """Diagonal cost energies over all 2^n bitstrings.
+    """Finite cut energies over all 2^n bitstrings, n >= 1.
 
-    ``mirrored`` records that energies[2^n - 1 - k] == energies[k] exactly
-    for every k, i.e. E(x) == E(~x), as for every diagonal that
-    ising_from_graph builds; the cost phase then computes half of it."""
+    A cut keeps its weight when its two sides swap, so energies[k] ==
+    energies[2^n - 1 - k] exactly for every k, i.e. E(x) == E(~x); a
+    diagonal without that symmetry is rejected, and the cost phase
+    computes half of it."""
 
     n: int
     energies: np.ndarray
-    mirrored: bool = field(init=False)
 
     def __post_init__(self):
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValidationError(f"n must be an integer >= 1, got {n!r}")
         e = np.asarray(self.energies, dtype=float)
-        if e.shape != (2**self.n,):
-            raise ValidationError(f"energies must have length 2^{self.n}")
+        if e.shape != (2**n,):
+            raise ValidationError(f"energies must have length 2^{n}")
+        bad = np.flatnonzero(~np.isfinite(e))
+        if bad.size:
+            raise ValidationError(f"energies[{bad[0]}] = {e[bad[0]]} is not finite")
+        bad = np.flatnonzero(e != e[::-1])
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(f"energies[{k}] != energies[{e.size - 1 - k}]: not a cut diagonal")
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "mirrored", bool(np.array_equal(e, e[::-1])))
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,10 @@ class QuboProblem:
         quad = np.asarray(self.quadratic, dtype=float)
         if lin.ndim != 1 or quad.shape != (lin.size, lin.size):
             raise ValidationError("linear must be length n and quadratic n x n")
+        for name, a in (("linear", lin), ("quadratic", quad)):
+            bad = np.argwhere(~np.isfinite(a))
+            if bad.size:
+                raise ValidationError(f"{name}{bad[0].tolist()} = {a[tuple(bad[0])]} is not finite")
         if not np.allclose(quad, quad.T, atol=1e-12):
             raise ValidationError("quadratic must be symmetric")
         object.__setattr__(self, "linear", lin)
@@ -153,7 +166,7 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     """Diagonal energies E(x) = -cut(x) for every bitstring x.
 
     Uses cut(x) = x^T W (1 - x); only the half with qubit n-1 = 0 is
-    computed and the rest mirrored, so energies[x] == energies[~x] exactly.
+    computed and copied in reverse, so energies[x] == energies[~x] exactly.
     """
     n = graph.n
     if n > QUBIT_CAP:
@@ -189,5 +202,8 @@ def cut_value(graph: WeightedGraph, assignment) -> float:
         raise ValidationError(
             f"assignment length {bits.size} does not match {graph.n} nodes"
         )
+    bad = np.flatnonzero((bits != 0) & (bits != 1))
+    if bad.size:
+        raise ValidationError(f"assignment entry {bits[bad[0]]} at node {bad[0]} is not 0 or 1")
     diff = bits[:, None] != bits[None, :]
     return float((graph.weights * diff).sum() / 2.0)

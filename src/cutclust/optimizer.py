@@ -18,7 +18,6 @@ from .ansatz import (
     WarmStart,
     qaoa_half_rows,
     qaoa_rows,
-    transverse_field,
     vqe_param_count,
     vqe_rows,
     warm_start_rows,
@@ -273,26 +272,18 @@ def make_ansatz(
     belongs to seed slot ``owners[r]``, which picks its warm start from
     ``warm``, one per slot.  QAOA and ws-QAOA take
     ``[beta_1..beta_p, gamma_1..gamma_p]`` (p >= 1); VQE takes the stacked
-    rotation angles of ``vqe_reps >= 0`` repetitions.  QAOA on a mirrored
-    diagonal simulates half of each state (:func:`qaoa_half_rows`).
-    This is the only place that knows which builder belongs to which
-    algorithm.
+    rotation angles of ``vqe_reps >= 0`` repetitions.  QAOA simulates
+    half of each state (:func:`qaoa_half_rows`).  This is the only place
+    that knows which builder belongs to which algorithm.
     """
     for name, value, least in (("p", p, 1), ("vqe_reps", vqe_reps, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-    if kind == "qaoa" and ising.mirrored:
+    if kind == "qaoa":
         dim = 2 * p
 
         def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
             return qaoa_half_rows(ising, params[:, :p], params[:, p:])
-
-    elif kind == "qaoa":
-        dim = 2 * p
-        hams, initial = transverse_field(ising.n)
-
-        def prepare(params: np.ndarray, owners: np.ndarray) -> np.ndarray:
-            return qaoa_rows(ising, hams, initial, params[:, :p], params[:, p:])
 
     elif kind == "ws-qaoa":
         if warm is None:

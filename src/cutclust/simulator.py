@@ -138,11 +138,10 @@ def _half_phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
 
 
 def _phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
-    energies = ising.energies
-    if not ising.mirrored:
-        return np.exp(-1j * gammas[:, None] * energies)
-    half = energies.size // 2
-    phase = np.empty((gammas.size, energies.size), complex)
+    """exp(-i gammas[r] E(x)) for every x: the first half's phases, copied
+    in reverse to the second half, whose energies are the same."""
+    half = ising.energies.size // 2
+    phase = np.empty((gammas.size, 2 * half), complex)
     phase[:, :half] = _half_phases(gammas, ising)
     phase[:, half:] = phase[:, half - 1 :: -1]
     return phase
@@ -153,22 +152,19 @@ def apply_diagonal_phase_rows(
 ) -> np.ndarray:
     """Multiply amplitude[r, x] by exp(-i gammas[r] E(x)).
 
-    For a mirrored diagonal (``ising.mirrored``) the phases of the first
-    half are computed and copied in reverse to the second, which holds
-    the same values.  The phases enter the product as a temporary, so
-    from ELIDE_BYTES on numpy computes ``phase * psi``;
-    :func:`apply_half_phase_rows` rounds the same way on half the
-    state."""
-    # both ways of computing the phases must give numpy this expression
+    The phases enter the product as a temporary, so from ELIDE_BYTES on
+    numpy computes ``phase * psi``; :func:`apply_half_phase_rows` rounds
+    the same way on half the state."""
     return psi * _phases(gammas, ising)
 
 
 def apply_half_phase_rows(
     half: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
 ) -> np.ndarray:
-    """The cost phase on the first halves of mirrored states (the
-    amplitudes with qubit n-1 at 0), bit-identical to the first half of
-    :func:`apply_diagonal_phase_rows` on the whole states.
+    """The cost phase on the first halves of states that keep
+    psi[2^n - 1 - k] == psi[k] (the amplitudes with qubit n-1 at 0),
+    bit-identical to the first half of :func:`apply_diagonal_phase_rows`
+    on the whole states.
 
     The operands go in the order numpy uses for the whole states: from
     ELIDE_BYTES on, the whole product is computed as ``phase * psi``, and

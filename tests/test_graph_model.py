@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cutclust.errors import ValidationError
 from cutclust.graph_model import (
     Dataset,
     IsingDiagonal,
+    QuboProblem,
     WeightedGraph,
     bits_from_index,
     cut_value,
@@ -147,19 +149,21 @@ class TestIsingFromGraph:
 
 
 class TestMirrored:
-    """IsingDiagonal.mirrored: E(x) == E(~x) exactly, and the cost phase
-    that takes half of the spectrum because of it."""
+    """IsingDiagonal holds E(x) == E(~x) exactly, as every cut diagonal
+    does, and the cost phase takes half of the spectrum because of it."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 14])
     def test_graph_diagonals_are_mirrored(self, n):
-        ising = ising_from_graph(random_graph(np.random.default_rng(n), n))
-        assert ising.mirrored is True
+        energies = ising_from_graph(random_graph(np.random.default_rng(n), n)).energies
+        assert energies.tobytes() == energies[::-1].tobytes()
 
     def test_one_perturbed_energy_is_not_mirrored(self):
+        # one ulp off its complement's energy is not a cut diagonal
         energies = ising_from_graph(random_graph(np.random.default_rng(3), 5)).energies.copy()
-        assert IsingDiagonal(n=5, energies=energies).mirrored
+        IsingDiagonal(n=5, energies=energies)
         energies[6] = np.nextafter(energies[6], np.inf)
-        assert IsingDiagonal(n=5, energies=energies).mirrored is False
+        with pytest.raises(ValidationError, match=r"energies\[6\] != energies\[25\]: not a cut"):
+            IsingDiagonal(n=5, energies=energies)
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_single_state_phase_equals_the_phase_of_every_energy(self, n):
@@ -217,6 +221,51 @@ class TestCutValue:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             cut_value(single_edge(), [0, 1, 0])
+
+    @pytest.mark.parametrize("bits, node, entry", [([2, 0], 0, "2"), ([0, 0.5], 1, "0.5"), ([1, -1], 1, "-1")])
+    def test_entries_must_be_bits(self, bits, node, entry):
+        # a 2 differs from a 0 as a 1 does, so it would count as a cut
+        with pytest.raises(ValidationError, match=rf"assignment entry {entry} at node {node} is not 0 or 1"):
+            cut_value(single_edge(), bits)
+
+    def test_booleans_are_bits(self):
+        assert cut_value(single_edge(2.0), np.array([True, False])) == 2.0
+
+
+class TestRejection:
+    """Invalid input fails when its type is built, before any compute,
+    naming the value or index at fault."""
+
+    @pytest.mark.parametrize("n", [0, 2.0, True])
+    def test_ising_qubit_count_is_an_integer_of_at_least_one(self, n):
+        # 2**n energies, so only the check on n can fail
+        with pytest.raises(ValidationError, match=rf"n must be an integer >= 1, got {n!r}$"):
+            IsingDiagonal(n=n, energies=np.zeros(2 ** int(n)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_ising_energies_are_finite(self, value):
+        # a complementary pair, so only finiteness fails
+        energies = np.zeros(8)
+        energies[[3, 4]] = value
+        with pytest.raises(ValidationError, match=rf"energies\[3\] = {value} is not finite"):
+            IsingDiagonal(n=3, energies=energies)
+
+    @pytest.mark.parametrize("where, index", [("linear", "[1]"), ("quadratic", "[0, 2]")])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_qubo_entries_are_finite(self, where, index, value):
+        # a NaN objective never beats -inf, so relax_qubo would have no best point
+        q = qubo_from_graph(triangle())
+        lin, quad = q.linear.copy(), q.quadratic.copy()
+        if where == "linear":
+            lin[1] = value
+        else:
+            quad[0, 2] = quad[2, 0] = value
+        with pytest.raises(ValidationError, match=re.escape(f"{where}{index} = {value} is not finite")):
+            QuboProblem(linear=lin, quadratic=quad)
+
+    def test_graph_has_a_node(self):
+        with pytest.raises(ValidationError, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            WeightedGraph(weights=np.zeros((0, 0)))
 
 
 class TestInvariants:

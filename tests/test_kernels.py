@@ -27,7 +27,6 @@ from cutclust.ansatz import (
     WarmStart,
     qaoa_half_rows,
     qaoa_rows,
-    transverse_field,
     vqe_rows,
     ws_mixer_hamiltonian,
 )
@@ -76,6 +75,14 @@ def apply_1q_rows(psi: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     out[:, :, 0] = u[:, 0, 0] * a0 + u[:, 0, 1] * a1
     out[:, :, 1] = u[:, 1, 0] * a0 + u[:, 1, 1] * a1
     return out.reshape(rows, -1)
+
+
+def transverse_field(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard QAOA's mixer Hamiltonian X on every qubit and its start
+    |+...+>, one row each, as the whole-state builder qaoa_rows takes them:
+    the reference that half-state QAOA must equal bit for bit."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.broadcast_to(x, (1, n, 2, 2)), np.full((1, 2**n), 2.0 ** (-n / 2.0))
 
 
 def random_graph(rng, n, high=1.0):
@@ -457,20 +464,19 @@ class TestMirroredPhase:
         # products differently; both ways must do as the plain expression
         rng = np.random.default_rng(200 + n)
         ising = ising_from_graph(random_graph(rng, n, 3.0))
-        assert ising.mirrored
         psi = random_rows(rng, rows, n)
         gammas = rng.uniform(-np.pi, np.pi, rows)
         expected = psi * np.exp(-1j * gammas[:, None] * ising.energies)
         half = apply_diagonal_phase_rows(psi, gammas, ising)
         assert half.tobytes() == expected.tobytes()
-        # the same energies but one: the phase of every energy
-        energies = ising.energies.copy()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 14])
+    def test_one_skewed_energy_is_rejected(self, n):
+        # the same energies but one: no half of them gives every phase
+        energies = ising_from_graph(random_graph(np.random.default_rng(200 + n), n, 3.0)).energies
         energies[0] += 1.0
-        skewed = IsingDiagonal(n=n, energies=energies)
-        assert not skewed.mirrored
-        full = apply_diagonal_phase_rows(psi, gammas, skewed)
-        expected = psi * np.exp(-1j * gammas[:, None] * energies)
-        assert full.tobytes() == expected.tobytes()
+        with pytest.raises(ValidationError, match=rf"energies\[0\] != energies\[{2**n - 1}\]"):
+            IsingDiagonal(n=n, energies=energies)
 
     def test_one_start_row_serves_every_angle(self):
         # QAOA starts all rows from one |+...+> row
@@ -483,23 +489,11 @@ class TestMirroredPhase:
         expected = psi * np.exp(-1j * gammas[:, None] * ising.energies)
         assert half.tobytes() == expected.tobytes()
 
-    def test_diagonal_that_is_not_mirrored_takes_the_full_phase(self):
-        rng = np.random.default_rng(10)
-        n, p, rows = 5, 2, 3
-        ising = IsingDiagonal(n=n, energies=rng.normal(size=2**n))
-        assert not ising.mirrored
-        prepare, dim = make_ansatz("qaoa", ising, p=p)
-        params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
-        psi = prepare(params, np.zeros(rows, dtype=int))
-        # reference: the phase of every energy, then the R_x mixers
-        ref = np.full((rows, 2**n), 2.0 ** (-n / 2), dtype=complex)
-        for layer in range(p):
-            ref = ref * np.exp(-1j * params[:, p + layer, None] * ising.energies)
-            mixers = np.stack([np.stack([rx(2 * b)] * n) for b in params[:, layer]])
-            ref = gate_loop(ref, mixers)
-        assert np.allclose(psi, ref, atol=1e-12)
-        angles = params[:, :p], params[:, p:]
-        assert np.array_equal(psi, qaoa_rows(ising, *transverse_field(n), *angles))
+    def test_diagonal_that_is_not_mirrored_is_rejected(self):
+        # random energies: make_ansatz is never reached
+        energies = np.random.default_rng(10).normal(size=32)
+        with pytest.raises(ValidationError, match=r"energies\[0\] != energies\[31\]"):
+            IsingDiagonal(n=5, energies=energies)
 
 
 class TestHalfStateQaoa:
@@ -522,12 +516,10 @@ class TestHalfStateQaoa:
         assert np.array_equal(half, whole)
         assert half.tobytes() == whole.tobytes()
 
-    def test_make_ansatz_takes_it_only_on_a_mirrored_diagonal(self, monkeypatch):
+    def test_make_ansatz_takes_it(self, monkeypatch):
         rng = np.random.default_rng(31)
         n, p, rows = 6, 2, 4
-        mirrored = ising_from_graph(random_graph(rng, n))
-        skewed = IsingDiagonal(n=n, energies=rng.normal(size=2**n))
-        assert mirrored.mirrored and not skewed.mirrored
+        ising = ising_from_graph(random_graph(rng, n))
         calls = []
 
         def counted(*args):
@@ -536,18 +528,23 @@ class TestHalfStateQaoa:
 
         monkeypatch.setattr(optimizer, "qaoa_half_rows", counted)
         params = rng.uniform(-np.pi, np.pi, size=(rows, 2 * p))
-        owners = np.zeros(rows, dtype=int)
-        for ising in (mirrored, skewed):
-            prepare, _ = make_ansatz("qaoa", ising, p=p)
-            psi = prepare(params, owners)
-            whole = qaoa_rows(ising, *transverse_field(n), params[:, :p], params[:, p:])
-            assert psi.tobytes() == whole.tobytes()
-        assert calls == [mirrored]
+        prepare, _ = make_ansatz("qaoa", ising, p=p)
+        psi = prepare(params, np.zeros(rows, dtype=int))
+        assert calls == [ising]
+        whole = qaoa_rows(ising, *transverse_field(n), params[:, :p], params[:, p:])
+        assert psi.tobytes() == whole.tobytes()
+        # and an independent reference: the phase of every energy, then
+        # the R_x mixers, one gate at a time
+        ref = np.full((rows, 2**n), 2.0 ** (-n / 2), dtype=complex)
+        for layer in range(p):
+            ref = ref * np.exp(-1j * params[:, p + layer, None] * ising.energies)
+            mixers = np.stack([np.stack([rx(2 * b)] * n) for b in params[:, layer]])
+            ref = gate_loop(ref, mixers)
+        assert np.allclose(psi, ref, atol=1e-12)
 
     def test_one_qubit(self):
         # the one gate is gate n-1, and the half is a single amplitude
         ising = IsingDiagonal(n=1, energies=np.array([0.7, 0.7]))
-        assert ising.mirrored
         rng = np.random.default_rng(1)
         betas, gammas = rng.uniform(-np.pi, np.pi, size=(2, 3, 2))
         whole = qaoa_rows(ising, *transverse_field(1), betas, gammas)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cutclust.ansatz import transverse_field
 from cutclust.errors import ValidationError
 from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph
+from cutclust.optimizer import make_ansatz
 from cutclust.simulator import (
     apply_diagonal_phase_rows,
     apply_layer_rows,
@@ -54,6 +54,13 @@ def plus_row(n: int) -> np.ndarray:
     return np.full((1, 2**n), 2.0 ** (-n / 2.0), dtype=complex)
 
 
+def qaoa_start(ising: IsingDiagonal) -> np.ndarray:
+    """Standard QAOA's state at zero angles, where every layer is the
+    identity: its start state, as one row."""
+    prepare, dim = make_ansatz("qaoa", ising)
+    return prepare(np.zeros((1, dim)), np.zeros(1, dtype=int))
+
+
 def random_state(rng, n) -> np.ndarray:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     amps /= np.linalg.norm(amps)
@@ -97,11 +104,12 @@ class TestNewState:
         assert np.allclose(psi[0], [1.0, 0.0])
 
     def test_plus_2q(self):
-        _, psi = transverse_field(2)
+        psi = qaoa_start(single_edge_ising())
         assert np.allclose(psi[0], [0.5, 0.5, 0.5, 0.5])
 
     def test_plus_3q_norm(self):
-        _, psi = transverse_field(3)
+        psi = qaoa_start(ising_from_graph(WeightedGraph(weights=np.ones((3, 3)) - np.eye(3))))
+        assert np.allclose(psi[0], 8**-0.5)
         assert norm_error(psi) < 1e-12
 
 
