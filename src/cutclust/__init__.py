@@ -20,7 +20,6 @@ from .bench import (
     emit_report,
     load_dataset,
     resolve_dataset,
-    run_algorithm,
     run_benchmark,
     shipped_datasets,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "qubo_from_graph",
     "relax_qubo",
     "resolve_dataset",
-    "run_algorithm",
     "run_benchmark",
     "shipped_datasets",
     "spsa_minimize",

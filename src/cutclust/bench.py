@@ -15,7 +15,9 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import operator
+import os
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -84,9 +86,10 @@ CONVENTIONS = {
 class RunConfig:
     """Full benchmark configuration: the settings of ``bench run``.
 
-    ``dataset`` is a filesystem path or the name of a shipped file
-    (``cars``, ``wine``).  ``columns=None`` selects every feature column
-    in the file.  ``epsilon`` is the warm-start clipping bound and
+    ``dataset`` is a filesystem path (a ``str`` or ``os.PathLike``, kept
+    as a ``str``) or the name of a shipped file (``cars``, ``wine``).
+    ``columns`` is a tuple of column names, or ``None`` for every feature
+    column in the file.  ``epsilon`` is the warm-start clipping bound and
     ``spsa_iters`` the SPSA budget; each seed's gain is calibrated, and
     the rest of SPSA's schedule and the relaxation's budget are constants.
     """
@@ -103,6 +106,19 @@ class RunConfig:
     spsa_iters: int = 250
 
     def __post_init__(self) -> None:
+        # a wrong type would fail late or be echoed into report.json as given
+        dataset = os.fspath(self.dataset) if isinstance(self.dataset, (str, os.PathLike)) else None
+        if not isinstance(dataset, str):
+            raise ValidationError(f"dataset must be a str or os.PathLike, got {self.dataset!r}")
+        object.__setattr__(self, "dataset", dataset)
+        if self.columns is not None and not (
+            isinstance(self.columns, tuple) and all(isinstance(c, str) for c in self.columns)
+        ):
+            raise ValidationError(f"columns must be None or a tuple of str, got {self.columns!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValidationError(f"normalize must be a bool, got {self.normalize!r}")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, numbers.Real):
+            raise ValidationError(f"epsilon must be a real number, got {self.epsilon!r}")
         if self.algorithm not in ALGORITHMS + ("all",):
             raise ValidationError(
                 f"algorithm must be one of {ALGORITHMS + ('all',)}, got {self.algorithm!r}"
@@ -335,56 +351,23 @@ def build_problem(dataset: Dataset) -> Problem:
     return Problem(dataset=dataset, graph=graph, ising=ising, solution=exact_solve(ising))
 
 
-def _load_problem(config: RunConfig) -> tuple[Path, Problem, float]:
-    """The dataset file of ``config`` and its problem, with the seconds the
-    build took: the one load path of :func:`run_benchmark` and
-    :func:`run_algorithm`.  A file over the qubit cap is rejected before
-    any distance is computed, and every invalid input fails as a
-    ``ValidationError`` naming the file."""
-    path = resolve_dataset(config.dataset)
-    dataset = load_dataset(path, config.columns, config.normalize)
-    if dataset.n > QUBIT_CAP:
-        raise ValidationError(f"{path}: {dataset.n} data rows exceed the cap of {QUBIT_CAP} qubits")
-    t0 = time.perf_counter()
-    try:
-        problem = build_problem(dataset)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return path, problem, time.perf_counter() - t0
-
-
-def _stage_error(algorithm: str, seed: int, stage: str, exc: Exception) -> RuntimeError:
-    err = RuntimeError(f"{algorithm} run (seed {seed}) failed during {stage}: {exc}")
-    err.__cause__ = exc
-    return err
-
-
-def _warm_starts(
-    config: RunConfig, problem: Problem, seeds: tuple[int, ...], timings: dict
-) -> dict[int, WarmStart | Exception]:
+def _warm_starts(config: RunConfig, problem: Problem, timings: dict) -> list[WarmStart]:
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
     # seeds fewer than relaxation.RESTARTS apart share restarts; each
     # distinct start is ascended once, in the run of the first seed using it
     ascents: dict[int, tuple] = {}
-    warms: dict[int, WarmStart | Exception] = {}
-    for seed in seeds:
+    warms = []
+    for seed in config.seeds:
         t0 = time.perf_counter()
-        try:
-            relaxed = relax_qubo(qubo, seed, ascents)
-            warms[seed] = WarmStart(clip_cstar(relaxed.c_star, config.epsilon))
-        except Exception as exc:
-            warms[seed] = _stage_error("ws-qaoa", seed, "relaxation", exc)
+        relaxed = relax_qubo(qubo, seed, ascents)
+        warms.append(WarmStart(clip_cstar(relaxed.c_star, config.epsilon)))
         timings[seed]["relaxation"] = time.perf_counter() - t0
     return warms
 
 
 def _optimize(
-    config: RunConfig,
-    algorithm: str,
-    problem: Problem,
-    seeds: tuple[int, ...],
-    warms: dict[int, WarmStart],
+    config: RunConfig, algorithm: str, problem: Problem, warm: list[WarmStart] | None
 ) -> list[dict[str, Any]]:
     """Optimization stage of every seed at once.
 
@@ -398,6 +381,7 @@ def _optimize(
     raises ``EvaluationError``, which ends every seed of the batch.
     """
     ising = problem.ising
+    seeds = config.seeds
     if algorithm == "exact":
         sol = problem.solution
         probs = np.zeros(2**ising.n)
@@ -411,10 +395,7 @@ def _optimize(
             "evaluations": 2**ising.n,
         }
         return [exact] * len(seeds)
-    if not seeds:
-        return []
 
-    warm = [warms[s] for s in seeds] if algorithm == "ws-qaoa" else None
     prepare, dim = make_ansatz(algorithm, ising, p=config.p, warm=warm, vqe_reps=config.vqe_reps)
     objective = partial(row_energies, prepare, ising)
     initial = np.array([np.random.default_rng([seed, 1]).uniform(-0.1, 0.1, dim) for seed in seeds])
@@ -435,104 +416,69 @@ def _optimize(
     ]
 
 
-def sample_run(
-    config: RunConfig,
-    algorithm: str,
-    seed: int,
-    problem: Problem,
-    final: dict[str, Any],
-    timings: dict[str, float],
-) -> dict[str, Any]:
+def sample_run(config: RunConfig, seed: int, problem: Problem, final: dict[str, Any]) -> dict[str, Any]:
     """Sampling stage of one run: measure the final state, score the most
     probable bitstring and return the run's report.json entry, the fields
     ``final`` of the optimization stage joined by those set here.  The
     entry keeps ``final``'s read-only arrays: ``probabilities`` is the
-    state's float64 probability vector itself, not a list.  The stage's
-    time is recorded in ``timings``."""
-    t0 = time.perf_counter()
-    try:
-        probs = final["probabilities"]
-        counts = draw_counts(probs, config.shots, [seed, 2])
-        weights = counts[None].astype(float)
-        energy_sampled = float(expectation_rows(weights, problem.ising.energies)[0]) / config.shots
-        top = most_probable_index(probs)
-        labels = assign_clusters(top, problem.ising.n)
-        truth = problem.dataset.labels
-        accuracy = cluster_accuracy(labels, truth) if truth is not None else None
-        objective_value = cut_value(problem.graph, np.array(labels))
-    except Exception as exc:
-        raise _stage_error(algorithm, seed, "sampling", exc) from exc
-    timings["sampling"] = time.perf_counter() - t0
-
+    state's float64 probability vector itself, not a list."""
+    probs = final["probabilities"]
+    counts = draw_counts(probs, config.shots, [seed, 2])
+    weights = counts[None].astype(float)
+    energy_sampled = float(expectation_rows(weights, problem.ising.energies)[0]) / config.shots
+    top = most_probable_index(probs)
+    labels = assign_clusters(top, problem.ising.n)
+    truth = problem.dataset.labels
     return {
         **final,
         "seed": seed,
         "bitstring": bitstring_str(top, problem.ising.n),
         "bitstring_index": top,
         "labels": list(labels),
-        "accuracy": accuracy,
+        "accuracy": cluster_accuracy(labels, truth) if truth is not None else None,
         "energy_sampled": energy_sampled,
-        "solution_objective": float(objective_value),
+        "solution_objective": float(cut_value(problem.graph, np.array(labels))),
     }
 
 
 def run_seeds(
-    config: RunConfig,
-    algorithm: str,
-    problem: Problem,
-    seeds: tuple[int, ...],
-    graph_build_s: float,
-) -> tuple[list[dict[str, Any] | Exception], dict[int, dict[str, float]]]:
-    """Run one solver for every seed, all seeds advancing together.
+    config: RunConfig, algorithm: str, problem: Problem, graph_build_s: float
+) -> tuple[list[dict[str, Any]], list[dict[str, Any]], dict[int, dict[str, float]]]:
+    """Run one solver for every seed of ``config``, all seeds advancing
+    together through relaxation (warm start only), optimization and
+    sampling.
 
-    Returns ``(runs, timings)``.  ``runs`` holds, per seed, the run's
-    report.json entry or the exception that ended it; an entry is
-    reproducible from (config, seed).  ``timings`` maps each seed to the
-    wall time of the stages it reached: graph_build (``graph_build_s``,
-    the run's share of building ``problem``), relaxation (warm start
-    only), optimization and sampling.  The optimization stage runs once
-    for the whole batch, so its time is split evenly across the seeds.
+    Returns ``(runs, failed, timings)``.  ``runs`` holds each seed's
+    report.json entry, reproducible from (config, seed).  An exception at
+    any stage fails every seed: ``runs`` and ``timings`` are then empty
+    and ``failed`` names, per seed, the stage and the error.  ``timings``
+    maps each seed to the wall time of its stages: graph_build
+    (``graph_build_s``, the run's share of building ``problem``),
+    relaxation, optimization and sampling.  The optimization stage runs
+    once for the whole batch, so its time is split evenly across the seeds.
     """
+    seeds = config.seeds
     timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
-    outcomes: dict[int, Any] = {}
-    warms: dict[int, Any] = {}
-    if algorithm == "ws-qaoa":
-        warms = _warm_starts(config, problem, seeds, timings)
-        outcomes = {s: w for s, w in warms.items() if isinstance(w, Exception)}
-    live = tuple(s for s in seeds if s not in outcomes)
-
-    t0 = time.perf_counter()
+    stage = "relaxation"
     try:
-        finals = _optimize(config, algorithm, problem, live, warms)
+        warm = _warm_starts(config, problem, timings) if algorithm == "ws-qaoa" else None
+        stage = "optimization"
+        t0 = time.perf_counter()
+        finals = _optimize(config, algorithm, problem, warm)
+        share = (time.perf_counter() - t0) / len(seeds)
+        stage = "sampling"
+        runs = []
+        for seed, final in zip(seeds, finals):
+            t0 = time.perf_counter()
+            runs.append(sample_run(config, seed, problem, final))
+            timings[seed].update(optimization=share, sampling=time.perf_counter() - t0)
     except Exception as exc:
-        finals = [exc] * len(live)
-    share = (time.perf_counter() - t0) / max(len(live), 1)
-
-    for seed, final in zip(live, finals):
-        if isinstance(final, Exception):
-            outcomes[seed] = _stage_error(algorithm, seed, "optimization", final)
-            continue
-        timings[seed]["optimization"] = share
-        try:
-            outcomes[seed] = sample_run(config, algorithm, seed, problem, final, timings[seed])
-        except Exception as exc:
-            outcomes[seed] = exc
-    return [outcomes[seed] for seed in seeds], timings
-
-
-def run_algorithm(config: RunConfig, algorithm: str, seed: int) -> dict[str, Any]:
-    """Execute one solver end to end for one seed and return the run's
-    report.json entry: a one-seed :func:`run_seeds` on a problem built
-    for it.  ``probabilities`` is a read-only float64 array, and so is
-    ``params`` (``None`` for exact).  A failed stage raises a
-    ``RuntimeError`` naming the stage, caused by the original exception."""
-    if algorithm not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algorithm!r}")
-    _, problem, build_s = _load_problem(config)
-    (outcome,), _ = run_seeds(config, algorithm, problem, (seed,), build_s)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+        failed = [
+            {"seed": seed, "error": f"{algorithm} run (seed {seed}) failed during {stage}: {exc}"}
+            for seed in seeds
+        ]
+        return [], failed, {}
+    return runs, [], timings
 
 
 @dataclass
@@ -571,16 +517,25 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     """Run every requested algorithm over every seed and aggregate.
 
     The exhaustive solution is always computed and included for
-    comparison.  A run that raises is recorded under ``failed`` with its
-    error message; the report covers whatever completed.
+    comparison.  A stage that raises fails every seed of its algorithm:
+    each is recorded under ``failed`` with the stage and the error, and
+    the other algorithms' blocks are unaffected.
     """
     t_start = time.perf_counter()
-    path, problem, build_s = _load_problem(config)
-    dataset = problem.dataset
+    path = resolve_dataset(config.dataset)
+    dataset = load_dataset(path, config.columns, config.normalize)
     n = dataset.n
+    # checked before any distance is computed
+    if n > QUBIT_CAP:
+        raise ValidationError(f"{path}: {n} data rows exceed the cap of {QUBIT_CAP} qubits")
+    t0 = time.perf_counter()
+    try:
+        problem = build_problem(dataset)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     algorithms = config.selected_algorithms()
     # every run shares the one build; each is charged an equal part
-    graph_build_s = build_s / (len(algorithms) * len(config.seeds))
+    graph_build_s = (time.perf_counter() - t0) / (len(algorithms) * len(config.seeds))
     sol = problem.solution
     exact_top = most_probable_index(
         np.isin(np.arange(2**n), sol.ground_states).astype(float)
@@ -636,11 +591,8 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     timings: dict[str, Any] = {"per_run": {}}
 
     for algorithm in algorithms:
-        outcomes, stage_times = run_seeds(config, algorithm, problem, config.seeds, graph_build_s)
-        runs = [r for r in outcomes if not isinstance(r, Exception)]
-        failed = [{"seed": seed, "error": str(r)} for seed, r in zip(config.seeds, outcomes)
-                  if isinstance(r, Exception)]
-        timings["per_run"][algorithm] = {str(r["seed"]): stage_times[r["seed"]] for r in runs}
+        runs, failed, stage_times = run_seeds(config, algorithm, problem, graph_build_s)
+        timings["per_run"][algorithm] = {str(seed): t for seed, t in stage_times.items()}
         block: dict[str, Any] = {"runs": runs, "failed": failed}
         if runs:
             block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)

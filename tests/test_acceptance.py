@@ -21,7 +21,6 @@ from cutclust.bench import (
     RunConfig,
     cluster_accuracy,
     emit_report,
-    run_algorithm,
     run_benchmark,
 )
 from cutclust.graph_model import WeightedGraph, ising_from_graph, qubo_from_graph
@@ -100,10 +99,10 @@ class TestAcceptance:
         # vs the exact labels (up to flip) in >= 8 of 10 seeds, < 60 s
         config = RunConfig(dataset="cars", algorithm="ws-qaoa")
         t0 = time.perf_counter()
-        exact_labels = run_algorithm(config, "exact", 1)["labels"]
+        report = run_benchmark(config).payload
+        exact_labels = report["exact"]["labels"]
         perfect = 0
-        for seed in config.seeds:
-            rec = run_algorithm(config, "ws-qaoa", seed)
+        for rec in report["algorithms"]["ws-qaoa"]["runs"]:
             if cluster_accuracy(rec["labels"], exact_labels) == 1.0:
                 perfect += 1
         elapsed = time.perf_counter() - t0

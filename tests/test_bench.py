@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: dataset loading, per-run records,
 aggregation, and report emission."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -20,7 +21,6 @@ from cutclust.bench import (
     load_dataset,
     most_probable_index,
     resolve_dataset,
-    run_algorithm,
     run_benchmark,
     shipped_datasets,
 )
@@ -39,6 +39,15 @@ def write_csv(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def run_one(config, algorithm, seed):
+    """The report.json entry of ``algorithm`` run for ``seed`` alone on
+    ``config``'s dataset, which must not fail."""
+    report = run_benchmark(dataclasses.replace(config, algorithm=algorithm, seeds=(seed,)))
+    block = report.payload["algorithms"][algorithm]
+    assert block["failed"] == []
+    return block["runs"][0]
 
 
 def same_array(a, b) -> bool:
@@ -272,14 +281,14 @@ class TestMostProbable:
 class TestRunAlgorithm:
     def test_exact_matches_truth_labels_up_to_flip(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
-        rec = run_algorithm(cfg, "exact", 1)
+        rec = run_one(cfg, "exact", 1)
         assert rec["accuracy"] == 1.0
         assert rec["energy_expectation"] == -rec["solution_objective"]
 
     def test_ws_qaoa_matches_exact_labels(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
-        exact = run_algorithm(cfg, "exact", 1)
-        ws = run_algorithm(cfg, "ws-qaoa", 1)
+        exact = run_one(cfg, "exact", 1)
+        ws = run_one(cfg, "ws-qaoa", 1)
         same = ws["labels"] == exact["labels"]
         flipped = [1 - v for v in ws["labels"]] == exact["labels"]
         assert same or flipped
@@ -288,14 +297,14 @@ class TestRunAlgorithm:
         cfg = RunConfig(dataset="cars", seeds=(3,))
         graph = euclidean_weights(load_dataset(resolve_dataset("cars")))
         for algo in ("exact", "qaoa", "ws-qaoa", "vqe"):
-            rec = run_algorithm(cfg, algo, 3)
+            rec = run_one(cfg, algo, 3)
             assert rec["solution_objective"] == cut_value(graph, np.array(rec["labels"]))
 
     def test_energy_bounded_below_by_ground(self):
         cfg = RunConfig(dataset="cars", seeds=(2,))
-        ground = run_algorithm(cfg, "exact", 2)["energy_expectation"]
+        ground = run_one(cfg, "exact", 2)["energy_expectation"]
         for algo in ("qaoa", "ws-qaoa", "vqe"):
-            rec = run_algorithm(cfg, algo, 2)
+            rec = run_one(cfg, algo, 2)
             assert rec["energy_expectation"] >= ground - 1e-9
 
     def test_stage_timings_recorded_nonnegative(self):
@@ -306,27 +315,14 @@ class TestRunAlgorithm:
 
     def test_record_reproducible_from_seed(self):
         cfg = RunConfig(dataset="cars", seeds=(4,))
-        a = run_algorithm(cfg, "ws-qaoa", 4)
-        b = run_algorithm(cfg, "ws-qaoa", 4)
+        a = run_one(cfg, "ws-qaoa", 4)
+        b = run_one(cfg, "ws-qaoa", 4)
         assert_same(a, b)
 
     def test_unknown_algorithm(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
         with pytest.raises(ValidationError):
-            run_algorithm(cfg, "annealing", 1)
-
-    def test_stage_error_raised_with_its_cause(self, monkeypatch):
-        cause = ArithmeticError("no draws")
-
-        def broken(*args):
-            raise cause
-
-        monkeypatch.setattr(bench, "draw_counts", broken)
-        cfg = RunConfig(dataset="cars", seeds=(1,))
-        with pytest.raises(RuntimeError) as exc:
-            run_algorithm(cfg, "exact", 1)
-        assert str(exc.value) == "exact run (seed 1) failed during sampling: no draws"
-        assert exc.value.__cause__ is cause
+            run_one(cfg, "annealing", 1)
 
     def test_failure_carries_stage_context(self, tmp_path, monkeypatch):
         # 15 rows exceed the dense-statevector cap: the file is rejected as
@@ -340,7 +336,7 @@ class TestRunAlgorithm:
         p = write_csv(tmp_path, "name,a\n" + rows + "\n")
         cfg = RunConfig(dataset=str(p), seeds=(1,))
         with pytest.raises(ValidationError) as exc:
-            run_algorithm(cfg, "qaoa", 1)
+            run_one(cfg, "qaoa", 1)
         assert str(exc.value) == f"{p}: 15 data rows exceed the cap of 14 qubits"
 
     def test_overflowing_distance_named_without_normalizing(self, tmp_path):
@@ -348,17 +344,16 @@ class TestRunAlgorithm:
         # and without the file name
         p = write_csv(tmp_path, "a,b\n1.0,1e308\n2.0,-1e308\n3.0,0\n")
         cfg = RunConfig(dataset=str(p), normalize=False, algorithm="exact", seeds=(1,))
-        for run in (run_benchmark, lambda c: run_algorithm(c, "exact", 1)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(ValidationError) as exc:
-                    run(cfg)
-            assert str(exc.value) == f"{p}: the distance between rows 0 and 1 overflows float64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                run_benchmark(cfg)
+        assert str(exc.value) == f"{p}: the distance between rows 0 and 1 overflows float64"
 
     def test_probabilities_sum_to_one(self):
         cfg = RunConfig(dataset="cars", seeds=(1,))
         for algo in ("exact", "qaoa", "ws-qaoa", "vqe"):
-            rec = run_algorithm(cfg, algo, 1)
+            rec = run_one(cfg, algo, 1)
             assert abs(sum(rec["probabilities"]) - 1.0) < 1e-9
 
 
@@ -411,6 +406,41 @@ class TestRunConfig:
         for eps in (0.5, -0.01, 0.0):
             with pytest.raises(ValidationError, match="epsilon"):
                 RunConfig(dataset="cars", epsilon=eps)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"epsilon": "0.1"}, "epsilon"),
+            ({"epsilon": None}, "epsilon"),
+            ({"epsilon": True}, "epsilon"),
+            ({"normalize": "no"}, "normalize"),
+            ({"columns": "mpg"}, "columns"),
+            ({"columns": ["mpg"]}, "columns"),
+            ({"dataset": 5}, "dataset"),
+            ({"dataset": b"cars"}, "dataset"),
+        ],
+        ids=["epsilon-str", "epsilon-none", "epsilon-bool", "normalize-str", "columns-str",
+             "columns-list", "dataset-int", "dataset-bytes"],
+    )
+    def test_wrong_types_rejected_before_anything_is_written(self, kwargs, name, tmp_path):
+        # epsilon "0.1" and None failed as a bare TypeError, normalize "no"
+        # was echoed into report.json, and columns "mpg" was split into
+        # the columns 'm', 'p' and 'g'
+        out = tmp_path / "out"
+        with pytest.raises(ValidationError, match=rf"^{name} must be "):
+            emit_report(run_benchmark(RunConfig(**{"dataset": "cars", **kwargs})), out)
+        assert not out.exists()
+
+    def test_dataset_path_kept_as_str(self, cars_path, tmp_path):
+        # a Path ran the whole benchmark, then failed in emit_report and
+        # left a truncated report.json
+        cfg = RunConfig(dataset=cars_path, algorithm="exact", seeds=(1,))
+        assert cfg.dataset == str(cars_path)
+        emit_report(run_benchmark(cfg), tmp_path / "path", ("json",))
+        emit_report(run_benchmark(RunConfig(dataset=str(cars_path), algorithm="exact", seeds=(1,))),
+                    tmp_path / "str", ("json",))
+        report = (tmp_path / "path" / "report.json").read_bytes()
+        assert report == (tmp_path / "str" / "report.json").read_bytes()
 
     def test_repeated_seed_named(self):
         with pytest.raises(ValidationError, match="seed 3 appears more than once"):
@@ -500,23 +530,68 @@ class TestRunBenchmark:
         # odd run count: the representative attains the median exactly
         assert rep["energy_expectation"] == block["median_energy_expectation"]
 
-    def test_failed_run_recorded_report_still_emitted(self, monkeypatch, tmp_path):
+    def test_failed_run_recorded_report_still_emitted(self, small_report, monkeypatch, tmp_path):
+        # sampling fails for exact's seed 2: every exact seed fails with the
+        # stage named, and the other algorithms' blocks are unchanged
+        cfg, clean = small_report
         real = bench.sample_run
 
-        def flaky(config, algorithm, seed, *args):
-            if seed == 2:
+        def flaky(config, seed, problem, final):
+            if seed == 2 and final["params"] is None:
                 raise RuntimeError("injected failure")
-            return real(config, algorithm, seed, *args)
+            return real(config, seed, problem, final)
 
         monkeypatch.setattr(bench, "sample_run", flaky)
-        cfg = RunConfig(dataset="cars", algorithm="qaoa", seeds=(1, 2, 3),
-                        spsa_iters=30)
         report = run_benchmark(cfg)
-        block = report.payload["algorithms"]["qaoa"]
-        assert len(block["runs"]) == 2
-        assert block["failed"] == [{"seed": 2, "error": "injected failure"}]
+        assert report.payload["algorithms"]["exact"] == {
+            "runs": [],
+            "failed": [
+                {"seed": s, "error": f"exact run (seed {s}) failed during sampling: injected failure"}
+                for s in (1, 2, 3)
+            ],
+        }
+        assert report.timings["per_run"]["exact"] == {}
+        for algo in ("vqe", "qaoa", "ws-qaoa"):
+            assert_same(report.payload["algorithms"][algo], clean.payload["algorithms"][algo])
         files = emit_report(report, tmp_path / "out")
         assert (tmp_path / "out" / "report.json") in files
+
+    @pytest.mark.parametrize("stage", ["relaxation", "optimization", "sampling"])
+    def test_fault_in_one_seed_fails_every_seed(self, stage, monkeypatch):
+        # a fault that hits seed 2 alone, at any stage, fails both seeds
+        relax_qubo, row_energies, draw_counts = bench.relax_qubo, bench.row_energies, bench.draw_counts
+
+        def relax(qubo, seed, *rest):
+            if seed == 2:
+                raise ArithmeticError("no ascent")
+            return relax_qubo(qubo, seed, *rest)
+
+        def energies(prepare, ising, points, owners):
+            values = row_energies(prepare, ising, points, owners)
+            values[owners == 1] = np.nan  # slot 1 is seed 2
+            return values
+
+        def draw(probs, shots, seed):
+            if seed == [2, 2]:
+                raise ArithmeticError("no draws")
+            return draw_counts(probs, shots, seed)
+
+        name, fake, tail = {
+            "relaxation": ("relax_qubo", relax, ": no ascent"),
+            "optimization": ("row_energies", energies, "] (seed 2)"),
+            "sampling": ("draw_counts", draw, ": no draws"),
+        }[stage]
+        monkeypatch.setattr(bench, name, fake)
+        cfg = RunConfig(dataset="cars", algorithm="ws-qaoa", seeds=(1, 2), spsa_iters=30)
+        report = run_benchmark(cfg)
+        block = report.payload["algorithms"]["ws-qaoa"]
+        assert block["runs"] == []
+        assert [f["seed"] for f in block["failed"]] == [1, 2]
+        for failure in block["failed"]:
+            error = failure["error"]
+            assert error.startswith(f"ws-qaoa run (seed {failure['seed']}) failed during {stage}: ")
+            assert error.endswith(tail), error
+        assert report.timings["per_run"]["ws-qaoa"] == {}
 
     def test_sampling_failure_names_the_stage(self, monkeypatch):
         def broken(*args):

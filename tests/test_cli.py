@@ -269,20 +269,29 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("runtime failure: disk on fire")
 
     def test_failed_run_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # sampling fails for exact's seed 2: every exact seed fails with the
+        # stage named, ws-QAOA completes, and report.json is still written
         sample_run = bench.sample_run
 
-        def fail_seed_2(config, algorithm, seed, *rest):
-            if seed == 2:
+        def fail_seed_2(config, seed, problem, final):
+            if seed == 2 and final["params"] is None:
                 raise RuntimeError("sampling broke")
-            return sample_run(config, algorithm, seed, *rest)
+            return sample_run(config, seed, problem, final)
 
         monkeypatch.setattr(bench, "sample_run", fail_seed_2)
-        assert main(run_args(tmp_path)) == 2
-        assert "ws-qaoa: seed 2 failed: sampling broke" in capsys.readouterr().err
+        assert main(run_args(tmp_path, "--algo", "all")) == 2
+        failed = [
+            {"seed": s, "error": f"exact run (seed {s}) failed during sampling: sampling broke"}
+            for s in (1, 2)
+        ]
+        err = capsys.readouterr().err
+        for f in failed:
+            assert f"exact: seed {f['seed']} failed: {f['error']}" in err
         report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["algorithms"]["exact"] == {"runs": [], "failed": failed}
         block = report["algorithms"]["ws-qaoa"]
-        assert [r["seed"] for r in block["runs"]] == [1]
-        assert block["failed"] == [{"seed": 2, "error": "sampling broke"}]
+        assert [r["seed"] for r in block["runs"]] == [1, 2]
+        assert block["failed"] == []
 
     def test_relaxation_failing_every_seed_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def broken(*args):
