@@ -3,46 +3,37 @@
     python3 benchmarks/bench_compare.py --before DIR --out BENCH_<topic>.json
 
 DIR is a checkout of the code to compare against (for example made with
-``git clone`` and ``git checkout <commit>``); the oldest it can be is the
-change that made ``spsa_lockstep(objective, initial, max_iters, seeds)``
-calibrate each seed's step gain itself.  The "after" side is the
-checkout this script lives in.  The topic recorded in the output is the
-``<topic>`` part of its file name.  Five kinds of figure are written:
+``git clone`` and ``git checkout <commit>``); the oldest it can be is
+commit 2e4cfe9, the change that added ``simulator.apply_half_phase_rows``.
+The "after" side is the checkout this script lives in.  The topic
+recorded in the output is the ``<topic>`` part of its file name.  Two
+kinds of figure are written:
 
 - end to end: for every workload of ``perfbench/run.py`` and each side,
   REPEATS interleaved runs of ``perfbench/run.py --trace 0``; each run's
   medians of ``wall_s``, ``setup_s`` and ``peak_anon_mb`` are kept, and
   per side their median and quartiles are reported, with the number of
   pairs the after side won and every run's correctness verdict;
-- per layer: microseconds of one call of each layer of an evaluation (a
-  real and a complex rotation layer, VQE's first layer on |0...0>, the
-  cost phase, the CNOT-chain gather and the expectation) on a batch of
-  min(BATCH_ROWS, row cap) rows;
 - side by side in one process (the before tree imported under another
-  package name): seconds of one ``emit_report`` of a 14-qubit report,
-  microseconds of one exact-energy evaluation of each ansatz at each n
-  in QUBITS, as a one-row ``make_objective`` call and per row of a
-  lockstep batch of BATCH_ROWS rows (split into chunks of the row cap),
-  and milliseconds of one ``spsa_lockstep`` run, both sides alternating
-  AB_LOOPS times on the same input, with each side's median and
-  quartiles, the share of loops the after side won and whether both
-  sides' outputs are equal;
-- per step: microseconds of the optimizer's own work per SPSA iteration
-  and per calibration probe, for STEP_SEEDS seeds in lockstep on a
-  trivial batch objective, at each dimension in STEP_DIMS, from
-  ``spsa_lockstep`` runs of 250 iterations and of 1;
-- constants (after side only): the timings behind SPSA's draw block.
+  package name): microseconds of one call of each layer kernel of an
+  evaluation (a real and a complex rotation layer, VQE's first layer on
+  |0...0>, the cost phase on whole and on half states, the CNOT-chain
+  gather and the expectation) on a batch of min(BATCH_ROWS, row cap)
+  rows, seconds of one ``emit_report`` of a 14-qubit report,
+  microseconds of one exact-energy evaluation of each ansatz, as a
+  one-row ``make_objective`` call and per row of a lockstep batch of
+  BATCH_ROWS rows (split into chunks of the row cap), and milliseconds
+  of one ``spsa_lockstep`` run, both sides alternating AB_LOOPS times on
+  the same input, with each side's median and quartiles, the share of
+  loops the after side won and whether both sides' outputs are equal.
 
-The probes run at n in QUBITS on a fixed random graph; each figure but
-the side-by-side ones is the fastest of PROBE_RUNS probe processes,
-alternating sides, each keeping the best of PROBE_LOOPS alternating
-timing loops.  Figures from separate processes spread more than many
-changes move them; the side-by-side figures share one process, heap and
-input.  Timing uses
-``time.perf_counter`` only; every measurement runs in a fresh process
-with ``OPENBLAS_NUM_THREADS=1``.  Both source trees are byte-compiled
-first, so that neither side pays for compiling a module whose cached
-bytecode is missing or stale.
+The kernel and evaluation figures are taken at n in QUBITS on a fixed
+random graph.  Figures from separate processes spread more than many
+changes move them, so every side-by-side figure shares one process, heap
+and input.  Timing uses ``time.perf_counter`` only; every measurement
+runs in a fresh process with ``OPENBLAS_NUM_THREADS=1``.  Both source
+trees are byte-compiled first, so that neither side pays for compiling a
+module whose cached bytecode is missing or stale.
 """
 
 from __future__ import annotations
@@ -67,14 +58,10 @@ METRICS = ("wall_s", "setup_s", "peak_anon_mb")
 QUBITS = (5, 6, 7, 10, 14)
 KINDS = ("qaoa", "ws-qaoa", "vqe")
 BATCH_ROWS = 20
-# the per-step probe: seeds advancing together and the parameter counts
+# the SPSA probe: seeds advancing together and the parameter counts
 # (2 = QAOA at p = 1, 8 = ws-QAOA at p = 4, 30 = VQE on cars)
 STEP_SEEDS = 10
 STEP_DIMS = (2, 8, 30)
-# probe processes per side: a process may run all of its small-state timings
-# up to 1.5x slower than the next, so the fastest of several is kept
-PROBE_RUNS = 8
-PROBE_LOOPS = 7
 # interleaved before/after pairs per workload; a gain needs ten to show
 REPEATS = 10
 # alternations of the two sides in the side-by-side probes
@@ -82,8 +69,8 @@ AB_LOOPS = 30
 OUT_NAME = re.compile(r"BENCH_(\w+)\.json")
 
 
-# probes: each runs in a child process with one side's src/ first on
-# sys.path and returns a JSON-ready dict -------------------------------------
+# probes: they run in a child process with the after side's src/ first on
+# sys.path --------------------------------------------------------------------
 
 def _warm_heap() -> None:
     """Allocate and free a 4 MiB array, so that glibc's malloc serves
@@ -95,20 +82,6 @@ def _warm_heap() -> None:
     np.ones(2**19)
 
 
-def _best_us(fns, reps: int) -> list[float]:
-    """Microseconds per call of each function: the best of PROBE_LOOPS
-    timing loops of ``reps`` calls, the functions' loops alternating so
-    that drift hits them alike."""
-    times = [[] for _ in fns]
-    for _ in range(PROBE_LOOPS):
-        for fn, ts in zip(fns, times):
-            t0 = time.perf_counter()
-            for _ in range(reps):
-                fn()
-            ts.append(time.perf_counter() - t0)
-    return [min(ts) / reps * 1e6 for ts in times]
-
-
 def _ising(n: int):
     import numpy as np
     from cutclust import WeightedGraph, ising_from_graph
@@ -116,71 +89,6 @@ def _ising(n: int):
     rng = np.random.default_rng(n)
     w = np.triu(rng.uniform(0.0, 1.0, size=(n, n)), k=1)
     return rng, ising_from_graph(WeightedGraph(weights=w + w.T))
-
-
-def probe_layers() -> dict:
-    """{layer: {n: us per call}} on a batch of min(BATCH_ROWS, row cap)
-    rows, and {"emit_report": s} for a 14-qubit report."""
-    import numpy as np
-    from cutclust import simulator as sim
-
-    _warm_heap()
-    out: dict = {}
-    for n in QUBITS:
-        rng, ising = _ising(n)
-        rows = min(BATCH_ROWS, sim.row_cap(n))
-        real = rng.normal(size=(rows, 2**n))
-        real /= np.linalg.norm(real, axis=1, keepdims=True)
-        cplx = real * np.exp(1j * rng.uniform(0, 2 * np.pi, size=real.shape))
-        ry = sim.ry(rng.uniform(-np.pi, np.pi, size=(rows, n)))
-        mixer = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * ry
-        gammas = rng.uniform(-1, 1, rows)
-        chain = sim.cnot_chain_perm(n)
-        probs = sim.probability_rows(cplx)
-        layers = {
-            "ry_layer": lambda: sim.apply_layer_rows(real, ry),
-            "mixer_layer": lambda: sim.apply_layer_rows(cplx, mixer),
-            "vqe_first_layer": lambda: sim.product_rows(ry[..., 0]),
-            "cost_phase": lambda: sim.apply_diagonal_phase_rows(cplx, gammas, ising),
-            "cnot_gather": lambda: sim.gather_rows(real, chain),
-            "expectation": lambda: sim.expectation_rows(probs, ising.energies),
-        }
-        reps = max(3, 2**15 // (rows * 2**n))
-        for name, us in zip(layers, _best_us(list(layers.values()), reps)):
-            out.setdefault(name, {})[str(n)] = us
-    return out
-
-
-def probe_steps() -> dict:
-    """{"spsa_us_per_iteration" | "calibration_us_per_probe": {d: us}}:
-    ``spsa_lockstep`` runs of the default 250 iterations and of 1
-    iteration, STEP_SEEDS seeds at a time, on a sum of squares, so that
-    the time is the optimizer's own bookkeeping.  An iteration costs
-    ``(t(250) - t(1)) / 249``; the remainder of ``t(1)`` after one
-    iteration is the calibration's, over its ``optimizer.PROBES`` probes."""
-    import numpy as np
-    from cutclust.bench import RunConfig
-    from cutclust.optimizer import PROBES, spsa_lockstep
-
-    def objective(points, owners):
-        return np.square(points).sum(axis=1)
-
-    seeds = tuple(range(1, STEP_SEEDS + 1))
-    iters = RunConfig.spsa_iters
-    out: dict = {"spsa_us_per_iteration": {}, "calibration_us_per_probe": {}}
-    for dim in STEP_DIMS:
-        initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
-        full_us, one_us = _best_us(
-            [
-                lambda: spsa_lockstep(objective, initial, iters, seeds),
-                lambda: spsa_lockstep(objective, initial, 1, seeds),
-            ],
-            1,
-        )
-        iteration_us = (full_us - one_us) / (iters - 1)
-        out["spsa_us_per_iteration"][str(dim)] = iteration_us
-        out["calibration_us_per_probe"][str(dim)] = (one_us - iteration_us) / PROBES
-    return out
 
 
 def _import_as(src: Path, name: str):
@@ -195,18 +103,18 @@ def _import_as(src: Path, name: str):
     return module
 
 
-def _side_by_side(fns: dict, loops: int) -> dict:
-    """Seconds per call of the ``before`` and ``after`` functions,
-    alternating ``loops`` times, the side that goes first swapping every
-    loop: each side's median and quartiles, and how many loops the after
-    side won."""
+def _side_by_side(fns: dict, loops: int, scale: float = 1.0) -> dict:
+    """Seconds per call, times ``scale``, of the ``before`` and ``after``
+    functions, alternating ``loops`` times, the side that goes first
+    swapping every loop: each side's median and quartiles, and how many
+    loops the after side won."""
     times: dict = {side: [] for side in fns}
     for r in range(loops):
         for side in (fns if r % 2 == 0 else reversed(list(fns))):
             t0 = time.perf_counter()
             fns[side]()
             times[side].append(time.perf_counter() - t0)
-    out = {side: quartiles(ts) for side, ts in times.items()}
+    out = {side: [q * scale for q in quartiles(ts)] for side, ts in times.items()}
     out["after_wins"] = sum(a < b for a, b in zip(times["after"], times["before"]))
     out["loops"] = loops
     return out
@@ -235,42 +143,92 @@ def _evaluators(modules: dict, kind: str, n: int, energies, c_stars):
     return one_row, batched, dim
 
 
+def layer_figures(sides: dict, n: int, loops: int) -> dict:
+    """{layer: figure} at ``n`` qubits: each layer kernel of an evaluation
+    through both sides' ``simulator`` and ``graph_model`` modules (each
+    side builds its own ``IsingDiagonal``) on the same batch of
+    min(BATCH_ROWS, row cap) rows, in microseconds per call, each
+    alternation of :func:`_side_by_side` timing 2^15 amplitudes or more,
+    with ``identical`` set when both sides' outputs are equal byte for
+    byte."""
+    import numpy as np
+
+    rng, ising = _ising(n)
+    sim = sides["after"]["simulator"]
+    rows = min(BATCH_ROWS, sim.row_cap(n))
+    real = rng.normal(size=(rows, 2**n))
+    real /= np.linalg.norm(real, axis=1, keepdims=True)
+    cplx = real * np.exp(1j * rng.uniform(0, 2 * np.pi, size=real.shape))
+    half = np.ascontiguousarray(cplx[:, : 2 ** (n - 1)])
+    ry = sim.ry(rng.uniform(-np.pi, np.pi, size=(rows, n)))
+    mixer = np.cos(0.3) * np.eye(2) - 1j * np.sin(0.3) * ry
+    gammas = rng.uniform(-1, 1, rows)
+    chain = sim.cnot_chain_perm(n)
+    probs = sim.probability_rows(cplx)
+
+    def kernels(modules: dict) -> dict:
+        side = modules["simulator"]
+        own = modules["graph_model"].IsingDiagonal(n, ising.energies)
+        return {
+            "ry_layer": lambda: side.apply_layer_rows(real, ry),
+            "mixer_layer": lambda: side.apply_layer_rows(cplx, mixer),
+            "vqe_first_layer": lambda: side.product_rows(ry[..., 0]),
+            "cost_phase": lambda: side.apply_diagonal_phase_rows(cplx, gammas, own),
+            "half_cost_phase": lambda: side.apply_half_phase_rows(half, gammas, own),
+            "cnot_gather": lambda: side.gather_rows(real, chain),
+            "expectation": lambda: side.expectation_rows(probs, own.energies),
+        }
+
+    fns = {side: kernels(modules) for side, modules in sides.items()}
+    reps = max(3, 2**15 // (rows * 2**n))
+    out = {}
+    for name in fns["after"]:
+        calls = {side: (lambda fn=k[name]: [fn() for _ in range(reps)]) for side, k in fns.items()}
+        row = _side_by_side(calls, loops, 1e6 / reps)
+        row["identical"] = fns["before"][name]().tobytes() == fns["after"][name]().tobytes()
+        out[name] = row
+    return out
+
+
 def probe_side_by_side(before_src: str) -> dict:
-    """{"emit_report_s": ..., "eval_us": {kind: {n: {"one_row" | "batched":
-    ...}}}, "spsa_lockstep_ms": {d: ...}}: the side-by-side figures of
-    :func:`_side_by_side`, with ``identical`` set when both sides wrote the
-    same report.json and histograms, computed the same energies to the
-    bit, or returned the same gains, traces and best points to the bit.
+    """{"layer_us": {layer: {n: ...}}, "emit_report_s": ..., "eval_us":
+    {kind: {n: {"one_row" | "batched": ...}}}, "spsa_lockstep_ms": {d:
+    ...}}: the side-by-side figures of :func:`_side_by_side`, with
+    ``identical`` set when both sides' kernels returned the same bytes,
+    wrote the same report.json and histograms, computed the same energies
+    to the bit, or returned the same gains, traces and best points to the
+    bit.
 
     The report is the after side's run of every algorithm with two seeds
     on a 14-qubit synthetic instance, emitted in every format; an
     evaluation figure is per point of BATCH_ROWS points at the defaults
-    (p = 1, five VQE repetitions) on the graph of the other probes, in
+    (p = 1, five VQE repetitions) on the graph of the layer figures, in
     rounds of 2^11 amplitudes or more; the SPSA figure is one
     ``spsa_lockstep`` run of STEP_SEEDS seeds and the default 250
     iterations on a sum of squares, at each dimension in STEP_DIMS."""
     import numpy as np
-    from cutclust.bench import RunConfig, emit_report, run_benchmark
+    from cutclust.bench import RunConfig, run_benchmark
 
     _import_as(Path(before_src), "cutclust_before")
-    names = ("ansatz", "bench", "graph_model", "optimizer")
+    names = ("ansatz", "bench", "graph_model", "optimizer", "simulator")
     sides = {side: {m: importlib.import_module(f"{package}.{m}") for m in names}
              for side, package in (("before", "cutclust_before"), ("after", "cutclust"))}
-    old = sides["before"]
     sys.path.insert(0, str(AFTER / "perfbench"))
     from workloads import synth_csv
 
     _warm_heap()
-    out: dict = {}
+    out: dict = {"layer_us": {}}
+    for n in QUBITS:
+        for name, row in layer_figures(sides, n, AB_LOOPS).items():
+            out["layer_us"].setdefault(name, {})[str(n)] = row
+
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "synth14.csv"
         data.write_text(synth_csv(1), encoding="utf-8")
         report = run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1))
         dirs = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
-        emit = {"before": old["bench"].emit_report, "after": emit_report}
-        out["emit_report_s"] = _side_by_side(
-            {side: (lambda side=side: emit[side](report, dirs[side])) for side in dirs}, AB_LOOPS
-        )
+        emits = {side: (lambda m=m, d=dirs[side]: m["bench"].emit_report(report, d)) for side, m in sides.items()}
+        out["emit_report_s"] = _side_by_side(emits, AB_LOOPS)
         files = sorted(p.name for p in dirs["after"].iterdir() if p.name.startswith(("report", "histogram")))
         out["emit_report_s"]["identical"] = all(
             (dirs["before"] / f).read_bytes() == (dirs["after"] / f).read_bytes() for f in files
@@ -285,32 +243,24 @@ def probe_side_by_side(before_src: str) -> dict:
             params = rng.uniform(-0.1, 0.1, size=(BATCH_ROWS, ways["after"][2]))
             # both sides evaluate the same batches * BATCH_ROWS points
             batches = max(1, 2**11 // 2**n)
-            scale = 1e6 / (batches * BATCH_ROWS)
             figures = {}
             for i, way in enumerate(("one_row", "batched")):
                 fns = {side: (lambda fn=w[i]: [fn(params) for _ in range(batches)]) for side, w in ways.items()}
-                row = _side_by_side(fns, AB_LOOPS)
-                for side in fns:
-                    row[side] = [t * scale for t in row[side]]
+                row = _side_by_side(fns, AB_LOOPS, 1e6 / (batches * BATCH_ROWS))
                 row["identical"] = ways["before"][i](params).tobytes() == ways["after"][i](params).tobytes()
                 figures[way] = row
             out["eval_us"][kind][str(n)] = figures
-
-    from cutclust.optimizer import spsa_lockstep
 
     def squares(points, owners):
         return np.square(points).sum(axis=1)
 
     out["spsa_lockstep_ms"] = {}
     seeds = tuple(range(1, STEP_SEEDS + 1))
-    lockstep = {"before": old["optimizer"].spsa_lockstep, "after": spsa_lockstep}
     for dim in STEP_DIMS:
         initial = np.random.default_rng(dim).uniform(-0.1, 0.1, size=(STEP_SEEDS, dim))
-        runs = {side: (lambda fn=fn: fn(squares, initial, RunConfig.spsa_iters, seeds))
-                for side, fn in lockstep.items()}
-        row = _side_by_side(runs, AB_LOOPS)
-        for side in runs:
-            row[side] = [t * 1e3 for t in row[side]]
+        runs = {side: (lambda fn=m["optimizer"].spsa_lockstep: fn(squares, initial, RunConfig.spsa_iters, seeds))
+                for side, m in sides.items()}
+        row = _side_by_side(runs, AB_LOOPS, 1e3)
         results = {side: run() for side, run in runs.items()}
         row["identical"] = all(
             b.gain == a.gain
@@ -322,22 +272,6 @@ def probe_side_by_side(before_src: str) -> dict:
     return out
 
 
-def probe_constants() -> dict:
-    """The timings behind optimizer.DRAW_BLOCK."""
-    import numpy as np
-    from cutclust import optimizer
-
-    # per-iteration cost of drawing the sign vectors of 10 seeds of a
-    # 30-parameter VQE (cars), by the number of iterations per draw
-    seeds, dim = 10, 30
-    by_block = {}
-    for block in (1, 8, 64, 512):
-        rngs = [np.random.default_rng(s) for s in range(seeds)]
-        (us,) = _best_us([lambda: optimizer._signs(rngs, block, dim)], 20)
-        by_block[str(block)] = us / block
-    return {"draw_us_per_iteration_by_block": by_block, "draw_block": optimizer.DRAW_BLOCK}
-
-
 # driver ----------------------------------------------------------------------
 
 def child_env(src: Path) -> dict[str, str]:
@@ -346,16 +280,16 @@ def child_env(src: Path) -> dict[str, str]:
     return env
 
 
-def run_probe(root: Path, name: str, *args: str) -> dict:
-    """Run ``probe_<name>(*args)`` of this script in a child whose
-    cutclust is the one under ``root``."""
+def run_side_by_side(before: Path) -> dict:
+    """:func:`probe_side_by_side` in a child whose cutclust is this
+    checkout's, with the one under ``before`` imported beside it."""
     code = (
-        f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); "
-        f"import bench_compare; print(json.dumps(bench_compare.probe_{name}(*{args!r})))"
+        f"import json, sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import bench_compare; "
+        f"print(json.dumps(bench_compare.probe_side_by_side({str(before / 'src')!r})))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True,
-        env=child_env(root / "src"), check=True,
+        [sys.executable, "-c", code], cwd=AFTER, capture_output=True, text=True,
+        env=child_env(AFTER / "src"), check=True,
     )
     return json.loads(proc.stdout)
 
@@ -385,6 +319,15 @@ def src_lines(root: Path) -> int:
 
 
 def machine() -> dict:
+    """The machine, with the CPU class: numpy's baseline and the dispatch
+    targets it found (as ``np.show_runtime()`` reads them) and the core
+    OpenBLAS picked.  Their kernels round differently on another class,
+    so a result's last bits hold for one class only."""
+    import ctypes
+
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
     cpu = "unknown"
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -393,23 +336,25 @@ def machine() -> dict:
                 break
     except OSError:
         pass
-    import numpy as np
-
+    core = "unknown"
+    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
     return {
         "cpu": cpu,
         "nproc": os.cpu_count(),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]],
+        "openblas_core": core,
     }
-
-
-def interleaved(sides: dict[str, Path], runs: int):
-    """(run, side name, root) for ``runs`` runs of both sides; the side
-    that goes first swaps every run, so drift does not favour one."""
-    for r in range(runs):
-        for side in (sides if r % 2 == 0 else reversed(list(sides))):
-            yield r, side, sides[side]
 
 
 def main() -> int:
@@ -425,9 +370,11 @@ def main() -> int:
         compileall.compile_dir(root / "src", quiet=1)
 
     runs: dict = {w: {side: [] for side in sides} for w in WORKLOADS}
-    for r, side, root in interleaved(sides, REPEATS):
-        for workload in WORKLOADS:
-            runs[workload][side].append(perfbench_run(root, workload))
+    for r in range(REPEATS):
+        # the side that goes first swaps every pair, so drift does not favour one
+        for side in (sides if r % 2 == 0 else reversed(list(sides))):
+            for workload in WORKLOADS:
+                runs[workload][side].append(perfbench_run(sides[side], workload))
             print(f"pair {r + 1} {workload} {side}: {runs[workload][side][-1]}", file=sys.stderr)
 
     end_to_end = {}
@@ -446,48 +393,17 @@ def main() -> int:
             }
         end_to_end[workload]["all_correct"] = all(x["correct"] for s in sides for x in by_side[s])
 
-    probes: dict = {name: {side: [] for side in sides} for name in ("layers", "steps")}
-    for _, side, root in interleaved(sides, PROBE_RUNS):
-        for name in probes:
-            probes[name][side].append(run_probe(root, name))
-            print(f"probe {name} {side} done", file=sys.stderr)
-
-    def fastest(name: str, side: str, *keys: str) -> float:
-        def get(p):
-            for key in keys:
-                p = p[key]
-            return p
-
-        return min(get(p) for p in probes[name][side])
-
-    layer_names = list(probes["layers"]["after"][0])
-    per_layer = {
-        name: {str(n): {side: fastest("layers", side, name, str(n)) for side in sides} for n in QUBITS}
-        for name in layer_names
-    }
-
-    per_step = {
-        kind: {str(d): {side: fastest("steps", side, kind, str(d)) for side in sides} for d in STEP_DIMS}
-        for kind in ("spsa_us_per_iteration", "calibration_us_per_probe")
-    }
-
     report = {
         "topic": match.group(1),
         "command": f"python3 benchmarks/bench_compare.py --before DIR --out {args.out.name}",
         "machine": machine(),
         "repeats": REPEATS,
         "statistic": "end_to_end: median and quartiles over repeats of each perfbench/run.py "
-        "call's median, after_wins = pairs where after < before; per_layer_us and "
-        f"per_step_us: fastest of {PROBE_RUNS} interleaved probe processes, each the best of "
-        f"{PROBE_LOOPS} alternating loops; side_by_side: quartiles "
+        "call's median, after_wins = pairs where after < before; side_by_side: quartiles "
         f"[q1, median, q3] per side over {AB_LOOPS} alternations in one process, after_wins "
         "= loops where after < before",
         "end_to_end": end_to_end,
-        "per_layer_us": per_layer,
-        "per_step_us": per_step,
-        "step_seeds": STEP_SEEDS,
-        "side_by_side": run_probe(AFTER, "side_by_side", str(sides["before"] / "src")),
-        "constants": run_probe(AFTER, "constants"),
+        "side_by_side": run_side_by_side(sides["before"]),
         "batch_rows": BATCH_ROWS,
         "src_lines": {side: src_lines(root) for side, root in sides.items()},
     }

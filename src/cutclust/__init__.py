@@ -12,7 +12,6 @@ from .ansatz import (
     ws_mixer_hamiltonian,
 )
 from .bench import (
-    ALGORITHMS,
     BenchmarkReport,
     RunConfig,
     assign_clusters,
@@ -37,31 +36,24 @@ from .graph_model import (
 )
 from .optimizer import (
     ExactSolution,
-    OptimizerResult,
     exact_solve,
     make_objective,
     spsa_minimize,
     state_probabilities,
 )
 from .relaxation import (
-    RelaxResult,
     clip_cstar,
     relax_qubo,
 )
-from .simulator import RNG_ID
 
 __all__ = [
-    "ALGORITHMS",
     "QUBIT_CAP",
-    "RNG_ID",
     "BenchmarkReport",
     "Dataset",
     "EvaluationError",
     "ExactSolution",
     "IsingDiagonal",
-    "OptimizerResult",
     "QuboProblem",
-    "RelaxResult",
     "RunConfig",
     "ValidationError",
     "WarmStart",
