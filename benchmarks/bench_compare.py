@@ -375,7 +375,7 @@ def main() -> int:
         for side in (sides if r % 2 == 0 else reversed(list(sides))):
             for workload in WORKLOADS:
                 runs[workload][side].append(perfbench_run(sides[side], workload))
-            print(f"pair {r + 1} {workload} {side}: {runs[workload][side][-1]}", file=sys.stderr)
+                print(f"pair {r + 1} {workload} {side}: {runs[workload][side][-1]}", file=sys.stderr)
 
     end_to_end = {}
     for workload, by_side in runs.items():

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import optimizer, relaxation
 from .ansatz import WarmStart
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .graph_model import (
     QUBIT_CAP,
     Dataset,
@@ -92,6 +92,11 @@ class RunConfig:
     column in the file.  ``epsilon`` is the warm-start clipping bound and
     ``spsa_iters`` the SPSA budget; each seed's gain is calibrated, and
     the rest of SPSA's schedule and the relaxation's budget are constants.
+
+    Counts and seeds must be integers, not bools: a float count would be
+    truncated in one place and divided by in another, and a bool seed
+    written to the report as ``true``.  A negative seed, which numpy's
+    generators refuse, would fail every seed that advances beside it.
     """
 
     dataset: str
@@ -125,27 +130,12 @@ class RunConfig:
             )
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
-        # a float count would be truncated in one place and divided by in
-        # another, and a bool seed would be written to the report as true
-        counts = {"p": self.p, "vqe_reps": self.vqe_reps, "shots": self.shots,
-                  "spsa_iters": self.spsa_iters}
-        counts.update((f"seeds[{i}]", seed) for i, seed in enumerate(self.seeds))
-        for name, value in counts.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name, least in (("p", 1), ("vqe_reps", 0), ("shots", 1), ("spsa_iters", 1)):
+            check_count(name, getattr(self, name), least)
         for i, seed in enumerate(self.seeds):
-            # numpy's generators take only non-negative seeds; one bad seed
-            # would fail every seed that advances beside it
-            if seed < 0:
-                raise ValidationError(f"seed {seed} must be >= 0")
+            check_count(f"seeds[{i}]", seed, 0)
             if seed in self.seeds[:i]:
                 raise ValidationError(f"seed {seed} appears more than once in seeds")
-        if self.p < 1:
-            raise ValidationError(f"p must be >= 1, got {self.p}")
-        if self.vqe_reps < 0:
-            raise ValidationError(f"vqe_reps must be >= 0, got {self.vqe_reps}")
-        if self.shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {self.shots}")
         # the sampler draws its counts as int64
         if self.shots > np.iinfo(np.int64).max:
             raise ValidationError(
@@ -155,8 +145,6 @@ class RunConfig:
         # rejects, so every ws-QAOA run would fail after the relaxation
         if not 0.0 < self.epsilon < 0.5:
             raise ValidationError(f"epsilon must lie in (0, 0.5), got {self.epsilon}")
-        if self.spsa_iters < 1:
-            raise ValidationError(f"spsa_iters must be >= 1, got {self.spsa_iters}")
 
     def selected_algorithms(self) -> tuple[str, ...]:
         return ALGORITHMS if self.algorithm == "all" else (self.algorithm,)
@@ -623,57 +611,46 @@ def _float_text(chunk: np.ndarray) -> str:
     return json.dumps(chunk.tolist())[1:-1]
 
 
-def _write_json(fh, obj: Any, level: int = 0, sinks: dict[int, Sink] | None = None) -> None:
-    """Write ``obj`` to ``fh`` exactly as ``json.dumps(obj, indent=2,
-    sort_keys=True, default=_json_default)`` formats it with its arrays
-    given as lists, in pieces, for what reports hold: dicts with string
-    keys, lists, tuples, strings, numbers (numpy scalars too), booleans,
-    None and nonempty 1-D float64 arrays.  A key that is not a string, or
-    any other array, raises ``TypeError``.
+def _dump_json(data: Any, path: Path, sinks: dict[int, Sink] | None = None) -> None:
+    """Write ``data`` to ``path`` as ``json.dumps(data, indent=2,
+    sort_keys=True, default=_json_default) + "\\n"`` would, given its
+    nonempty 1-D float64 arrays as lists (any other array raises
+    ``TypeError``).  The encoder's pieces are written as they come; an
+    array goes through the C encoder CHUNK floats at a time, each chunk
+    split onto its lines, and no whole-vector list or string is built.
+    ``sinks`` maps ``id(array)`` to a sink also handed each chunk's text,
+    popped at the array's first write: a shared array feeds it once."""
+    pending: list[np.ndarray] = []
 
-    With an indent, ``json.dumps`` runs the pure-Python encoder and holds
-    every piece of the document at once; here an array goes through the
-    C encoder CHUNK floats at a time, each chunk split onto its lines, so
-    no whole-vector list or string is built, and the rest is written as
-    it is walked.  ``sinks`` maps ``id(array)`` to a sink that is handed
-    each chunk's text too; it is popped when its array is first written,
-    so an array the document holds twice feeds it once."""
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-        sink = sinks.pop(id(obj), None) if sinks else None
-        line = "," + pad
-        sep = "[" + pad
-        for lo in range(0, obj.size, CHUNK):
-            text = _float_text(obj[lo:lo + CHUNK])
-            fh.write(sep)
-            fh.write(text.replace(", ", line))
-            if sink is not None:
-                sink(lo, text)
-            sep = line
-        fh.write(pad[:-2] + "]")
-    elif isinstance(obj, dict) and obj:
-        sep = "{"
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key)}")
-            fh.write(sep + pad + json.dumps(key) + ": ")
-            _write_json(fh, obj[key], level + 1, sinks)
-            sep = ","
-        fh.write(pad[:-2] + "}")
-    elif isinstance(obj, (list, tuple)) and obj:
-        sep = "["
-        for v in obj:
-            fh.write(sep + pad)
-            _write_json(fh, v, level + 1, sinks)
-            sep = ","
-        fh.write(pad[:-2] + "]")
-    else:
-        fh.write(json.dumps(obj, default=_json_default))
+    def default(obj: Any) -> Any:
+        if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
+            pending.append(obj)
+            return {}
+        return _json_default(obj)
 
-
-def _dump_json(data: dict, path: Path, sinks: dict[int, Sink] | None = None) -> None:
+    # With an indent, iterencode runs the pure-Python encoder: it calls
+    # default only on reaching an array and yields the stand-in {} as its
+    # very next piece, known here by ``pending``, never by its text.  The
+    # tests hold the output to json.dumps byte for byte.
+    last = ""  # the last piece holding a newline ends with the indent
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, data, sinks=sinks)
+        for piece in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(data):
+            if not pending:
+                fh.write(piece)
+                if "\n" in piece:
+                    last = piece
+                continue
+            arr = pending.pop()
+            sink = sinks.pop(id(arr), None) if sinks else None
+            pad = "\n" + last[last.rfind("\n") + 1:] + "  "
+            line = "," + pad
+            for lo in range(0, arr.size, CHUNK):
+                text = _float_text(arr[lo:lo + CHUNK])
+                fh.write(line if lo else "[" + pad)
+                fh.write(text.replace(", ", line))
+                if sink is not None:
+                    sink(lo, text)
+            fh.write(pad[:-2] + "]")
         fh.write("\n")
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 
 QUBIT_CAP = 14
 
@@ -69,8 +69,9 @@ class WeightedGraph:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1] or w.size == 0:
             raise ValidationError(f"weights must be a non-empty square matrix, got shape {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValidationError("weights must be finite")
+        bad = np.argwhere(~np.isfinite(w))
+        if bad.size:
+            raise ValidationError(f"weights{bad[0].tolist()} = {w[tuple(bad[0])]} is not finite")
         if not np.allclose(w, w.T, atol=1e-12):
             raise ValidationError("weights must be symmetric")
         if np.any(np.diag(w) != 0):
@@ -98,8 +99,7 @@ class IsingDiagonal:
 
     def __post_init__(self):
         n = self.n
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+        check_count("n", n, 1)
         e = np.asarray(self.energies, dtype=float)
         if e.shape != (2**n,):
             raise ValidationError(f"energies must have length 2^{n}")
@@ -157,8 +157,6 @@ def euclidean_weights(dataset: Dataset) -> WeightedGraph:
     if not np.isfinite(w).all():
         i, j = np.argwhere(~np.isfinite(w))[0]
         raise ValidationError(f"the distance between rows {i} and {j} overflows float64")
-    np.fill_diagonal(w, 0.0)
-    w = 0.5 * (w + w.T)
     return WeightedGraph(weights=w)
 
 

@@ -22,7 +22,7 @@ from .ansatz import (
     vqe_rows,
     warm_start_rows,
 )
-from .errors import EvaluationError, ValidationError
+from .errors import EvaluationError, ValidationError, check_count
 from .graph_model import IsingDiagonal
 from .simulator import (
     cnot_chain_perm,
@@ -214,14 +214,8 @@ def spsa_minimize(
     ``C / (k + 1)**GAMMA``.  The best evaluated point wins; a closing
     evaluation of the final iterate lets it compete.
     """
-    # the rule RunConfig applies to its counts and seeds
-    for name, value in {"max_iters": max_iters, "seed": seed}.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if max_iters < 1:
-        raise ValidationError(f"max_iters must be >= 1, got {max_iters}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_count("max_iters", max_iters, 1)
+    check_count("seed", seed, 0)
     initial = np.asarray(initial, dtype=float)
     if initial.ndim != 1 or initial.size == 0:
         raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
@@ -276,9 +270,8 @@ def make_ansatz(
     half of each state (:func:`qaoa_half_rows`).  This is the only place
     that knows which builder belongs to which algorithm.
     """
-    for name, value, least in (("p", p, 1), ("vqe_reps", vqe_reps, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    check_count("p", p, 1)
+    check_count("vqe_reps", vqe_reps, 0)
     if kind == "qaoa":
         dim = 2 * p
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .graph_model import QuboProblem
 
 # RESTARTS ascents, each stopped after MAX_ITERS steps or once its projected
@@ -77,8 +77,7 @@ def relax_qubo(
     problem the same dict, and each distinct start is ascended once.
     """
     # numpy's generators take only non-negative integer seeds
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    check_count("seed", seed, 0)
     ascents = {} if ascents is None else ascents
     best_x, best_f, best_capped = None, -np.inf, False
     for start in range(seed, seed + RESTARTS):

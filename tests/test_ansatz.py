@@ -80,7 +80,7 @@ class TestQaoaParams:
             state_probabilities("qaoa", single_edge_ising(), [0.1, 0.2, 0.3], p=2)
 
     def test_zero_depth_rejected(self):
-        with pytest.raises(ValidationError, match="p must be an integer >= 1"):
+        with pytest.raises(ValidationError, match="^p must be >= 1, got 0$"):
             make_ansatz("qaoa", single_edge_ising(), p=0)
 
 

@@ -98,8 +98,8 @@ class TestSpsaMinimize:
         ],
     )
     def test_rejects_bad_arguments_before_evaluating(self, kwargs, message):
-        # the rule RunConfig applies: an int or np.integer, not a bool, and
-        # a seed numpy's generators accept
+        # the one count rule, errors.check_count: an int or np.integer, not a
+        # bool, and a seed numpy's generators accept
         calls = []
 
         def counting(x):

@@ -49,9 +49,14 @@ def best_binary_vertex(qubo):
 
 
 class TestRelaxQubo:
-    @pytest.mark.parametrize("seed", [-1, 1.5, True])
-    def test_bad_seed_rejected(self, seed):
-        with pytest.raises(ValidationError, match=f"seed must be an integer >= 0, got {seed!r}"):
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True")],
+        ids=["-1", "1.5", "True"],
+    )
+    def test_bad_seed_rejected(self, seed, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
             relax_qubo(single_edge_qubo(1.0), seed=seed)
 
     def test_zero_weights(self):
