@@ -347,7 +347,9 @@ def machine() -> dict:
         core = corename().decode()
     return {
         "cpu": cpu,
-        "nproc": os.cpu_count(),
+        # the CPUs this process may run on, which set the worker count of a
+        # 13- or 14-qubit run; perfbench/run.py's header reads the same
+        "nproc": len(os.sched_getaffinity(0)),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -18,9 +18,13 @@ import math
 import numbers
 import operator
 import os
+import pickle
+import resource
+import signal
 import time
+import warnings
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable
@@ -50,7 +54,7 @@ from .optimizer import (
     spsa_lockstep,
 )
 from .relaxation import clip_cstar, relax_qubo
-from .simulator import RNG_ID, draw_counts, expectation_rows
+from .simulator import RNG_ID, draw_counts, expectation_rows, row_cap
 
 ALGORITHMS = ("exact", "vqe", "qaoa", "ws-qaoa")
 FORMATS = ("json", "csv", "md")
@@ -342,8 +346,8 @@ def build_problem(dataset: Dataset) -> Problem:
 def _warm_starts(config: RunConfig, problem: Problem, timings: dict) -> list[WarmStart]:
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
-    # seeds fewer than relaxation.RESTARTS apart share restarts; each
-    # distinct start is ascended once, in the run of the first seed using it
+    # seeds fewer than relaxation.RESTARTS apart share restarts; each distinct
+    # start is ascended once per share of seeds, by the first seed using it
     ascents: dict[int, tuple] = {}
     warms = []
     for seed in config.seeds:
@@ -443,7 +447,8 @@ def run_seeds(
     maps each seed to the wall time of its stages: graph_build
     (``graph_build_s``, the run's share of building ``problem``),
     relaxation, optimization and sampling.  The optimization stage runs
-    once for the whole batch, so its time is split evenly across the seeds.
+    once for the batch, so its time is split evenly across ``config.seeds``:
+    under :func:`_run_shares`, across the seeds of one share.
     """
     seeds = config.seeds
     timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
@@ -467,6 +472,51 @@ def run_seeds(
         ]
         return [], failed, {}
     return runs, [], timings
+
+
+def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem, graph_build_s: float) -> tuple:
+    """:func:`run_seeds` of each algorithm per share of the seeds, and the
+    processes that ran them, this one first.  From 13 qubits (``row_cap`` 1)
+    each usable CPU runs a share ``seeds[w::W]``, forked but for share 0."""
+    cpus = len(os.sched_getaffinity(0)) if row_cap(problem.ising.n) == 1 else 1
+    shares = [config.seeds[w::cpus] for w in range(min(len(config.seeds), cpus))]
+
+    def run_share(share):
+        share_config = replace(config, seeds=share)
+        return {a: run_seeds(share_config, a, problem, graph_build_s) for a in algorithms}
+    children: dict[int, tuple] = {}  # pid -> (share, read end of its pipe)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            with warnings.catch_warnings():  # 3.12+ warns of OpenBLAS's threads, which it joins at a fork
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # a worker: its result down the pipe, then out
+                try:
+                    with open(w, "wb") as fh:
+                        pickle.dump(run_share(share), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = (share, open(r, "rb"))
+        results, workers = [run_share(shares[0])], [{"seeds": list(shares[0])}]
+        for pid, (share, fh) in list(children.items()):
+            with fh:
+                data = fh.read()
+            _, status, usage = os.wait4(pid, 0)
+            del children[pid]
+            if code := os.waitstatus_to_exitcode(status):
+                raise RuntimeError(f"worker for seeds {list(share)}: no result, exit status {code}")
+            results.append(pickle.loads(data))
+            workers.append({"seeds": list(share), "max_rss_mb": usage.ru_maxrss / 1024})
+    finally:  # no worker outlives the call
+        for pid, (_, fh) in children.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    workers[0]["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return results, workers
 
 
 @dataclass
@@ -507,7 +557,8 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     The exhaustive solution is always computed and included for
     comparison.  A stage that raises fails every seed of its algorithm:
     each is recorded under ``failed`` with the stage and the error, and
-    the other algorithms' blocks are unaffected.
+    the other algorithms' blocks are unaffected.  From 13 qubits the seeds
+    are shared by forked workers (``RuntimeError`` if one gives no result).
     """
     t_start = time.perf_counter()
     path = resolve_dataset(config.dataset)
@@ -576,11 +627,20 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         },
         "algorithms": {},
     }
-    timings: dict[str, Any] = {"per_run": {}}
+    shares, workers = _run_shares(config, algorithms, problem, graph_build_s)
+    timings: dict[str, Any] = {"per_run": {}, "workers": workers}
 
     for algorithm in algorithms:
-        runs, failed, stage_times = run_seeds(config, algorithm, problem, graph_build_s)
-        timings["per_run"][algorithm] = {str(seed): t for seed, t in stage_times.items()}
+        parts = [share[algorithm] for share in shares]
+        # a failure in any share runs again in one process, for one process's records
+        if len(parts) > 1 and any(failed for _, failed, _ in parts):
+            parts = [run_seeds(config, algorithm, problem, graph_build_s)]
+        runs, failed, stage_times = list(config.seeds), parts[0][1], list(config.seeds)
+        for w, (share_runs, _, share_times) in enumerate(parts):  # back into seed order
+            runs[w::len(parts)], stage_times[w::len(parts)] = share_runs, share_times.items()
+        for value in (v for run in runs for v in run.values() if isinstance(v, np.ndarray)):
+            value.flags.writeable = False  # as before pickling
+        timings["per_run"][algorithm] = {str(seed): t for seed, t in stage_times}
         block: dict[str, Any] = {"runs": runs, "failed": failed}
         if runs:
             block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)

@@ -3,7 +3,9 @@ aggregation, and report emission."""
 
 import dataclasses
 import json
+import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -669,6 +671,124 @@ class TestRunBenchmark:
                 assert params.ndim == 1 and not params.flags.writeable
                 with pytest.raises(ValueError):
                     params[0] = 0.5
+
+
+def two_blobs(rows: int) -> str:
+    """A fixed CSV of ``rows`` distinct points in two groups."""
+    points = [(4.0 * (i % 2) + 0.3 * i, (0.7 * i) % 1.1) for i in range(rows)]
+    return "x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in points)
+
+
+@pytest.fixture(scope="module")
+def thirteen(tmp_path_factory):
+    """A 13-row config and its report run in one process (one usable CPU)."""
+    path = tmp_path_factory.mktemp("thirteen") / "rows13.csv"
+    path.write_text(two_blobs(13), encoding="utf-8")
+    cfg = RunConfig(dataset=str(path), seeds=(1, 2, 3), spsa_iters=3, vqe_reps=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        return cfg, run_benchmark(cfg)
+
+
+class TestForkedShares:
+    """From 13 qubits each usable CPU runs a stride share of the seeds;
+    two CPUs are stated here, so seeds 1 and 3 run here and 2 in a fork."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_output_equals_one_process(self, thirteen, tmp_path):
+        cfg, alone = thirteen
+        report = run_benchmark(cfg)
+        assert [w["seeds"] for w in report.timings["workers"]] == [[1, 3], [2]]
+        assert [w["seeds"] for w in alone.timings["workers"]] == [[1, 2, 3]]
+        assert all(w["max_rss_mb"] > 0 for w in report.timings["workers"] + alone.timings["workers"])
+        assert_same(report.payload, alone.payload)
+        for algo, per_seed in report.timings["per_run"].items():
+            assert list(per_seed) == ["1", "2", "3"], algo
+        for block in report.payload["algorithms"].values():
+            for run in block["runs"]:
+                assert not run["probabilities"].flags.writeable
+                assert run["params"] is None or not run["params"].flags.writeable
+        emit_report(report, tmp_path / "forked")
+        emit_report(alone, tmp_path / "alone")
+        names = ["report.json"] + [f"histogram_{a}.csv" for a in bench.ALGORITHMS]
+        for name in names:
+            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_each_seed_equals_its_lone_run(self, thirteen):
+        cfg, _ = thirteen
+        report = run_benchmark(cfg)
+        for seed in cfg.seeds:
+            lone = run_benchmark(dataclasses.replace(cfg, seeds=(seed,))).payload["algorithms"]
+            for algo, block in report.payload["algorithms"].items():
+                (run,) = [r for r in block["runs"] if r["seed"] == seed]
+                assert_same(run, lone[algo]["runs"][0])
+
+    def test_fault_in_one_share_gives_one_process_records(self, thirteen, monkeypatch):
+        # slot 1 is seed 3 in the share (1, 3) and seed 2 in one process:
+        # the failed algorithms run again here, so their records name seed 2
+        cfg, _ = thirteen
+        real = bench.row_energies
+
+        def poisoned(prepare, ising, points, owners):
+            values = real(prepare, ising, points, owners)
+            values[owners == 1] = np.nan
+            return values
+
+        monkeypatch.setattr(bench, "row_energies", poisoned)
+        forked = run_benchmark(cfg)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        alone = run_benchmark(cfg)
+        assert_same(forked.payload, alone.payload)
+        for algo in ("vqe", "qaoa", "ws-qaoa"):
+            failed = forked.payload["algorithms"][algo]["failed"]
+            assert [f["seed"] for f in failed] == [1, 2, 3]
+            assert all(f["error"].endswith("] (seed 2)") for f in failed), failed
+        assert forked.timings["per_run"]["vqe"] == {}
+
+    def test_worker_without_result_raises_and_is_reaped(self, thirteen, monkeypatch):
+        cfg, _ = thirteen
+        parent, real = os.getpid(), bench.run_seeds
+
+        def dying(config, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(config, *args)
+
+        monkeypatch.setattr(bench, "run_seeds", dying)
+        with pytest.raises(RuntimeError, match=r"seeds \[2\]: no result, exit status 3"):
+            run_benchmark(cfg)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_here_kills_and_reaps_workers(self, thirteen, monkeypatch):
+        cfg, _ = thirteen
+        parent = os.getpid()
+
+        def stuck_or_broken(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "run_seeds", stuck_or_broken)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_benchmark(cfg)
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_twelve_qubits_run_in_one_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked below 13 qubits")
+
+        monkeypatch.setattr(bench.os, "fork", no_fork)
+        path = write_csv(tmp_path, two_blobs(12))
+        report = run_benchmark(RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1))
+        assert [w["seeds"] for w in report.timings["workers"]] == [[1, 2]]
+        assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
 
 
 class TestEmitReport:
