@@ -347,9 +347,11 @@ def machine() -> dict:
         core = corename().decode()
     return {
         "cpu": cpu,
-        # the CPUs this process may run on, which set the worker count of a
-        # 13- or 14-qubit run; perfbench/run.py's header reads the same
+        # the CPUs this process may run on: a run forks at most one worker
+        # per CPU and pins each to one of these; perfbench/run.py's header
+        # reads the same count
         "nproc": len(os.sched_getaffinity(0)),
+        "cpus": sorted(os.sched_getaffinity(0)),
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,

@@ -347,7 +347,7 @@ def _warm_starts(config: RunConfig, problem: Problem, timings: dict) -> list[War
     """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
     qubo = qubo_from_graph(problem.graph)
     # seeds fewer than relaxation.RESTARTS apart share restarts; each distinct
-    # start is ascended once per share of seeds, by the first seed using it
+    # start is ascended once per call, by the first seed using it
     ascents: dict[int, tuple] = {}
     warms = []
     for seed in config.seeds:
@@ -448,7 +448,7 @@ def run_seeds(
     (``graph_build_s``, the run's share of building ``problem``),
     relaxation, optimization and sampling.  The optimization stage runs
     once for the batch, so its time is split evenly across ``config.seeds``:
-    under :func:`_run_shares`, across the seeds of one share.
+    under :func:`_run_shares`, the seeds one process runs of ``algorithm``.
     """
     seeds = config.seeds
     timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
@@ -474,47 +474,86 @@ def run_seeds(
     return runs, [], timings
 
 
-def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem, graph_build_s: float) -> tuple:
-    """:func:`run_seeds` of each algorithm per share of the seeds, and the
-    processes that ran them, this one first.  From 13 qubits (``row_cap`` 1)
-    each usable CPU runs a share ``seeds[w::W]``, forked but for share 0."""
-    cpus = len(os.sched_getaffinity(0)) if row_cap(problem.ising.n) == 1 else 1
-    shares = [config.seeds[w::cpus] for w in range(min(len(config.seeds), cpus))]
+# fork when the lightest share outlasts a fork, pickle and reap (about 11
+# ms): 100,000 units at the 115-150 ns a unit takes on one or two cars seeds
+FORK_MIN_COST = 100_000
 
-    def run_share(share):
-        share_config = replace(config, seeds=share)
-        return {a: run_seeds(share_config, a, problem, graph_build_s) for a in algorithms}
-    children: dict[int, tuple] = {}  # pid -> (share, read end of its pipe)
+
+def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list[dict[str, list[int]]]]:
+    """The usable CPUs, sorted, and each share's jobs as ``{algorithm:
+    seeds}``, this process's first.  A job is one algorithm over every seed,
+    or over one seed from 13 qubits (``row_cap`` 1); its cost is the
+    amplitudes its gates update per evaluation (complex ones twice, QAOA's
+    half state once) times its evaluations.  Jobs go longest first to the
+    least loaded of k shares (Graham's LPT rule), for the largest k up to
+    the CPU count whose lightest share clears FORK_MIN_COST."""
+    cpus = sorted(os.sched_getaffinity(0))
+    qaoa = config.p * (n + 1)
+    gates = {"exact": 0, "vqe": (config.vqe_reps + 1) * n, "qaoa": qaoa, "ws-qaoa": 2 * qaoa}
+    evals = 2 * config.spsa_iters + 2 * optimizer.PROBES + 2
+    chunks = [(seed,) for seed in config.seeds] if row_cap(n) == 1 else [config.seeds]
+    jobs = [(gates[a] * 2**n * evals * len(chunk), a, chunk) for a in algorithms for chunk in chunks]
+    jobs.sort(key=lambda job: -job[0])
+    for k in range(min(len(cpus), len(jobs)), 0, -1):
+        loads, shares = [0] * k, [{a: [] for a in algorithms} for _ in range(k)]
+        for cost, a, chunk in jobs:
+            w = loads.index(min(loads))
+            loads[w] += cost
+            shares[w][a] += chunk
+        if min(loads) > FORK_MIN_COST:
+            break
+    shares.insert(0, shares.pop(loads.index(min(loads))))
+    return cpus, [{a: seeds for a, seeds in share.items() if seeds} for share in shares]
+
+
+def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem, graph_build_s: float) -> tuple:
+    """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
+    result)`` pairs, and the processes that ran them, this one first.
+    Every share but this process's runs in a forked worker pinned to its
+    own CPU; while they run this process is pinned to the CPU left over,
+    and its affinity is restored before the call returns or raises."""
+    cpus, shares = _plan(config, algorithms, problem.ising.n)
+
+    def run_share(jobs):
+        return [(a, run_seeds(replace(config, seeds=tuple(seeds)), a, problem, graph_build_s))
+                for a, seeds in jobs.items()]
+    children: dict[int, tuple] = {}  # pid -> (cpu, jobs, read end of its pipe)
     try:
-        for share in shares[1:]:
+        for cpu, jobs in zip(cpus[1:], shares[1:]):
             r, w = os.pipe()
             with warnings.catch_warnings():  # 3.12+ warns of OpenBLAS's threads, which it joins at a fork
                 warnings.simplefilter("ignore", DeprecationWarning)
                 pid = os.fork()
             if pid == 0:  # a worker: its result down the pipe, then out
                 try:
+                    os.sched_setaffinity(0, {cpu})
                     with open(w, "wb") as fh:
-                        pickle.dump(run_share(share), fh)
+                        pickle.dump(run_share(jobs), fh)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
-            children[pid] = (share, open(r, "rb"))
-        results, workers = [run_share(shares[0])], [{"seeds": list(shares[0])}]
-        for pid, (share, fh) in list(children.items()):
+            children[pid] = (cpu, jobs, open(r, "rb"))
+        if children:  # this process, which also merges and emits, runs the lightest share
+            os.sched_setaffinity(0, {cpus[0]})
+        workers = [{"cpu": cpus[0] if children else None, "jobs": shares[0]}]
+        results = run_share(shares[0])
+        for pid, (cpu, jobs, fh) in list(children.items()):
             with fh:
                 data = fh.read()
             _, status, usage = os.wait4(pid, 0)
             del children[pid]
             if code := os.waitstatus_to_exitcode(status):
-                raise RuntimeError(f"worker for seeds {list(share)}: no result, exit status {code}")
-            results.append(pickle.loads(data))
-            workers.append({"seeds": list(share), "max_rss_mb": usage.ru_maxrss / 1024})
-    finally:  # no worker outlives the call
-        for pid, (_, fh) in children.items():
+                raise RuntimeError(f"worker on CPU {cpu} for {jobs}: no result, exit status {code}")
+            results += pickle.loads(data)
+            workers.append({"cpu": cpu, "jobs": jobs, "max_rss_mb": usage.ru_maxrss / 1024})
+    finally:  # no worker outlives the call, nor the pinning
+        for pid, (_, _, fh) in children.items():
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if len(shares) > 1:
+            os.sched_setaffinity(0, set(cpus))
     workers[0]["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return results, workers
 
@@ -557,8 +596,9 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     The exhaustive solution is always computed and included for
     comparison.  A stage that raises fails every seed of its algorithm:
     each is recorded under ``failed`` with the stage and the error, and
-    the other algorithms' blocks are unaffected.  From 13 qubits the seeds
-    are shared by forked workers (``RuntimeError`` if one gives no result).
+    the other algorithms' blocks are unaffected.  Jobs may run in forked
+    workers, each pinned to its own CPU (``RuntimeError`` if one gives no
+    result); runs and timings are merged in ``config.seeds`` order.
     """
     t_start = time.perf_counter()
     path = resolve_dataset(config.dataset)
@@ -627,20 +667,20 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         },
         "algorithms": {},
     }
-    shares, workers = _run_shares(config, algorithms, problem, graph_build_s)
+    results, workers = _run_shares(config, algorithms, problem, graph_build_s)
     timings: dict[str, Any] = {"per_run": {}, "workers": workers}
 
     for algorithm in algorithms:
-        parts = [share[algorithm] for share in shares]
-        # a failure in any share runs again in one process, for one process's records
+        parts = [result for a, result in results if a == algorithm]
+        # a failure in a split algorithm runs again in one process, for one process's records
         if len(parts) > 1 and any(failed for _, failed, _ in parts):
             parts = [run_seeds(config, algorithm, problem, graph_build_s)]
-        runs, failed, stage_times = list(config.seeds), parts[0][1], list(config.seeds)
-        for w, (share_runs, _, share_times) in enumerate(parts):  # back into seed order
-            runs[w::len(parts)], stage_times[w::len(parts)] = share_runs, share_times.items()
+        by_seed = {run["seed"]: run for part_runs, _, _ in parts for run in part_runs}
+        times = {seed: t for _, _, part_times in parts for seed, t in part_times.items()}
+        runs, failed = [by_seed[seed] for seed in config.seeds if seed in by_seed], parts[0][1]
         for value in (v for run in runs for v in run.values() if isinstance(v, np.ndarray)):
             value.flags.writeable = False  # as before pickling
-        timings["per_run"][algorithm] = {str(seed): t for seed, t in stage_times}
+        timings["per_run"][algorithm] = {str(seed): times[seed] for seed in config.seeds if seed in times}
         block: dict[str, Any] = {"runs": runs, "failed": failed}
         if runs:
             block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)

@@ -690,19 +690,55 @@ def thirteen(tmp_path_factory):
         return cfg, run_benchmark(cfg)
 
 
+def assert_same_files(report, alone, tmp_path):
+    """``report`` and ``alone`` write byte-equal report.json and histograms."""
+    emit_report(report, tmp_path / "forked")
+    emit_report(alone, tmp_path / "alone")
+    names = ["report.json"] + [f"histogram_{a}.csv" for a in bench.ALGORITHMS]
+    for name in names:
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+
 class TestForkedShares:
-    """From 13 qubits each usable CPU runs a stride share of the seeds;
-    two CPUs are stated here, so seeds 1 and 3 run here and 2 in a fork."""
+    """Jobs split across the usable CPUs, each worker pinned to its own.
+    Two CPUs are stated here, and pinning is recorded, not done.  From 13
+    qubits a job is one seed; by LPT on the cost proxy, this process runs
+    the lighter share, ``HERE_JOBS``, and one worker ``WORKER_JOBS``."""
+
+    HERE_JOBS = {"exact": [1, 2, 3], "vqe": [3], "qaoa": [2], "ws-qaoa": [1, 3]}
+    WORKER_JOBS = {"vqe": [1, 2], "qaoa": [1, 3], "ws-qaoa": [2]}
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1})
+    def pins(self, monkeypatch, tmp_path):
+        """Two usable CPUs; each ``sched_setaffinity`` call, from any
+        process, is read back as ``(pid, cpus)``."""
+        log = tmp_path / "pins"
+        log.touch()
 
-    def test_output_equals_one_process(self, thirteen, tmp_path):
+        def record(pid, cpus):
+            assert pid == 0
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {' '.join(map(str, sorted(cpus)))}\n")
+
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(bench.os, "sched_setaffinity", record)
+        return lambda: [
+            (int(pid), {int(c) for c in cpus}) for pid, *cpus in map(str.split, log.read_text().splitlines())
+        ]
+
+    def test_output_equals_one_process(self, thirteen, tmp_path, pins):
         cfg, alone = thirteen
         report = run_benchmark(cfg)
-        assert [w["seeds"] for w in report.timings["workers"]] == [[1, 3], [2]]
-        assert [w["seeds"] for w in alone.timings["workers"]] == [[1, 2, 3]]
+        # the worker on CPU 1, this process on CPU 0 while it ran, then restored
+        calls = pins()
+        assert [cpus for pid, cpus in calls if pid == os.getpid()] == [{0}, {0, 1}]
+        assert [cpus for pid, cpus in calls if pid != os.getpid()] == [{1}]
+        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
+            (0, self.HERE_JOBS), (1, self.WORKER_JOBS)
+        ]
+        assert [(w["cpu"], w["jobs"]) for w in alone.timings["workers"]] == [
+            (None, {a: [1, 2, 3] for a in bench.ALGORITHMS})
+        ]
         assert all(w["max_rss_mb"] > 0 for w in report.timings["workers"] + alone.timings["workers"])
         assert_same(report.payload, alone.payload)
         for algo, per_seed in report.timings["per_run"].items():
@@ -711,11 +747,42 @@ class TestForkedShares:
             for run in block["runs"]:
                 assert not run["probabilities"].flags.writeable
                 assert run["params"] is None or not run["params"].flags.writeable
-        emit_report(report, tmp_path / "forked")
-        emit_report(alone, tmp_path / "alone")
-        names = ["report.json"] + [f"histogram_{a}.csv" for a in bench.ALGORITHMS]
-        for name in names:
-            assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert_same_files(report, alone, tmp_path)
+
+    def test_below_13_qubits_output_equals_one_process(self, tmp_path, monkeypatch):
+        # below 13 qubits a job is one algorithm over every seed
+        path = write_csv(tmp_path, two_blobs(6))
+        cfg = RunConfig(dataset=str(path), seeds=(1, 2, 3), spsa_iters=5)
+        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
+        report = run_benchmark(cfg)
+        assert [w["jobs"] for w in report.timings["workers"]] == [
+            {"exact": [1, 2, 3], "qaoa": [1, 2, 3], "ws-qaoa": [1, 2, 3]}, {"vqe": [1, 2, 3]}
+        ]
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        alone = run_benchmark(cfg)
+        assert len(alone.timings["workers"]) == 1
+        assert_same(report.payload, alone.payload)
+        assert report.timings["per_run"].keys() == alone.timings["per_run"].keys()
+        for algo, per_seed in report.timings["per_run"].items():
+            assert list(per_seed) == ["1", "2", "3"], algo
+        assert_same_files(report, alone, tmp_path)
+
+    def test_each_worker_pins_itself_to_its_own_cpu(self, tmp_path, monkeypatch, pins):
+        # three shares on CPUs 3, 5 and 8: this process takes the first
+        path = write_csv(tmp_path, two_blobs(6))
+        cfg = RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {8, 3, 5})
+        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
+        report = run_benchmark(cfg)
+        workers = report.timings["workers"]
+        assert [w["cpu"] for w in workers] == [3, 5, 8]
+        assert sorted(a for w in workers for a in w["jobs"]) == sorted(bench.ALGORITHMS)
+        calls = pins()
+        here = [cpus for pid, cpus in calls if pid == os.getpid()]
+        assert here == [{3}, {3, 5, 8}]
+        there = sorted((cpus for pid, cpus in calls if pid != os.getpid()), key=min)
+        assert there == [{5}, {8}]
+        assert len({pid for pid, _ in calls}) == 3
 
     def test_each_seed_equals_its_lone_run(self, thirteen):
         cfg, _ = thirteen
@@ -758,12 +825,13 @@ class TestForkedShares:
             return real(config, *args)
 
         monkeypatch.setattr(bench, "run_seeds", dying)
-        with pytest.raises(RuntimeError, match=r"seeds \[2\]: no result, exit status 3"):
+        message = f"worker on CPU 1 for {self.WORKER_JOBS}: no result, exit status 3"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
             run_benchmark(cfg)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_error_here_kills_and_reaps_workers(self, thirteen, monkeypatch):
+    def test_error_here_kills_and_reaps_workers(self, thirteen, monkeypatch, pins):
         cfg, _ = thirteen
         parent = os.getpid()
 
@@ -779,16 +847,38 @@ class TestForkedShares:
         assert time.perf_counter() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+        # pinned to CPU 0 while the worker ran, then restored
+        assert [cpus for pid, cpus in pins() if pid == parent] == [{0}, {0, 1}]
 
-    def test_twelve_qubits_run_in_one_process(self, tmp_path, monkeypatch):
+    def test_twelve_qubits_run_in_one_process(self, tmp_path, monkeypatch, pins):
+        # a run whose lightest share does not clear FORK_MIN_COST never forks
         def no_fork():
-            raise AssertionError("forked below 13 qubits")
+            raise AssertionError("forked under the threshold")
 
+        real_fork = bench.os.fork
         monkeypatch.setattr(bench.os, "fork", no_fork)
+        cars = run_benchmark(RunConfig(dataset="cars", seeds=(1, 2), spsa_iters=20))
+        assert [w["jobs"] for w in cars.timings["workers"]] == [{a: [1, 2] for a in bench.ALGORITHMS}]
         path = write_csv(tmp_path, two_blobs(12))
-        report = run_benchmark(RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1))
-        assert [w["seeds"] for w in report.timings["workers"]] == [[1, 2]]
+        cfg = RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1)
+        # the lighter share is ws-QAOA's: (12 + 1) * 2 updates of 2^12
+        # amplitudes per evaluation, 2 * 3 + 2 * PROBES + 2 evaluations, 2 seeds
+        lightest = 13 * 2 * 2**12 * (2 * 3 + 2 * 10 + 2) * 2
+        monkeypatch.setattr(bench, "FORK_MIN_COST", lightest)
+        report = run_benchmark(cfg)
+        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
+            (None, {a: [1, 2] for a in bench.ALGORITHMS})
+        ]
         assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
+        assert pins() == []
+        # one unit less, and it forks
+        monkeypatch.setattr(bench.os, "fork", real_fork)
+        monkeypatch.setattr(bench, "FORK_MIN_COST", lightest - 1)
+        forked = run_benchmark(cfg)
+        assert [w["jobs"] for w in forked.timings["workers"]] == [
+            {"exact": [1, 2], "ws-qaoa": [1, 2]}, {"vqe": [1, 2], "qaoa": [1, 2]}
+        ]
+        assert_same(forked.payload, report.payload)
 
 
 class TestEmitReport:
