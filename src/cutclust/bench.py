@@ -132,6 +132,8 @@ class RunConfig:
             raise ValidationError(
                 f"algorithm must be one of {ALGORITHMS + ('all',)}, got {self.algorithm!r}"
             )
+        if not isinstance(self.seeds, tuple):
+            raise ValidationError(f"seeds must be a tuple of int, got {self.seeds!r}")
         if not self.seeds:
             raise ValidationError("seeds must be nonempty")
         for name, least in (("p", 1), ("vqe_reps", 0), ("shots", 1), ("spsa_iters", 1)):
@@ -343,21 +345,6 @@ def build_problem(dataset: Dataset) -> Problem:
     return Problem(dataset=dataset, graph=graph, ising=ising, solution=exact_solve(ising))
 
 
-def _warm_starts(config: RunConfig, problem: Problem, timings: dict) -> list[WarmStart]:
-    """Relaxation stage of each ws-QAOA seed: the clipped box-relaxed cut."""
-    qubo = qubo_from_graph(problem.graph)
-    # seeds fewer than relaxation.RESTARTS apart share restarts; each distinct
-    # start is ascended once per call, by the first seed using it
-    ascents: dict[int, tuple] = {}
-    warms = []
-    for seed in config.seeds:
-        t0 = time.perf_counter()
-        relaxed = relax_qubo(qubo, seed, ascents)
-        warms.append(WarmStart(clip_cstar(relaxed.c_star, config.epsilon)))
-        timings[seed]["relaxation"] = time.perf_counter() - t0
-    return warms
-
-
 def _optimize(
     config: RunConfig, algorithm: str, problem: Problem, warm: list[WarmStart] | None
 ) -> list[dict[str, Any]]:
@@ -369,8 +356,9 @@ def _optimize(
     through SPSA together; seed s starts from ``default_rng([s, 1])`` and
     keeps its own streams, gain and best point, so its result equals a
     run on its own.  Each seed's gain is calibrated first.  The final
-    states are prepared as one batch too.  A non-finite objective value
-    raises ``EvaluationError``, which ends every seed of the batch.
+    states are prepared as one batch too; a seed's energy is SPSA's best
+    value, that of its best point.  A non-finite objective value raises
+    ``EvaluationError``, which ends every seed of the batch.
     """
     ising = problem.ising
     seeds = config.seeds
@@ -399,12 +387,12 @@ def _optimize(
     return [
         {
             "probabilities": p,
-            "energy_expectation": float(e),
+            "energy_expectation": r.best_value,
             "params": x,
             "calibrated_a": r.gain,
             "evaluations": r.evaluations,
         }
-        for r, x, p, e in zip(results, best, probs, expectation_rows(probs, ising.energies))
+        for r, x, p in zip(results, best, probs)
     ]
 
 
@@ -434,7 +422,7 @@ def sample_run(config: RunConfig, seed: int, problem: Problem, final: dict[str, 
 
 
 def run_seeds(
-    config: RunConfig, algorithm: str, problem: Problem, graph_build_s: float
+    config: RunConfig, algorithm: str, problem: Problem
 ) -> tuple[list[dict[str, Any]], list[dict[str, Any]], dict[int, dict[str, float]]]:
     """Run one solver for every seed of ``config``, all seeds advancing
     together through relaxation (warm start only), optimization and
@@ -444,17 +432,27 @@ def run_seeds(
     report.json entry, reproducible from (config, seed).  An exception at
     any stage fails every seed: ``runs`` and ``timings`` are then empty
     and ``failed`` names, per seed, the stage and the error.  ``timings``
-    maps each seed to the wall time of its stages: graph_build
-    (``graph_build_s``, the run's share of building ``problem``),
-    relaxation, optimization and sampling.  The optimization stage runs
-    once for the batch, so its time is split evenly across ``config.seeds``:
-    under :func:`_run_shares`, the seeds one process runs of ``algorithm``.
+    maps each seed to the wall time of its stages: relaxation,
+    optimization and sampling (building ``problem`` is charged by
+    :func:`run_benchmark`).  The optimization stage runs once for the
+    batch, so its time is split evenly across ``config.seeds``: under
+    :func:`_run_shares`, the seeds one process runs of ``algorithm``.
     """
     seeds = config.seeds
-    timings = {seed: {"graph_build": graph_build_s, "relaxation": 0.0} for seed in seeds}
+    timings = {seed: {"relaxation": 0.0} for seed in seeds}
     stage = "relaxation"
     try:
-        warm = _warm_starts(config, problem, timings) if algorithm == "ws-qaoa" else None
+        warm = None
+        if algorithm == "ws-qaoa":  # each seed's warm start: its clipped box-relaxed cut
+            qubo = qubo_from_graph(problem.graph)
+            # seeds fewer than relaxation.RESTARTS apart share restarts; each distinct
+            # start is ascended once per call, by the first seed using it
+            ascents: dict[int, tuple] = {}
+            warm = []
+            for seed in seeds:
+                t0 = time.perf_counter()
+                warm.append(WarmStart(clip_cstar(relax_qubo(qubo, seed, ascents).c_star, config.epsilon)))
+                timings[seed]["relaxation"] = time.perf_counter() - t0
         stage = "optimization"
         t0 = time.perf_counter()
         finals = _optimize(config, algorithm, problem, warm)
@@ -506,7 +504,7 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
     return cpus, [{a: seeds for a, seeds in share.items() if seeds} for share in shares]
 
 
-def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem, graph_build_s: float) -> tuple:
+def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple:
     """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
     result)`` pairs, and the processes that ran them, this one first.
     Every share but this process's runs in a forked worker pinned to its
@@ -515,7 +513,7 @@ def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem, graph_bu
     cpus, shares = _plan(config, algorithms, problem.ising.n)
 
     def run_share(jobs):
-        return [(a, run_seeds(replace(config, seeds=tuple(seeds)), a, problem, graph_build_s))
+        return [(a, run_seeds(replace(config, seeds=tuple(seeds)), a, problem))
                 for a, seeds in jobs.items()]
     children: dict[int, tuple] = {}  # pid -> (cpu, jobs, read end of its pipe)
     try:
@@ -582,14 +580,6 @@ def _median(values) -> float:
     return float((ordered[mid - 1] + ordered[mid]) / 2.0)
 
 
-def _representative(runs: list[dict[str, Any]]) -> dict[str, Any]:
-    """The run whose achieved energy is closest to the median; ties go
-    to the earliest seed."""
-    energies = np.array([r["energy_expectation"] for r in runs])
-    med = _median(energies)
-    return runs[int(np.argmin(np.abs(energies - med)))]
-
-
 def run_benchmark(config: RunConfig) -> BenchmarkReport:
     """Run every requested algorithm over every seed and aggregate.
 
@@ -616,9 +606,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     # every run shares the one build; each is charged an equal part
     graph_build_s = (time.perf_counter() - t0) / (len(algorithms) * len(config.seeds))
     sol = problem.solution
-    exact_top = most_probable_index(
-        np.isin(np.arange(2**n), sol.ground_states).astype(float)
-    )
+    exact_top = most_probable_index(np.isin(np.arange(2**n), sol.ground_states))
     exact_labels = assign_clusters(exact_top, n)
 
     payload: dict[str, Any] = {
@@ -667,26 +655,29 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         },
         "algorithms": {},
     }
-    results, workers = _run_shares(config, algorithms, problem, graph_build_s)
+    results, workers = _run_shares(config, algorithms, problem)
     timings: dict[str, Any] = {"per_run": {}, "workers": workers}
 
     for algorithm in algorithms:
         parts = [result for a, result in results if a == algorithm]
         # a failure in a split algorithm runs again in one process, for one process's records
         if len(parts) > 1 and any(failed for _, failed, _ in parts):
-            parts = [run_seeds(config, algorithm, problem, graph_build_s)]
+            parts = [run_seeds(config, algorithm, problem)]
         by_seed = {run["seed"]: run for part_runs, _, _ in parts for run in part_runs}
         times = {seed: t for _, _, part_times in parts for seed, t in part_times.items()}
         runs, failed = [by_seed[seed] for seed in config.seeds if seed in by_seed], parts[0][1]
         for value in (v for run in runs for v in run.values() if isinstance(v, np.ndarray)):
             value.flags.writeable = False  # as before pickling
-        timings["per_run"][algorithm] = {str(seed): times[seed] for seed in config.seeds if seed in times}
+        timings["per_run"][algorithm] = {str(seed): {"graph_build": graph_build_s, **times[seed]}
+                                         for seed in config.seeds if seed in times}
         block: dict[str, Any] = {"runs": runs, "failed": failed}
         if runs:
-            block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)
+            med = block["median_energy_expectation"] = _median(r["energy_expectation"] for r in runs)
             block["median_energy_sampled"] = _median(r["energy_sampled"] for r in runs)
             block["median_solution_objective"] = _median(r["solution_objective"] for r in runs)
-            block["representative_seed"] = _representative(runs)["seed"]
+            # the run whose energy is closest to the median; ties go to the earliest seed
+            closest = min(runs, key=lambda r: abs(r["energy_expectation"] - med))
+            block["representative_seed"] = closest["seed"]
         payload["algorithms"][algorithm] = block
 
     timings["total_s"] = time.perf_counter() - t_start
@@ -701,25 +692,21 @@ def _json_default(obj: Any) -> Any:
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-# a sink takes the index of a chunk's first float and the chunk's text
-Sink = Callable[[int, str], None]
-
-
 def _float_text(chunk: np.ndarray) -> str:
     """The floats of ``chunk`` as the C JSON encoder writes them, each its
     shortest repr, separated by ", " (which no float's repr holds)."""
     return json.dumps(chunk.tolist())[1:-1]
 
 
-def _dump_json(data: Any, path: Path, sinks: dict[int, Sink] | None = None) -> None:
+def _dump_json(data: Any, path: Path, sinks: dict[int, Callable] | None = None) -> None:
     """Write ``data`` to ``path`` as ``json.dumps(data, indent=2,
     sort_keys=True, default=_json_default) + "\\n"`` would, given its
     nonempty 1-D float64 arrays as lists (any other array raises
     ``TypeError``).  The encoder's pieces are written as they come; an
     array goes through the C encoder CHUNK floats at a time, each chunk
     split onto its lines, and no whole-vector list or string is built.
-    ``sinks`` maps ``id(array)`` to a sink also handed each chunk's text,
-    popped at the array's first write: a shared array feeds it once."""
+    ``sinks`` maps ``id(array)`` to a sink, also called ``sink(lo, text)`` on the chunk
+    from index lo, popped at the array's first write: a shared array feeds it once."""
     pending: list[np.ndarray] = []
 
     def default(obj: Any) -> Any:
@@ -754,26 +741,16 @@ def _dump_json(data: Any, path: Path, sinks: dict[int, Sink] | None = None) -> N
         fh.write("\n")
 
 
-def _bitstring_parts(n: int) -> tuple[list[str], Callable[[int], str]]:
-    """``(low, prefix)``: the MSB-first bitstring of index k is
-    ``prefix(k) + low[k % len(low)]``.  ``low`` holds the strings of the
-    min(n, log2 CHUNK) low bits, formatted once; ``prefix`` formats the
-    high bits, the same for every index of a CHUNK."""
+def _histogram_sink(fh, n: int) -> Callable[[int, str], None]:
+    """A :func:`_dump_json` sink writing to ``fh`` the histogram rows of an
+    ``n``-qubit probability vector's chunk, as a CSV writer would (no field
+    needs quoting).  The MSB-first strings of the min(n, log2 CHUNK) low
+    bits are formatted once, here; each chunk adds its high bits as one prefix."""
     bits = min(n, CHUNK.bit_length() - 1)
-    low = [format(k, f"0{bits}b") for k in range(2**bits)]
-    if n == bits:
-        return low, lambda k: ""
-    high = f"0{n - bits}b"
-    return low, lambda k: format(k >> bits, high)
-
-
-def _histogram_sink(fh, keys: list[str], prefix: Callable[[int], str]) -> Sink:
-    """A sink that writes a chunk's histogram rows to ``fh``, as a CSV
-    writer would (no field needs quoting).  ``keys`` are the low-bit
-    strings of :func:`_bitstring_parts`, each followed by a comma."""
+    keys = [format(k, f"0{bits}b") + "," for k in range(2**bits)]
 
     def sink(lo: int, text: str) -> None:
-        head = prefix(lo)
+        head = format(lo >> bits, f"0{n - bits}b") if n > bits else ""
         rows = map(operator.add, keys, text.split(", "))
         fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
 
@@ -855,13 +832,11 @@ def emit_report(
     with ExitStack() as stack:
         # each histogram takes its probabilities' text, CHUNK floats at a
         # time, from report.json's writer, so every float is formatted once
-        low, prefix = _bitstring_parts(report.payload["dataset"]["n_rows"])
-        keys = [s + "," for s in low]
-        sinks: dict[int, Sink] = {}
+        sinks = {}
         for hist, probs in histograms.items():
             fh = stack.enter_context(open(hist, "w", newline="", encoding="utf-8"))
             fh.write("bitstring,probability\r\n")
-            sinks[id(probs)] = _histogram_sink(fh, keys, prefix)
+            sinks[id(probs)] = _histogram_sink(fh, report.payload["dataset"]["n_rows"])
         if "json" in formats:
             _dump_json(report.payload, out / "report.json", sinks)
             _dump_json(report.timings, out / "timings.json")

@@ -2,6 +2,7 @@
 aggregation, and report emission."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -420,14 +421,20 @@ class TestRunConfig:
             ({"columns": ["mpg"]}, "columns"),
             ({"dataset": 5}, "dataset"),
             ({"dataset": b"cars"}, "dataset"),
+            ({"seeds": {1, 2}}, "seeds"),
+            ({"seeds": 5}, "seeds"),
+            ({"seeds": [1, 2]}, "seeds"),
+            ({"seeds": "12"}, "seeds"),
         ],
         ids=["epsilon-str", "epsilon-none", "epsilon-bool", "normalize-str", "columns-str",
-             "columns-list", "dataset-int", "dataset-bytes"],
+             "columns-list", "dataset-int", "dataset-bytes", "seeds-set", "seeds-int",
+             "seeds-list", "seeds-str"],
     )
     def test_wrong_types_rejected_before_anything_is_written(self, kwargs, name, tmp_path):
         # epsilon "0.1" and None failed as a bare TypeError, normalize "no"
         # was echoed into report.json, and columns "mpg" was split into
-        # the columns 'm', 'p' and 'g'
+        # the columns 'm', 'p' and 'g'; seeds {1, 2} and 5 failed as a bare
+        # TypeError, and seeds [1, 2] made the frozen config unhashable
         out = tmp_path / "out"
         with pytest.raises(ValidationError, match=rf"^{name} must be "):
             emit_report(run_benchmark(RunConfig(**{"dataset": "cars", **kwargs})), out)
@@ -531,6 +538,11 @@ class TestRunBenchmark:
         )
         # odd run count: the representative attains the median exactly
         assert rep["energy_expectation"] == block["median_energy_expectation"]
+
+    def test_representative_tie_goes_to_earliest_seed(self):
+        # every exact run has the ground energy, so all of them tie
+        report = run_benchmark(RunConfig(dataset="cars", algorithm="exact", seeds=(3, 1, 4, 2)))
+        assert report.payload["algorithms"]["exact"]["representative_seed"] == 3
 
     def test_failed_run_recorded_report_still_emitted(self, small_report, monkeypatch, tmp_path):
         # sampling fails for exact's seed 2: every exact seed fails with the
@@ -1126,9 +1138,14 @@ class TestHistogramsFromReportText:
 
     @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 14])
     def test_bitstrings_equal_bitstring_str(self, n):
-        low, prefix = bench._bitstring_parts(n)
-        got = [prefix(lo) + s for lo in range(0, 2**n, bench.CHUNK) for s in low]
-        assert got == [bench.bitstring_str(k, n) for k in range(2**n)]
+        # each chunk's text is its own indices, so row k must read "{bitstring of k},k"
+        fh = io.StringIO()
+        sink = bench._histogram_sink(fh, n)
+        for lo in range(0, 2**n, bench.CHUNK):
+            sink(lo, ", ".join(map(str, range(lo, min(lo + bench.CHUNK, 2**n)))))
+        text = fh.getvalue()
+        assert text.endswith("\r\n")
+        assert text[:-2].split("\r\n") == [f"{bench.bitstring_str(k, n)},{k}" for k in range(2**n)]
 
 
 class TestMedian:
