@@ -508,8 +508,9 @@ def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple
     """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
     result)`` pairs, and the processes that ran them, this one first.
     Every share but this process's runs in a forked worker pinned to its
-    own CPU; while they run this process is pinned to the CPU left over,
-    and its affinity is restored before the call returns or raises."""
+    own CPU, which pickles its result with protocol 5, so that arrays keep
+    numpy's read-only flag.  While they run this process is pinned to the
+    CPU left over; its affinity is restored before the call returns or raises."""
     cpus, shares = _plan(config, algorithms, problem.ising.n)
 
     def run_share(jobs):
@@ -526,7 +527,7 @@ def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple
                 try:
                     os.sched_setaffinity(0, {cpu})
                     with open(w, "wb") as fh:
-                        pickle.dump(run_share(jobs), fh)
+                        pickle.dump(run_share(jobs), fh, protocol=5)
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -666,8 +667,6 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
         by_seed = {run["seed"]: run for part_runs, _, _ in parts for run in part_runs}
         times = {seed: t for _, _, part_times in parts for seed, t in part_times.items()}
         runs, failed = [by_seed[seed] for seed in config.seeds if seed in by_seed], parts[0][1]
-        for value in (v for run in runs for v in run.values() if isinstance(v, np.ndarray)):
-            value.flags.writeable = False  # as before pickling
         timings["per_run"][algorithm] = {str(seed): {"graph_build": graph_build_s, **times[seed]}
                                          for seed in config.seeds if seed in times}
         block: dict[str, Any] = {"runs": runs, "failed": failed}

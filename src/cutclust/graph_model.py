@@ -19,9 +19,12 @@ from .errors import ValidationError, check_count
 QUBIT_CAP = 14
 
 
-def bits_from_index(index: int, n: int) -> np.ndarray:
-    """Per-qubit bits (qubit 0 first) of a basis-state index."""
-    return (index >> np.arange(n)) & 1
+def bits_from_index(index, n: int) -> np.ndarray:
+    """Per-qubit bits (qubit 0 first) of a basis-state index, or of an
+    integer array of them of shape (..., 1), giving shape (..., n)."""
+    bits = index >> np.arange(n)
+    bits &= 1
+    return bits
 
 
 @dataclass(frozen=True)
@@ -171,9 +174,7 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
         raise ValidationError(f"{n} qubits exceeds the cap of {QUBIT_CAP}")
     half = 2 ** (n - 1)
     # row k holds the bits of k; 1 - x overwrites x once x W is taken
-    bits = np.arange(half)[:, None] >> np.arange(n)
-    bits &= 1
-    bits = bits.astype(float)
+    bits = bits_from_index(np.arange(half)[:, None], n).astype(float)
     cut = bits @ graph.weights
     np.subtract(1.0, bits, out=bits)
     cut *= bits

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .graph_model import QUBIT_CAP, IsingDiagonal
 
 RNG_ID = "numpy-pcg64"
@@ -111,10 +110,12 @@ def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
 
 
 def cnot_chain_perm(n: int) -> np.ndarray:
-    """Gather index of the linear chain CNOT(0,1), CNOT(1,2), ..., CNOT(n-2,n-1)."""
+    """Gather index of the linear chain CNOT(0,1), CNOT(1,2), ..., CNOT(n-2,n-1),
+    which sets bit k to the XOR of bits 0..k.  So bit k of the source of y
+    is bit k of y XOR bit k-1 of y: the index is y ^ (y << 1), cut to n bits."""
     perm = np.arange(2**n)
-    for q in range(n - 1):
-        perm = perm[cnot_perm(n, q, q + 1)]
+    perm ^= perm << 1
+    perm &= 2**n - 1
     return perm
 
 
@@ -204,7 +205,5 @@ def expectation_rows(probs: np.ndarray, energies: np.ndarray) -> np.ndarray:
 def draw_counts(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     """Counts per basis index of ``shots`` i.i.d. samples from ``probs``,
     drawn from the PCG64 generator seeded with ``seed`` (an int or a
-    sequence of ints)."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
+    sequence of ints).  ``RunConfig`` validates ``shots`` (at least 1)."""
     return np.random.default_rng(seed).multinomial(shots, probs)

@@ -71,6 +71,9 @@ class TestBitConvention:
         table = all_bitstrings(3)
         for k in range(8):
             assert list(table[k]) == list(bits_from_index(k, 3))
+        for n in (1, 3, 6):  # an index array gives the same table, row by row
+            rows = np.array([bits_from_index(k, n) for k in range(2**n)])
+            assert np.array_equal(bits_from_index(np.arange(2**n)[:, None], n), rows)
 
 
 class TestEuclideanWeights:

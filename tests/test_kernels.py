@@ -337,15 +337,16 @@ class TestGatherRows:
     """The CNOT chain as one gather, and the expectation, on batches."""
 
     def test_chain_matches_gate_sequence_on_every_row(self):
+        # cnot_chain_perm is a closed formula; the oracle applies the gates one by one
         rng = np.random.default_rng(6)
-        n = 4
-        psi = random_rows(rng, 4, n)
-        out = gather_rows(psi, cnot_chain_perm(n))
-        for r in range(4):
-            state = psi[r : r + 1]
-            for q in range(n - 1):
-                state = gather_rows(state, cnot_perm(n, q, q + 1))
-            assert np.array_equal(out[r], state[0])
+        for n in (1, 2, 4, 7, 13, 14):
+            psi = random_rows(rng, 4, n)
+            out = gather_rows(psi, cnot_chain_perm(n))
+            for r in range(4):
+                state = psi[r : r + 1]
+                for q in range(n - 1):
+                    state = gather_rows(state, cnot_perm(n, q, q + 1))
+                assert np.array_equal(out[r], state[0]), (n, r)
 
     def test_chain_maps_basis_states(self):
         # qubit 0 set: CNOT(0,1) sets qubit 1, then CNOT(1,2) sets qubit 2

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cutclust.errors import ValidationError
 from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph
 from cutclust.optimizer import make_ansatz
 from cutclust.simulator import (
@@ -256,10 +255,6 @@ class TestSampleCounts:
         sigma = np.sqrt(shots * 0.25)
         for index in (0, 1):
             assert abs(counts[index] - shots / 2) < 5 * sigma
-
-    def test_zero_shots_rejected(self):
-        with pytest.raises(ValidationError):
-            draw_counts(probability_rows(zeros_row(1))[0], 0, seed=0)
 
 
 class TestCircuitInvariants:
