@@ -16,11 +16,12 @@ kinds of figure are written:
   pairs the after side won and every run's correctness verdict;
 - side by side in one process (the before tree imported under another
   package name): microseconds of one call of each layer kernel of an
-  evaluation (a real and a complex rotation layer, VQE's first layer on
-  |0...0>, the cost phase on whole and on half states, the CNOT-chain
-  gather and the expectation) on a batch of min(BATCH_ROWS, row cap)
-  rows, seconds of one ``emit_report`` of a 14-qubit report,
-  microseconds of one exact-energy evaluation of each ansatz, as a
+  evaluation (a real and a complex rotation layer, the R_y layer that
+  VQE applies at that size, VQE's first layer on |0...0>, the cost phase
+  on whole and on half states, the CNOT-chain gather and the
+  expectation) on a batch of min(BATCH_ROWS, row cap) rows, seconds of
+  one ``emit_report`` of a 14-qubit report, microseconds of one
+  exact-energy evaluation of each ansatz, as a
   one-row ``make_objective`` call and per row of a lockstep batch of
   BATCH_ROWS rows (split into chunks of the row cap), and milliseconds
   of one ``spsa_lockstep`` run, both sides alternating AB_LOOPS times on
@@ -169,8 +170,14 @@ def layer_figures(sides: dict, n: int, loops: int) -> dict:
     def kernels(modules: dict) -> dict:
         side = modules["simulator"]
         own = modules["graph_model"].IsingDiagonal(n, ising.energies)
+        # the R_y layer vqe_rows applies at n: a side without the constant
+        # has no matrix-product layer
+        vqe_layer = side.apply_layer_rows
+        if n >= getattr(side, "KRON_MIN_QUBITS", n + 1):
+            vqe_layer = side.apply_kron_layer_rows
         return {
             "ry_layer": lambda: side.apply_layer_rows(real, ry),
+            "vqe_ry_layer": lambda: vqe_layer(real, ry),
             "mixer_layer": lambda: side.apply_layer_rows(cplx, mixer),
             "vqe_first_layer": lambda: side.product_rows(ry[..., 0]),
             "cost_phase": lambda: side.apply_diagonal_phase_rows(cplx, gammas, own),

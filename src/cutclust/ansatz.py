@@ -21,9 +21,11 @@ import numpy as np
 from .errors import ValidationError
 from .graph_model import IsingDiagonal
 from .simulator import (
+    KRON_MIN_QUBITS,
     _gate,
     apply_diagonal_phase_rows,
     apply_half_phase_rows,
+    apply_kron_layer_rows,
     apply_layer_rows,
     gather_rows,
     product_rows,
@@ -145,9 +147,11 @@ def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """R_y layer, then blocks of [CNOT chain, R_y layer], from |0...0>; one
     real state per row of the (rows, reps + 1, n) angle array.  ``chain``
     is ``cnot_chain_perm(n)``, built once by the caller.  The first layer
-    acts on |0...0> and is built from the first column of each gate."""
+    acts on |0...0> and is built from the first column of each gate; from
+    KRON_MIN_QUBITS on, the others are three matrix products each."""
     gates = ry(angles)
     psi = product_rows(gates[:, 0, :, :, 0])
+    apply = apply_kron_layer_rows if angles.shape[2] >= KRON_MIN_QUBITS else apply_layer_rows
     for layer in range(1, angles.shape[1]):
-        psi = apply_layer_rows(gather_rows(psi, chain), gates[:, layer])
+        psi = apply(gather_rows(psi, chain), gates[:, layer])
     return psi

@@ -8,7 +8,7 @@ from cutclust import graph_model, simulator
 
 SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_compare.py"
 LAYERS = {
-    "ry_layer", "mixer_layer", "vqe_first_layer", "cost_phase",
+    "ry_layer", "vqe_ry_layer", "mixer_layer", "vqe_first_layer", "cost_phase",
     "half_cost_phase", "cnot_gather", "expectation",
 }
 

@@ -9,11 +9,14 @@ Three kinds of check:
     mirrored cost phase against the phase of every energy, half-state
     QAOA against the whole state, the stacked expectation against one
     dot per row, and gate stacks filled in place against stacked entries;
-  - an independent oracle: the closed-form depth-1 QAOA energy on
+  - independent oracles: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
-    which shares no code with the simulator.
+    which shares no code with the simulator, and a dense np.kron matrix
+    for the matrix-product R_y layer, which is checked within KRON_BOUND
+    only, since BLAS sums in its own order.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -41,12 +44,15 @@ from cutclust.optimizer import (
 )
 from cutclust.simulator import (
     DOT_PIECE,
+    KRON_MIN_QUBITS,
     apply_diagonal_phase_rows,
+    apply_kron_layer_rows,
     apply_layer_rows,
     cnot_chain_perm,
     cnot_perm,
     expectation_rows,
     gather_rows,
+    kron_rows,
     probability_rows,
     product_rows,
     row_cap,
@@ -55,6 +61,10 @@ from cutclust.simulator import (
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 ROWS = (1, 2, 4, 20)
+# the largest distance of the matrix-product layer from its references on
+# unit-norm real states, per amplitude or probability: BLAS sums in its own
+# order, which moves results by a few ulps
+KRON_BOUND = 1e-12
 
 
 def rx(theta: float) -> np.ndarray:
@@ -198,6 +208,16 @@ class TestBatchEqualsOneRow:
         for r in range(rows):
             one = state_probabilities("vqe", ising, params[r], vqe_reps=reps)
             assert probs[r].tobytes() == one.tobytes()
+
+    def test_vqe_from_the_kron_threshold(self):
+        # a full chunk of row_cap rows through the batched matrix products
+        rng = np.random.default_rng(25)
+        n, rows = KRON_MIN_QUBITS, row_cap(KRON_MIN_QUBITS)
+        angles = rng.uniform(-np.pi, np.pi, size=(rows, 4, n))
+        chain = cnot_chain_perm(n)
+        psi = vqe_rows(angles, chain)
+        for r in range(rows):
+            assert psi[r].tobytes() == vqe_rows(angles[r : r + 1], chain)[0].tobytes()
 
     @pytest.mark.parametrize("rows", ROWS)
     def test_vqe_after_the_cnot_gather(self, rows):
@@ -414,6 +434,48 @@ class TestLayerKernel:
         assert np.array_equal(psi, before)
 
 
+def dense_layer(gates):
+    """The layer's 2^n x 2^n matrix per row: np.kron of gates n-1..0."""
+    return np.stack([functools.reduce(np.kron, row[::-1]) for row in gates])
+
+
+class TestKronLayer:
+    """apply_kron_layer_rows against a dense Kronecker matrix and against
+    the shuffled layer, within KRON_BOUND: BLAS sums in its own order,
+    which also differs between CPU classes, so no check here is by bytes."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_equals_dense_kron_matrix(self, n):
+        rng = np.random.default_rng(2000 + n)
+        rows = 3
+        psi = random_rows(rng, rows, n, float)
+        gates = random_gates(rng, rows, n, float)
+        expected = np.einsum("rij,rj->ri", dense_layer(gates), psi)
+        assert np.abs(apply_kron_layer_rows(psi, gates) - expected).max() <= KRON_BOUND
+
+    @pytest.mark.parametrize("n", [KRON_MIN_QUBITS, 14])
+    def test_near_shuffled_layer(self, n):
+        rng = np.random.default_rng(3000 + n)
+        rows = 2
+        psi = random_rows(rng, rows, n, float)
+        gates = random_gates(rng, rows, n, float)
+        out = apply_kron_layer_rows(psi, gates)
+        assert out.flags.c_contiguous
+        assert out.dtype == np.float64
+        assert np.abs(out - apply_layer_rows(psi, gates)).max() <= KRON_BOUND
+
+    def test_factors_are_orthogonal(self):
+        # R_y is a rotation, so its Kronecker products are orthogonal
+        rng = np.random.default_rng(4000)
+        gates = random_gates(rng, 2, 7, float)
+        for k in (1, 3, 7):
+            factor = kron_rows(gates[:, :k])
+            assert factor.shape == (2, 2**k, 2**k)
+            eye = np.eye(2**k)
+            assert np.abs(factor @ factor.transpose(0, 2, 1) - eye).max() <= KRON_BOUND
+            assert np.abs(factor.transpose(0, 2, 1) @ factor - eye).max() <= KRON_BOUND
+
+
 class TestProductFirstLayer:
     """The R_y layer on |0...0> as an outer product of first columns."""
 
@@ -440,18 +502,30 @@ class TestProductFirstLayer:
         psi = product_rows(ry(np.zeros((1, 4)))[..., 0])
         assert np.array_equal(psi[0], np.eye(16)[0])
 
-    def test_vqe_rows_probabilities_equal_gate_loop(self):
-        # the whole circuit: product first layer, then gathers and layers
+    def circuit(self, n):
+        """vqe_rows' probabilities and the reference's: the first layer
+        applied to |0...0>, then gathers and gate loops."""
         rng = np.random.default_rng(3)
-        n, reps, rows = 10, 2, 3
+        reps, rows = 2, 3
         angles = rng.uniform(-np.pi, np.pi, size=(rows, reps + 1, n))
         angles[:, :, 0] = 0.0
         chain = cnot_chain_perm(n)
         psi = self.reference(angles[:, 0])
         for layer in range(1, reps + 1):
             psi = gate_loop(gather_rows(psi, chain), ry(angles[:, layer]))
-        got = probability_rows(vqe_rows(angles, chain))
-        assert got.tobytes() == probability_rows(psi).tobytes()
+        return probability_rows(vqe_rows(angles, chain)), probability_rows(psi)
+
+    def test_vqe_rows_probabilities_equal_gate_loop(self):
+        # below the threshold every layer is the shuffled kernel
+        got, expected = self.circuit(KRON_MIN_QUBITS - 1)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [KRON_MIN_QUBITS, 14])
+    def test_vqe_rows_probabilities_near_gate_loop_from_the_threshold(self, n):
+        # from the threshold the later layers are matrix products, which
+        # sum in BLAS's order
+        got, expected = self.circuit(n)
+        assert np.abs(got - expected).max() <= KRON_BOUND
 
 
 class TestMirroredPhase:
