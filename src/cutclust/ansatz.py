@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .graph_model import IsingDiagonal
+from .graph_model import IsingDiagonal, mirror
 from .simulator import (
     KRON_MIN_QUBITS,
     _gate,
@@ -136,7 +136,7 @@ def qaoa_half_rows(ising: IsingDiagonal, betas: np.ndarray, gammas: np.ndarray) 
         half = apply_layer_rows(half, gates[:, :-1])
         u = gates[:, -1, :, :, None]
         half = u[:, 0, 0] * half + u[:, 0, 1] * half[:, ::-1]
-    return np.concatenate([half, half[:, ::-1]], axis=1)
+    return mirror(half)
 
 
 def vqe_param_count(n: int, reps: int) -> int:

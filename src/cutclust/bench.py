@@ -484,8 +484,9 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
     amplitudes its gates update per evaluation (complex ones twice, QAOA's
     half state once) times its evaluations.  Jobs go longest first to the
     least loaded of k shares (Graham's LPT rule), for the largest k up to
-    the CPU count whose lightest share clears FORK_MIN_COST."""
-    cpus = sorted(os.sched_getaffinity(0))
+    the CPU count whose lightest share clears FORK_MIN_COST.  Without
+    Linux's affinity calls (on macOS, say) the run is one share."""
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
     qaoa = config.p * (n + 1)
     gates = {"exact": 0, "vqe": (config.vqe_reps + 1) * n, "qaoa": qaoa, "ws-qaoa": 2 * qaoa}
     evals = 2 * config.spsa_iters + 2 * optimizer.PROBES + 2

@@ -27,6 +27,13 @@ def bits_from_index(index, n: int) -> np.ndarray:
     return bits
 
 
+def mirror(half: np.ndarray) -> np.ndarray:
+    """The vectors v over 2^n indices with v[x] == v[~x], from their first
+    halves (qubit n-1 at 0) along the last axis of ``half``: index
+    2^n - 1 - k is the complement of k, so the second half is the first reversed."""
+    return np.concatenate([half, half[..., ::-1]], axis=-1)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N rows of d real features, with optional names, class labels and
@@ -167,7 +174,8 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     """Diagonal energies E(x) = -cut(x) for every bitstring x.
 
     Uses cut(x) = x^T W (1 - x); only the half with qubit n-1 = 0 is
-    computed and copied in reverse, so energies[x] == energies[~x] exactly.
+    computed and :func:`mirror` gives the rest, so energies[x] ==
+    energies[~x] exactly.
     """
     n = graph.n
     if n > QUBIT_CAP:
@@ -179,10 +187,7 @@ def ising_from_graph(graph: WeightedGraph) -> IsingDiagonal:
     np.subtract(1.0, bits, out=bits)
     cut *= bits
     cut = cut.sum(axis=1)
-    energies = np.empty(2**n)
-    energies[:half] = -cut
-    energies[half:] = -cut[::-1]  # index 2^n - 1 - k is the complement of k
-    return IsingDiagonal(n=n, energies=energies)
+    return IsingDiagonal(n=n, energies=mirror(-cut))
 
 
 def qubo_from_graph(graph: WeightedGraph) -> QuboProblem:

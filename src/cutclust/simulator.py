@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_model import QUBIT_CAP, IsingDiagonal
+from .graph_model import QUBIT_CAP, IsingDiagonal, mirror
 
 RNG_ID = "numpy-pcg64"
 
@@ -93,8 +93,9 @@ KRON_MIN_QUBITS = 10
 
 
 def kron_rows(gates: np.ndarray) -> np.ndarray:
-    """gates[r, k-1] ⊗ ... ⊗ gates[r, 0] for the (rows, k, 2, 2) gates:
-    the (rows, 2^k, 2^k) matrices of the gates on qubits 0..k-1.
+    """gates[r, k-1] ⊗ ... ⊗ gates[r, 0] for the (rows, k, 2, m) factors:
+    the (rows, 2^k, m^k) matrices of the gates on qubits 0..k-1 (m = 2),
+    or the 2^k-long columns of a product state (m = 1).
 
     Built as a running outer product with the new gate as the outer
     factor, so that numpy's inner loop runs over a row of the product so
@@ -104,7 +105,7 @@ def kron_rows(gates: np.ndarray) -> np.ndarray:
     for q in range(1, gates.shape[1]):
         size = 2 * out.shape[1]
         # entry (b·a + i, c·a + j) holds gates[r, q, b, c] · out[r, i, j]
-        out = (gates[:, q, :, None, :, None] * out[:, None, :, None, :]).reshape(rows, size, size)
+        out = (gates[:, q, :, None, :, None] * out[:, None, :, None, :]).reshape(rows, size, -1)
     return out
 
 
@@ -133,19 +134,14 @@ def apply_kron_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
 
 def product_rows(columns: np.ndarray) -> np.ndarray:
     """The product states whose qubit q is in state columns[r, q] (shape
-    (rows, n, 2)), built as a running outer product.
+    (rows, n, 2)): the Kronecker product of the one-column factors.
 
     With columns[r, q] the first column of gate q, this is the gate layer
     applied to |0...0>: it forms the same products u00·a0 and u10·a0 and
     skips only the products with the amplitudes that are still exactly
     zero, so probabilities are bit-identical to the gate loop's (only the
     sign of a zero amplitude may differ)."""
-    rows, n, _ = columns.shape
-    psi = np.ones((rows, 1), columns.dtype)
-    for q in range(n):
-        # new index b·2^q + k holds columns[r, q, b] · psi[r, k]
-        psi = (columns[:, q, :, None] * psi[:, None, :]).reshape(rows, -1)
-    return psi
+    return kron_rows(columns[..., None])[..., 0]
 
 
 def cnot_perm(n: int, control: int, target: int) -> np.ndarray:
@@ -183,16 +179,6 @@ def _half_phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
     return np.exp(-1j * gammas[:, None] * ising.energies[: ising.energies.size // 2])
 
 
-def _phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
-    """exp(-i gammas[r] E(x)) for every x: the first half's phases, copied
-    in reverse to the second half, whose energies are the same."""
-    half = ising.energies.size // 2
-    phase = np.empty((gammas.size, 2 * half), complex)
-    phase[:, :half] = _half_phases(gammas, ising)
-    phase[:, half:] = phase[:, half - 1 :: -1]
-    return phase
-
-
 def apply_diagonal_phase_rows(
     psi: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
 ) -> np.ndarray:
@@ -201,7 +187,7 @@ def apply_diagonal_phase_rows(
     The phases enter the product as a temporary, so from ELIDE_BYTES on
     numpy computes ``phase * psi``; :func:`apply_half_phase_rows` rounds
     the same way on half the state."""
-    return psi * _phases(gammas, ising)
+    return psi * mirror(_half_phases(gammas, ising))
 
 
 def apply_half_phase_rows(

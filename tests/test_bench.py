@@ -862,6 +862,21 @@ class TestForkedShares:
         # pinned to CPU 0 while the worker ran, then restored
         assert [cpus for pid, cpus in pins() if pid == parent] == [{0}, {0, 1}]
 
+    def test_without_affinity_calls_one_process(self, monkeypatch, pins):
+        # where os has no sched_getaffinity (macOS, say), nothing forks or pins
+        def no_fork():
+            raise AssertionError("forked without the affinity calls")
+
+        monkeypatch.delattr(bench.os, "sched_getaffinity")
+        monkeypatch.setattr(bench.os, "fork", no_fork)
+        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
+        report = run_benchmark(RunConfig(dataset="cars", seeds=(1,), spsa_iters=2))
+        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
+            (None, {a: [1] for a in bench.ALGORITHMS})
+        ]
+        assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
+        assert pins() == []
+
     def test_twelve_qubits_run_in_one_process(self, tmp_path, monkeypatch, pins):
         # a run whose lightest share does not clear FORK_MIN_COST never forks
         def no_fork():
@@ -1096,6 +1111,13 @@ class TestReportWriter:
             (run,) = block["runs"]
             expected = histogram_text(run["probabilities"], 11)
             assert (tmp_path / "out" / f"histogram_{algo}.csv").read_bytes() == expected
+
+    def test_numpy_float_is_written_as_its_float(self, tmp_path):
+        # np.float32 is no float subclass, so the encoder hands it to _json_default
+        cfg = RunConfig(dataset="cars", algorithm="exact", seeds=(1,), epsilon=np.float32(0.1))
+        emit_report(run_benchmark(cfg), tmp_path, ("json",))
+        report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert report["config"]["relaxation"]["epsilon"] == float(np.float32(0.1)) != 0.1
 
 
 class TestHistogramsFromReportText:

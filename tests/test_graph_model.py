@@ -282,6 +282,52 @@ class TestRejection:
         with pytest.raises(ValidationError, match=r"non-empty square matrix, got shape \(0, 0\)"):
             WeightedGraph(weights=np.zeros((0, 0)))
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"points": np.zeros(3)}, "points must be a 2-D array of shape (N, d)"),
+            ({"points": np.zeros((3, 0))}, "need at least 1 feature column"),
+            ({"labels": (0, 1)}, "labels length must match row count"),
+            ({"names": ("a", "b", "c", "d")}, "names length must match row count"),
+            ({"columns": ("x",)}, "columns length must match feature count"),
+        ],
+        ids=["1-D", "no-columns", "labels", "names", "columns"],
+    )
+    def test_dataset_shapes(self, fields, message):
+        # three rows of two features unless a field says otherwise
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Dataset(**{"points": np.zeros((3, 2)), **fields})
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], "weights must be symmetric"),
+            ([[1.0, 0.0], [0.0, 0.0]], "weights must have a zero diagonal"),
+            ([[0.0, -1.0], [-1.0, 0.0]], "weights must be nonnegative"),
+        ],
+        ids=["asymmetric", "diagonal", "negative"],
+    )
+    def test_graph_weights(self, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            WeightedGraph(weights=np.array(weights))
+
+    def test_ising_energies_have_length_two_to_the_n(self):
+        with pytest.raises(ValidationError, match=r"^energies must have length 2\^2$"):
+            IsingDiagonal(n=2, energies=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "linear, quadratic, message",
+        [
+            (np.zeros(2), np.zeros((3, 3)), "linear must be length n and quadratic n x n"),
+            (np.zeros((2, 2)), np.zeros((2, 2)), "linear must be length n and quadratic n x n"),
+            (np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]), "quadratic must be symmetric"),
+        ],
+        ids=["quadratic-shape", "linear-shape", "asymmetric"],
+    )
+    def test_qubo_shapes(self, linear, quadratic, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            QuboProblem(linear=linear, quadratic=quadratic)
+
 
 class TestInvariants:
     def test_ising_plus_cut_is_zero(self):

@@ -6,6 +6,7 @@ code with the library path.
 """
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -396,6 +397,18 @@ class TestLockstep:
     def alone(self, kind, slot):
         objective, _ = make_objective(kind, self.ising, p=2, warm=self.warms[slot], vqe_reps=2)
         return objective
+
+    @pytest.mark.parametrize(
+        "shape, got", [((4,), "()"), ((4, 0), "(0,)"), ((4, 2, 3), "(2, 3)")], ids=["1-D", "empty", "3-D"]
+    )
+    def test_start_points_are_non_empty_vectors(self, shape, got):
+        # row s of initial is seed s's start point; the objective is never called
+        def objective(points, owners):
+            raise AssertionError("evaluated a malformed start")
+
+        message = f"initial params must be a non-empty vector, got shape {got}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            spsa_lockstep(objective, np.ones(shape), 5, self.seeds)
 
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_calibration_equals_sequential_runs(self, kind):
