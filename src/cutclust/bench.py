@@ -477,6 +477,62 @@ def run_seeds(
 FORK_MIN_COST = 100_000
 
 
+def _cpus() -> list:
+    """The usable CPUs, sorted, or ``[None]`` without Linux's affinity calls
+    or ``os.memfd_create`` (on macOS, say), where nothing forks."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "memfd_create"):
+        return sorted(os.sched_getaffinity(0))
+    return [None]
+
+
+def _pinned_forks(what: str, cpus: list, tasks: list, work: Callable, here: Callable,
+                  take: Callable) -> Any:
+    """``here()`` in this process and ``work(task, fd)`` of each of ``tasks``
+    in a process forked for it and pinned to its own CPU of ``cpus[1:]``,
+    which writes its output to ``fd``, an anonymous file
+    (``os.memfd_create``).  While they run this process is pinned to
+    ``cpus[0]``.  Then each forked process is reaped in order and
+    ``take(cpu, task, fh, usage)`` called on its file, open from the start,
+    and its ``resource.struct_rusage``; one that exits non-zero raises
+    ``RuntimeError`` naming ``what``, its CPU and task.  No forked process
+    outlives the call, nor the pinning: this process's affinity is restored
+    before the call returns or raises.  Returns ``here()``."""
+    children: dict[int, tuple] = {}  # pid -> (cpu, task, fd of its file)
+    try:
+        for cpu, task in zip(cpus[1:], tasks):
+            fd = os.memfd_create(what)
+            with warnings.catch_warnings():  # 3.12+ warns of OpenBLAS's threads, which it joins at a fork
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # a forked process: its output into its file, then out
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                    work(task, fd)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = (cpu, task, fd)
+        if children:
+            os.sched_setaffinity(0, {cpus[0]})
+        mine = here()
+        for pid, (cpu, task, fd) in list(children.items()):
+            _, status, usage = os.wait4(pid, 0)
+            del children[pid]
+            with open(fd, "rb") as fh:
+                if code := os.waitstatus_to_exitcode(status):
+                    raise RuntimeError(f"{what} on CPU {cpu} for {task}: no result, exit status {code}")
+                fh.seek(0)
+                take(cpu, task, fh, usage)
+    finally:
+        for pid, (_, _, fd) in children.items():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if tasks:
+            os.sched_setaffinity(0, set(cpus))
+    return mine
+
+
 def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list[dict[str, list[int]]]]:
     """The usable CPUs, sorted, and each share's jobs as ``{algorithm:
     seeds}``, this process's first.  A job is one algorithm over every seed,
@@ -484,9 +540,9 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
     amplitudes its gates update per evaluation (complex ones twice, QAOA's
     half state once) times its evaluations.  Jobs go longest first to the
     least loaded of k shares (Graham's LPT rule), for the largest k up to
-    the CPU count whose lightest share clears FORK_MIN_COST.  Without
-    Linux's affinity calls (on macOS, say) the run is one share."""
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
+    the CPU count whose lightest share clears FORK_MIN_COST.  Where
+    :func:`_cpus` finds no affinity calls the run is one share."""
+    cpus = _cpus()
     qaoa = config.p * (n + 1)
     gates = {"exact": 0, "vqe": (config.vqe_reps + 1) * n, "qaoa": qaoa, "ws-qaoa": 2 * qaoa}
     evals = 2 * config.spsa_iters + 2 * optimizer.PROBES + 2
@@ -508,54 +564,28 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
 def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple:
     """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
     result)`` pairs, and the processes that ran them, this one first.
-    Every share but this process's runs in a forked worker pinned to its
-    own CPU, which pickles its result with protocol 5, so that arrays keep
-    numpy's read-only flag.  While they run this process is pinned to the
-    CPU left over; its affinity is restored before the call returns or raises."""
+    This process, which also merges and emits, runs the lightest share;
+    every other runs in a worker of :func:`_pinned_forks`, which pickles
+    its result with protocol 5, so that arrays keep numpy's read-only flag."""
     cpus, shares = _plan(config, algorithms, problem.ising.n)
 
     def run_share(jobs):
         return [(a, run_seeds(replace(config, seeds=tuple(seeds)), a, problem))
                 for a, seeds in jobs.items()]
-    children: dict[int, tuple] = {}  # pid -> (cpu, jobs, read end of its pipe)
-    try:
-        for cpu, jobs in zip(cpus[1:], shares[1:]):
-            r, w = os.pipe()
-            with warnings.catch_warnings():  # 3.12+ warns of OpenBLAS's threads, which it joins at a fork
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:  # a worker: its result down the pipe, then out
-                try:
-                    os.sched_setaffinity(0, {cpu})
-                    with open(w, "wb") as fh:
-                        pickle.dump(run_share(jobs), fh, protocol=5)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(w)
-            children[pid] = (cpu, jobs, open(r, "rb"))
-        if children:  # this process, which also merges and emits, runs the lightest share
-            os.sched_setaffinity(0, {cpus[0]})
-        workers = [{"cpu": cpus[0] if children else None, "jobs": shares[0]}]
-        results = run_share(shares[0])
-        for pid, (cpu, jobs, fh) in list(children.items()):
-            with fh:
-                data = fh.read()
-            _, status, usage = os.wait4(pid, 0)
-            del children[pid]
-            if code := os.waitstatus_to_exitcode(status):
-                raise RuntimeError(f"worker on CPU {cpu} for {jobs}: no result, exit status {code}")
-            results += pickle.loads(data)
-            workers.append({"cpu": cpu, "jobs": jobs, "max_rss_mb": usage.ru_maxrss / 1024})
-    finally:  # no worker outlives the call, nor the pinning
-        for pid, (_, _, fh) in children.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if len(shares) > 1:
-            os.sched_setaffinity(0, set(cpus))
+
+    def work(jobs, fd):
+        with open(fd, "wb") as fh:
+            pickle.dump(run_share(jobs), fh, protocol=5)
+
+    forked, workers = [], [{"cpu": cpus[0] if len(shares) > 1 else None, "jobs": shares[0]}]
+
+    def take(cpu, jobs, fh, usage):
+        forked.extend(pickle.load(fh))
+        workers.append({"cpu": cpu, "jobs": jobs, "max_rss_mb": usage.ru_maxrss / 1024})
+
+    results = _pinned_forks("worker", cpus, shares[1:], work, partial(run_share, shares[0]), take)
     workers[0]["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return results, workers
+    return results + forked, workers
 
 
 @dataclass
@@ -698,37 +728,62 @@ def _float_text(chunk: np.ndarray) -> str:
     return json.dumps(chunk.tolist())[1:-1]
 
 
-def _dump_json(data: Any, path: Path, sinks: dict[int, Callable] | None = None) -> None:
-    """Write ``data`` to ``path`` as ``json.dumps(data, indent=2,
-    sort_keys=True, default=_json_default) + "\\n"`` would, given its
-    nonempty 1-D float64 arrays as lists (any other array raises
-    ``TypeError``).  The encoder's pieces are written as they come; an
-    array goes through the C encoder CHUNK floats at a time, each chunk
-    split onto its lines, and no whole-vector list or string is built.
-    ``sinks`` maps ``id(array)`` to a sink, also called ``sink(lo, text)`` on the chunk
-    from index lo, popped at the array's first write: a shared array feeds it once."""
-    pending: list[np.ndarray] = []
-
+def _noting_arrays(found: list) -> Callable[[Any], Any]:
+    """An encoder ``default`` that appends each nonempty 1-D float64 array
+    to ``found`` and stands in ``{}`` for it (any other array raises
+    ``TypeError``)."""
     def default(obj: Any) -> Any:
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-            pending.append(obj)
+            found.append(obj)
             return {}
         return _json_default(obj)
 
+    return default
+
+
+def _dump_json(data: Any, path: Path | int, sinks: dict[int, Callable] | None = None,
+               arrays: range | None = None) -> None:
+    """Write ``data`` to ``path`` (a path, or a file descriptor it closes)
+    as ``json.dumps(data, indent=2, sort_keys=True, default=_json_default)
+    + "\\n"`` would, given its nonempty 1-D float64 arrays as lists (any
+    other array raises ``TypeError``).  The encoder's pieces are written as
+    they come; an array goes through the C encoder CHUNK floats at a time,
+    each chunk split onto its lines, and no whole-vector list or string is
+    built.  ``sinks`` maps ``id(array)`` to a sink, also called ``sink(lo,
+    text)`` on the chunk from index lo, popped at the array's first write:
+    a shared array feeds it once.
+
+    ``arrays``, indices into the arrays in the order written, writes one
+    byte range of that output only: from the start of its first array (of
+    the output, for index 0) to the start of the array after its last (to
+    the end, after the last array).  Every call still goes through the
+    whole output, so the pieces it skips keep the indent and pop the sinks
+    as they do in one call, and the ranges of consecutive ``arrays`` add up
+    to the output of one call.  Skipped arrays are not formatted, and a
+    sink is fed only by the call whose range holds its array's first write."""
+    pending: list[np.ndarray] = []
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_noting_arrays(pending))
     # With an indent, iterencode runs the pure-Python encoder: it calls
     # default only on reaching an array and yields the stand-in {} as its
     # very next piece, known here by ``pending``, never by its text.  The
     # tests hold the output to json.dumps byte for byte.
     last = ""  # the last piece holding a newline ends with the indent
+    met = 0  # arrays met so far
     with open(path, "w", encoding="utf-8") as fh:
-        for piece in json.JSONEncoder(indent=2, sort_keys=True, default=default).iterencode(data):
+        for piece in encoder.iterencode(data):
+            met += bool(pending)
+            # array i is in range i, and so is the text after it (the text before array 0 too)
+            mine = arrays is None or max(met - 1, 0) in arrays
             if not pending:
-                fh.write(piece)
+                if mine:
+                    fh.write(piece)
                 if "\n" in piece:
                     last = piece
                 continue
             arr = pending.pop()
             sink = sinks.pop(id(arr), None) if sinks else None
+            if not mine:
+                continue
             pad = "\n" + last[last.rfind("\n") + 1:] + "  "
             line = "," + pad
             for lo in range(0, arr.size, CHUNK):
@@ -738,7 +793,61 @@ def _dump_json(data: Any, path: Path, sinks: dict[int, Callable] | None = None) 
                 if sink is not None:
                     sink(lo, text)
             fh.write(pad[:-2] + "]")
-        fh.write("\n")
+        if mine:  # the closing line break goes with the last piece
+            fh.write("\n")
+
+
+def _cut(costs: list[int]) -> int:
+    """The index, from 1 to ``len(costs) - 1``, that cuts ``costs`` into
+    two ranges whose sums lie nearest each other (the lower on a tie)."""
+    prefix = np.cumsum(costs)
+    return int(np.argmin(np.abs(2 * prefix[:-1] - prefix[-1]))) + 1
+
+
+# split report.json's writing when its lighter range holds more non-zero
+# floats than this: a writer's fork, pinning, memfd, sendfile and reap add
+# about 4 ms beside a 14-qubit run's 24 MB heap, the time 3,300 of them
+# take to format at 1.3 us each; split and one-process writes measured even
+# at 4,000 floats a range, and at 8,000 the split won 37 of 40
+SPLIT_MIN_FLOATS = 5_000
+
+
+def _dump_split(data: Any, path: Path, sinks: dict[int, Callable], files: list) -> None:
+    """:func:`_dump_json` of ``data`` to ``path`` on two CPUs.  Its output
+    is cut at an array boundary into two byte ranges, balanced by the
+    non-zero floats of their arrays (a zero formats about 8x faster), if
+    the lighter holds more than SPLIT_MIN_FLOATS.  This process writes
+    range 0 straight into ``path``; range 1 is written by a writer of
+    :func:`_pinned_forks` into its anonymous file and appended with
+    ``os.sendfile``.  ``files``, the open files the sinks write to, are
+    flushed before the fork and by the writer.  On more CPUs it still
+    forks one writer: only two ranges were timed, and each further writer
+    would walk the whole output again and add a fork."""
+    cpus, found = _cpus(), []
+    if cpus[1:]:  # the C encoder (no indent) meets the arrays in the same order, 3.5x faster
+        json.JSONEncoder(sort_keys=True, default=_noting_arrays(found)).encode(data)
+    costs = [int(np.count_nonzero(a)) for a in found]
+    cut = _cut(costs) if len(costs) > 1 else 0
+    if min(sum(costs[:cut]), sum(costs[cut:])) <= SPLIT_MIN_FLOATS:
+        _dump_json(data, path, sinks)
+        return
+    for fh in files:
+        fh.flush()
+
+    def work(arrays, fd):
+        _dump_json(data, fd, sinks, arrays)
+        for fh in files:
+            fh.flush()
+
+    def append(cpu, arrays, fh, usage):
+        with open(path, "r+b", buffering=0) as out:  # not "ab": sendfile refuses O_APPEND
+            out.seek(0, os.SEEK_END)
+            sent, size = 0, os.fstat(fh.fileno()).st_size
+            while sent < size:
+                sent += os.sendfile(out.fileno(), fh.fileno(), sent, size - sent)
+
+    here = partial(_dump_json, data, path, sinks, range(cut))
+    _pinned_forks("report writer", cpus, [range(cut, len(costs))], work, here, append)
 
 
 def _histogram_sink(fh, n: int) -> Callable[[int, str], None]:
@@ -814,6 +923,10 @@ def emit_report(
     csv: table.csv plus one histogram_<algo>.csv per algorithm, holding
     the representative run's final probabilities sorted by state index.
     md: table.md.
+
+    A large report.json is written on two CPUs (:func:`_dump_split`), in
+    the bytes of one process; a writer that exits non-zero raises
+    ``RuntimeError`` naming its CPU and range.
     """
     check_formats(formats)
     out = Path(out_dir)
@@ -832,13 +945,13 @@ def emit_report(
     with ExitStack() as stack:
         # each histogram takes its probabilities' text, CHUNK floats at a
         # time, from report.json's writer, so every float is formatted once
-        sinks = {}
+        sinks, files = {}, []
         for hist, probs in histograms.items():
-            fh = stack.enter_context(open(hist, "w", newline="", encoding="utf-8"))
-            fh.write("bitstring,probability\r\n")
-            sinks[id(probs)] = _histogram_sink(fh, report.payload["dataset"]["n_rows"])
+            files.append(stack.enter_context(open(hist, "w", newline="", encoding="utf-8")))
+            files[-1].write("bitstring,probability\r\n")
+            sinks[id(probs)] = _histogram_sink(files[-1], report.payload["dataset"]["n_rows"])
         if "json" in formats:
-            _dump_json(report.payload, out / "report.json", sinks)
+            _dump_split(report.payload, out / "report.json", sinks, files)
             _dump_json(report.timings, out / "timings.json")
             written += [out / "report.json", out / "timings.json"]
         # without report.json, each histogram formats its own text

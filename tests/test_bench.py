@@ -1120,18 +1120,19 @@ class TestReportWriter:
         assert report["config"]["relaxation"]["epsilon"] == float(np.float32(0.1)) != 0.1
 
 
+@pytest.fixture(scope="module")
+def report11(tmp_path_factory):
+    # 2048 states: two chunks per vector
+    points = np.random.default_rng(12).standard_normal((11, 2))
+    text = "a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+    data = write_csv(tmp_path_factory.mktemp("data"), text)
+    return run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1))
+
+
 class TestHistogramsFromReportText:
     """Histograms take their probabilities' text from report.json's writer,
     or format it themselves without it; either way they equal a row-by-row
     writer's."""
-
-    @pytest.fixture(scope="class")
-    def report11(self, tmp_path_factory):
-        # 2048 states: two chunks per vector
-        points = np.random.default_rng(12).standard_normal((11, 2))
-        text = "a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
-        data = write_csv(tmp_path_factory.mktemp("data"), text)
-        return run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1))
 
     @pytest.mark.parametrize("formats", [("json", "csv"), ("csv",), ("csv", "md", "json")])
     def test_histograms_equal_row_by_row_writer(self, report11, formats, tmp_path):
@@ -1168,6 +1169,163 @@ class TestHistogramsFromReportText:
         text = fh.getvalue()
         assert text.endswith("\r\n")
         assert text[:-2].split("\r\n") == [f"{bench.bitstring_str(k, n)},{k}" for k in range(2**n)]
+
+
+def array_costs(payload) -> list[int]:
+    """The non-zero count of each array of ``payload``, in the order the
+    indented (pure-Python) encoder writes them."""
+    found = []
+    json.JSONEncoder(indent=2, sort_keys=True, default=bench._noting_arrays(found)).encode(payload)
+    return [int(np.count_nonzero(a)) for a in found]
+
+
+class TestSplitReport:
+    """report.json written on several CPUs, one byte range of the
+    one-process output per process: the same bytes at any cut.  Two CPUs
+    are stated, and pinning is recorded, not done (as for the workers)."""
+
+    pins = TestForkedShares.pins
+
+    @staticmethod
+    def files(report, out, formats):
+        """The bytes of report.json and each histogram that ``formats`` writes."""
+        emit_report(report, out, formats)
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name.startswith(("report", "histogram"))}
+
+    def one_process(self, report, out, formats, monkeypatch):
+        with monkeypatch.context() as mp:
+            mp.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+            return self.files(report, out, formats)
+
+    def writers(self, pins) -> list[set]:
+        return [cpus for pid, cpus in pins() if pid != os.getpid()]
+
+    @pytest.mark.parametrize("formats", [bench.FORMATS, ("json",)])
+    def test_every_cut_equals_one_process(self, report11, formats, tmp_path, monkeypatch, pins):
+        one = self.one_process(report11, tmp_path / "one", formats, monkeypatch)
+        assert len(one) == (5 if "csv" in formats else 1)
+        arrays = len(array_costs(report11.payload))
+        assert arrays == 14  # two exact vectors, and each variational run's params and vector
+        monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", 0)
+        for cut in range(1, arrays):
+            monkeypatch.setattr(bench, "_cut", lambda costs, cut=cut: cut)
+            assert self.files(report11, tmp_path / str(cut), formats) == one, cut
+        assert self.writers(pins) == [{1}] * (arrays - 1)
+
+    def test_fourteen_qubits_at_the_rules_cut(self, tmp_path, monkeypatch, pins):
+        points = np.random.default_rng(14).standard_normal((14, 2))
+        text = "a,b\n" + "".join(f"{x!r},{y!r}\n" for x, y in points.tolist())
+        data = write_csv(tmp_path, text)
+        report = run_benchmark(RunConfig(dataset=str(data), seeds=(1, 2), spsa_iters=1, vqe_reps=1))
+        costs = array_costs(report.payload)
+        # exact's shared vector twice, then per run its params and a dense vector
+        assert len(costs) == 14 and costs[3::2] == [2**14] * 6 and sum(costs[:2]) < 10
+        assert bench._cut(costs) == 8
+        spied = []
+        real = bench._pinned_forks
+        monkeypatch.setattr(bench, "_pinned_forks", lambda *args: spied.append(args[:3]) or real(*args))
+        workers = len(self.writers(pins))
+        split = self.files(report, tmp_path / "split", bench.FORMATS)
+        assert spied == [("report writer", [0, 1], [range(8, 14)])]
+        assert self.writers(pins)[workers:] == [{1}]
+        assert split == self.one_process(report, tmp_path / "one", bench.FORMATS, monkeypatch)
+        assert split["report.json"].decode() == TestReportWriter.dumps(as_lists(report.payload))
+
+    def test_cut_balances_non_zero_floats(self):
+        assert bench._cut([5, 5, 5, 5]) == 2
+        assert bench._cut([9, 1, 1, 1]) == 1
+        assert bench._cut([1, 1, 1, 9]) == 3
+        # the nearest boundary, the lower on a tie; neither range is empty
+        assert bench._cut([3, 3, 3]) == 1
+        assert bench._cut([6, 0, 0, 6]) == 1
+        assert bench._cut([10, 0]) == 1
+        assert bench._cut([0, 0]) == 1
+
+    def test_ranges_follow_non_zero_counts(self, tmp_path, monkeypatch, pins):
+        # non-zero counts 6000, 1000, 6000 and 100, whatever the sizes: ranges of
+        # 7000 and 6100, and one writer though three CPUs are usable
+        sizes_and_counts = [(6000, 6000), (8000, 1000), (6000, 6000), (3000, 100)]
+        arrays = []
+        for i, (size, count) in enumerate(sizes_and_counts):
+            values = np.zeros(size)
+            values[:count] = np.random.default_rng(i).random(count) + 0.5
+            arrays.append(values)
+        data = {"v": arrays, "w": {"x": 1.5}}
+        assert array_costs(data) == [6000, 1000, 6000, 100]
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        spied = []
+        real = bench._pinned_forks
+        monkeypatch.setattr(bench, "_pinned_forks", lambda *args: spied.append(args[1:3]) or real(*args))
+        for least, ranges in [(0, [range(2, 4)]), (6099, [range(2, 4)]), (6100, None)]:
+            monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", least)
+            spied.clear()
+            bench._dump_split(data, tmp_path / "out.json", {}, [])
+            assert spied == ([] if ranges is None else [([0, 1, 2], ranges)]), least
+            expected = json.dumps(as_lists(data), indent=2, sort_keys=True) + "\n"
+            assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
+
+    def test_writer_without_result_raises_and_is_reaped(self, report11, tmp_path, monkeypatch, pins):
+        parent, real = os.getpid(), bench._float_text
+
+        def dying(chunk):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(chunk)
+
+        monkeypatch.setattr(bench, "_float_text", dying)
+        monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", 0)
+        cut = bench._cut(array_costs(report11.payload))
+        message = f"report writer on CPU 1 for range({cut}, 14): no result, exit status 3"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            emit_report(report11, tmp_path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # pinned to CPU 0 while the writer ran, then restored
+        assert [cpus for pid, cpus in pins() if pid == parent] == [{0}, {0, 1}]
+
+    def test_error_here_kills_and_reaps_writers(self, report11, tmp_path, monkeypatch, pins):
+        parent = os.getpid()
+
+        def stuck_or_broken(chunk):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bench, "_float_text", stuck_or_broken)
+        monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", 0)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            emit_report(report11, tmp_path)
+        assert time.perf_counter() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert [cpus for pid, cpus in pins() if pid == parent] == [{0}, {0, 1}]
+
+    @pytest.mark.parametrize("case", ["one CPU", "no sched_getaffinity", "no memfd_create", "at the threshold"])
+    def test_one_process_never_forks(self, report11, case, tmp_path, monkeypatch, pins):
+        def no_fork():
+            raise AssertionError(f"forked with {case}")
+
+        costs = array_costs(report11.payload)
+        lightest = min(sum(costs[:8]), sum(costs[8:]))
+        assert bench._cut(costs) == 8
+        one = self.one_process(report11, tmp_path / "one", bench.FORMATS, monkeypatch)
+        monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", 0)
+        if case == "one CPU":
+            monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        elif case.startswith("no "):
+            monkeypatch.delattr(bench.os, case[3:])
+        else:
+            monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", lightest)
+        real_fork = bench.os.fork
+        monkeypatch.setattr(bench.os, "fork", no_fork)
+        assert self.files(report11, tmp_path / "here", bench.FORMATS) == one
+        assert pins() == []
+        if case == "at the threshold":  # one float less, and it forks
+            monkeypatch.setattr(bench.os, "fork", real_fork)
+            monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", lightest - 1)
+            assert self.files(report11, tmp_path / "split", bench.FORMATS) == one
+            assert self.writers(pins) == [{1}]
 
 
 class TestMedian:
