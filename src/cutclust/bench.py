@@ -23,7 +23,6 @@ import resource
 import signal
 import time
 import warnings
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -728,73 +727,27 @@ def _float_text(chunk: np.ndarray) -> str:
     return json.dumps(chunk.tolist())[1:-1]
 
 
-def _noting_arrays(found: list) -> Callable[[Any], Any]:
-    """An encoder ``default`` that appends each nonempty 1-D float64 array
-    to ``found`` and stands in ``{}`` for it (any other array raises
-    ``TypeError``)."""
+def _pieces(data: Any) -> tuple[list[str], list[np.ndarray]]:
+    """``json.dumps(data, indent=2, sort_keys=True, default=_json_default)
+    + "\\n"`` cut at its nonempty 1-D float64 arrays, and those arrays in
+    the order written: ``pieces[i]`` is the text before array ``i``, the
+    last piece the text after the last array.  Any other array raises
+    ``TypeError``.  An array is encoded as a marker, a lone surrogate: no
+    strictly decoded CSV cell holds one, nor an argument (its
+    surrogateescape gives U+DC80-U+DCFF only).  Data that encodes the
+    marker's text elsewhere raises ``ValueError``."""
+    marker, arrays = "\ud800", []
+
     def default(obj: Any) -> Any:
         if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype == np.float64 and obj.size:
-            found.append(obj)
-            return {}
+            arrays.append(obj)
+            return marker
         return _json_default(obj)
 
-    return default
-
-
-def _dump_json(data: Any, path: Path | int, sinks: dict[int, Callable] | None = None,
-               arrays: range | None = None) -> None:
-    """Write ``data`` to ``path`` (a path, or a file descriptor it closes)
-    as ``json.dumps(data, indent=2, sort_keys=True, default=_json_default)
-    + "\\n"`` would, given its nonempty 1-D float64 arrays as lists (any
-    other array raises ``TypeError``).  The encoder's pieces are written as
-    they come; an array goes through the C encoder CHUNK floats at a time,
-    each chunk split onto its lines, and no whole-vector list or string is
-    built.  ``sinks`` maps ``id(array)`` to a sink, also called ``sink(lo,
-    text)`` on the chunk from index lo, popped at the array's first write:
-    a shared array feeds it once.
-
-    ``arrays``, indices into the arrays in the order written, writes one
-    byte range of that output only: from the start of its first array (of
-    the output, for index 0) to the start of the array after its last (to
-    the end, after the last array).  Every call still goes through the
-    whole output, so the pieces it skips keep the indent and pop the sinks
-    as they do in one call, and the ranges of consecutive ``arrays`` add up
-    to the output of one call.  Skipped arrays are not formatted, and a
-    sink is fed only by the call whose range holds its array's first write."""
-    pending: list[np.ndarray] = []
-    encoder = json.JSONEncoder(indent=2, sort_keys=True, default=_noting_arrays(pending))
-    # With an indent, iterencode runs the pure-Python encoder: it calls
-    # default only on reaching an array and yields the stand-in {} as its
-    # very next piece, known here by ``pending``, never by its text.  The
-    # tests hold the output to json.dumps byte for byte.
-    last = ""  # the last piece holding a newline ends with the indent
-    met = 0  # arrays met so far
-    with open(path, "w", encoding="utf-8") as fh:
-        for piece in encoder.iterencode(data):
-            met += bool(pending)
-            # array i is in range i, and so is the text after it (the text before array 0 too)
-            mine = arrays is None or max(met - 1, 0) in arrays
-            if not pending:
-                if mine:
-                    fh.write(piece)
-                if "\n" in piece:
-                    last = piece
-                continue
-            arr = pending.pop()
-            sink = sinks.pop(id(arr), None) if sinks else None
-            if not mine:
-                continue
-            pad = "\n" + last[last.rfind("\n") + 1:] + "  "
-            line = "," + pad
-            for lo in range(0, arr.size, CHUNK):
-                text = _float_text(arr[lo:lo + CHUNK])
-                fh.write(line if lo else "[" + pad)
-                fh.write(text.replace(", ", line))
-                if sink is not None:
-                    sink(lo, text)
-            fh.write(pad[:-2] + "]")
-        if mine:  # the closing line break goes with the last piece
-            fh.write("\n")
+    pieces = (json.dumps(data, indent=2, sort_keys=True, default=default) + "\n").split(json.dumps(marker))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"a string of the data encodes as {json.dumps(marker)}, the marker of a vector")
+    return pieces, arrays
 
 
 def _cut(costs: list[int]) -> int:
@@ -812,56 +765,81 @@ def _cut(costs: list[int]) -> int:
 SPLIT_MIN_FLOATS = 5_000
 
 
-def _dump_split(data: Any, path: Path, sinks: dict[int, Callable], files: list) -> None:
-    """:func:`_dump_json` of ``data`` to ``path`` on two CPUs.  Its output
-    is cut at an array boundary into two byte ranges, balanced by the
-    non-zero floats of their arrays (a zero formats about 8x faster), if
-    the lighter holds more than SPLIT_MIN_FLOATS.  This process writes
-    range 0 straight into ``path``; range 1 is written by a writer of
-    :func:`_pinned_forks` into its anonymous file and appended with
-    ``os.sendfile``.  ``files``, the open files the sinks write to, are
-    flushed before the fork and by the writer.  On more CPUs it still
-    forks one writer: only two ranges were timed, and each further writer
-    would walk the whole output again and add a fork."""
-    cpus, found = _cpus(), []
-    if cpus[1:]:  # the C encoder (no indent) meets the arrays in the same order, 3.5x faster
-        json.JSONEncoder(sort_keys=True, default=_noting_arrays(found)).encode(data)
-    costs = [int(np.count_nonzero(a)) for a in found]
+def _dump_json(data: Any, path: Path, sinks: dict[int, Callable] | None = None) -> None:
+    """Write ``data`` to ``path`` as ``json.dumps(data, indent=2,
+    sort_keys=True, default=_json_default) + "\\n"`` would, given its
+    nonempty 1-D float64 arrays as lists (any other array raises
+    ``TypeError``).  Array ``i`` is written between ``pieces[i]`` and
+    ``pieces[i + 1]`` of :func:`_pieces`, through the C encoder CHUNK floats
+    at a time at the indent of its line, so no whole-vector list or string
+    is built; data :func:`_pieces` rejects leaves ``path`` unopened.  ``sinks`` maps ``id(array)`` to a sink, also called
+    ``sink(lo, text)`` on the chunk from index lo.  Each sink is popped
+    for its array's first index, so a shared array feeds it once, and
+    dropped once its array is written.
+
+    The arrays are cut into two ranges (:func:`_cut`), balanced by their
+    non-zero floats (a zero formats about 8x faster).  With more than one
+    usable CPU, and more than SPLIT_MIN_FLOATS in the lighter range, this
+    process writes range 0 and the pieces after it; range 1 is written by a
+    writer of :func:`_pinned_forks` into its anonymous file, appended with
+    ``os.sendfile``.  The pieces are known before the fork, so the writer
+    runs no encoder; it also feeds the sinks of its range.  On more CPUs it
+    still forks one writer: only two ranges were timed."""
+    pieces, arrays = _pieces(data)
+    feeds = {i: sinks.pop(id(a)) for i, a in enumerate(arrays) if sinks and id(a) in sinks}
+
+    def write(fh, indices: range) -> None:
+        for i in indices:
+            arr, sink = arrays[i], feeds.pop(i, None)
+            line = pieces[i][pieces[i].rfind("\n") + 1:]
+            pad = "\n" + line[:len(line) - len(line.lstrip(" "))] + "  "
+            sep = "," + pad
+            for lo in range(0, arr.size, CHUNK):
+                text = _float_text(arr[lo:lo + CHUNK])
+                fh.write(sep if lo else "[" + pad)
+                fh.write(text.replace(", ", sep))
+                if sink is not None:
+                    sink(lo, text)
+            fh.write(pad[:-2] + "]" + pieces[i + 1])
+
+    def work(indices: range, fd: int) -> None:
+        with open(fd, "w", encoding="utf-8") as fh:
+            write(fh, indices)
+
+    cpus, costs = _cpus(), [int(np.count_nonzero(a)) for a in arrays]
     cut = _cut(costs) if len(costs) > 1 else 0
-    if min(sum(costs[:cut]), sum(costs[cut:])) <= SPLIT_MIN_FLOATS:
-        _dump_json(data, path, sinks)
-        return
-    for fh in files:
-        fh.flush()
-
-    def work(arrays, fd):
-        _dump_json(data, fd, sinks, arrays)
-        for fh in files:
-            fh.flush()
-
-    def append(cpu, arrays, fh, usage):
-        with open(path, "r+b", buffering=0) as out:  # not "ab": sendfile refuses O_APPEND
-            out.seek(0, os.SEEK_END)
+    with open(path, "w", encoding="utf-8") as out:
+        def append(cpu, indices, fh, usage):
+            out.flush()  # this process's range goes first
             sent, size = 0, os.fstat(fh.fileno()).st_size
             while sent < size:
                 sent += os.sendfile(out.fileno(), fh.fileno(), sent, size - sent)
 
-    here = partial(_dump_json, data, path, sinks, range(cut))
-    _pinned_forks("report writer", cpus, [range(cut, len(costs))], work, here, append)
+        out.write(pieces[0])
+        if cpus[1:] and min(sum(costs[:cut]), sum(costs[cut:])) > SPLIT_MIN_FLOATS:
+            here = partial(write, out, range(cut))
+            _pinned_forks("report writer", cpus, [range(cut, len(arrays))], work, here, append)
+        else:
+            write(out, range(len(arrays)))
 
 
-def _histogram_sink(fh, n: int) -> Callable[[int, str], None]:
-    """A :func:`_dump_json` sink writing to ``fh`` the histogram rows of an
-    ``n``-qubit probability vector's chunk, as a CSV writer would (no field
-    needs quoting).  The MSB-first strings of the min(n, log2 CHUNK) low
-    bits are formatted once, here; each chunk adds its high bits as one prefix."""
+def _histogram_sink(path: Path, n: int) -> Callable[[int, str], None]:
+    """A :func:`_dump_json` sink writing histogram ``path`` from the chunks
+    of an ``n``-qubit probability vector, as a CSV writer would (no field
+    needs quoting): the chunk from index 0 creates the file with its
+    header, each later chunk appends its rows.  So the process that formats
+    a vector also writes its histogram.  The MSB-first strings of the
+    min(n, log2 CHUNK) low bits are formatted once, here; each chunk adds
+    its high bits as one prefix."""
     bits = min(n, CHUNK.bit_length() - 1)
     keys = [format(k, f"0{bits}b") + "," for k in range(2**bits)]
 
     def sink(lo: int, text: str) -> None:
         head = format(lo >> bits, f"0{n - bits}b") if n > bits else ""
         rows = map(operator.add, keys, text.split(", "))
-        fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
+        with open(path, "a" if lo else "w", newline="", encoding="utf-8") as fh:
+            fh.write("" if lo else "bitstring,probability\r\n")
+            fh.write(head + ("\r\n" + head).join(rows) + "\r\n")
 
     return sink
 
@@ -924,9 +902,10 @@ def emit_report(
     the representative run's final probabilities sorted by state index.
     md: table.md.
 
-    A large report.json is written on two CPUs (:func:`_dump_split`), in
-    the bytes of one process; a writer that exits non-zero raises
-    ``RuntimeError`` naming its CPU and range.
+    report.json is encoded in one pass and may be written on two CPUs
+    (:func:`_dump_json`), in the bytes of one process; a writer that exits
+    non-zero raises ``RuntimeError`` naming its CPU and range.  Each
+    histogram is written by the process that formats its vector's text.
     """
     check_formats(formats)
     out = Path(out_dir)
@@ -942,24 +921,19 @@ def emit_report(
             if block["runs"]
         }
 
-    with ExitStack() as stack:
+    n = report.payload["dataset"]["n_rows"]
+    if "json" in formats:
         # each histogram takes its probabilities' text, CHUNK floats at a
         # time, from report.json's writer, so every float is formatted once
-        sinks, files = {}, []
+        sinks = {id(probs): _histogram_sink(hist, n) for hist, probs in histograms.items()}
+        _dump_json(report.payload, out / "report.json", sinks)
+        _dump_json(report.timings, out / "timings.json")
+        written += [out / "report.json", out / "timings.json"]
+    else:  # each histogram formats its own text
         for hist, probs in histograms.items():
-            files.append(stack.enter_context(open(hist, "w", newline="", encoding="utf-8")))
-            files[-1].write("bitstring,probability\r\n")
-            sinks[id(probs)] = _histogram_sink(files[-1], report.payload["dataset"]["n_rows"])
-        if "json" in formats:
-            _dump_split(report.payload, out / "report.json", sinks, files)
-            _dump_json(report.timings, out / "timings.json")
-            written += [out / "report.json", out / "timings.json"]
-        # without report.json, each histogram formats its own text
-        for probs in histograms.values():
-            sink = sinks.pop(id(probs), None)
-            if sink is not None:
-                for lo in range(0, probs.size, CHUNK):
-                    sink(lo, _float_text(probs[lo:lo + CHUNK]))
+            sink = _histogram_sink(hist, n)
+            for lo in range(0, probs.size, CHUNK):
+                sink(lo, _float_text(probs[lo:lo + CHUNK]))
 
     header, rows = _table_rows(report)
 

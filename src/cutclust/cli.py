@@ -32,26 +32,27 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _split(flag: str, text: str) -> tuple[str, ...]:
+    """The stripped entries of a comma-separated ``--flag`` value.  An empty
+    entry fails, naming its 1-based position, so ``1,,2`` never runs as ``1,2``."""
+    entries = tuple(e.strip() for e in text.split(","))
+    if not any(entries):
+        raise ValidationError(f"{flag} list is empty")
+    if "" in entries:
+        raise ValidationError(f"--{flag}: entry {entries.index('') + 1} of {text!r} is empty")
+    return entries
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
+    seeds = _split("seeds", text)
     try:
-        return tuple(int(s) for s in text.split(",") if s.strip())
+        return tuple(int(s) for s in seeds)
     except ValueError:
         raise ValidationError(f"seeds must be comma-separated integers, got {text!r}") from None
 
 
-def _parse_columns(text: str | None) -> tuple[str, ...] | None:
-    if text is None:
-        return None
-    cols = tuple(c.strip() for c in text.split(",") if c.strip())
-    if not cols:
-        raise ValidationError("columns list is empty")
-    return cols
-
-
 def _parse_formats(text: str) -> tuple[str, ...]:
-    fmts = tuple(f.strip() for f in text.split(",") if f.strip())
-    if not fmts:
-        raise ValidationError("format list is empty")
+    fmts = _split("format", text)
     check_formats(fmts)
     return fmts
 
@@ -110,7 +111,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     formats = _parse_formats(args.format)
     config = RunConfig(
         dataset=args.dataset,
-        columns=_parse_columns(args.columns),
+        columns=None if args.columns is None else _split("columns", args.columns),
         normalize=not args.no_normalize,
         algorithm=args.algo,
         p=args.p,

@@ -2,10 +2,10 @@
 aggregation, and report emission."""
 
 import dataclasses
-import io
 import json
 import os
 import re
+import sys
 import time
 import warnings
 
@@ -27,6 +27,7 @@ from cutclust.bench import (
     run_benchmark,
     shipped_datasets,
 )
+from cutclust.cli import main
 from cutclust.errors import ValidationError
 from cutclust.graph_model import cut_value, euclidean_weights, qubo_from_graph
 from cutclust.optimizer import make_objective, spsa_minimize
@@ -1112,6 +1113,37 @@ class TestReportWriter:
             expected = histogram_text(run["probabilities"], 11)
             assert (tmp_path / "out" / f"histogram_{algo}.csv").read_bytes() == expected
 
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv reads a NUL byte from Python 3.11")
+    def test_nul_name_written_as_json_dumps_does(self, tmp_path):
+        # a NUL marker for the vectors made this input exit 2
+        data = tmp_path / "nul.csv"
+        data.write_bytes(b"name,x,y\n\0,1,2\nb,2,1\nc,0,3\nd,3,0\n")
+        assert main(["run", "--dataset", str(data), "--seeds", "1", "--spsa-iters", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        text = (tmp_path / "out" / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text)
+        assert report["dataset"]["names"][0] == "\0"
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "data",
+        [{"a": "\ud800"}, {"\ud800": 1.0}, {"a": ['"\ud800', np.ones(3)]}],
+        ids=["value", "key", "after_a_quote"],
+    )
+    def test_marker_text_raises_before_writing(self, data, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="marker"):
+            self.written(data, tmp_path)
+        assert not path.exists()
+
+    def test_marker_in_payload_writes_no_file(self, small_report, tmp_path):
+        _, report = small_report
+        dataset = {**report.payload["dataset"], "names": ["\ud800"] * 5}
+        report = BenchmarkReport(payload={**report.payload, "dataset": dataset}, timings=report.timings)
+        with pytest.raises(ValueError, match="marker"):
+            emit_report(report, tmp_path / "out", ("json", "csv"))
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_numpy_float_is_written_as_its_float(self, tmp_path):
         # np.float32 is no float subclass, so the encoder hands it to _json_default
         cfg = RunConfig(dataset="cars", algorithm="exact", seeds=(1,), epsilon=np.float32(0.1))
@@ -1149,6 +1181,18 @@ class TestHistogramsFromReportText:
         expected = histogram_text(first["probabilities"], 11)
         assert (tmp_path / "histogram_exact.csv").read_bytes() == expected
 
+    def test_shared_array_feeds_its_histogram_once(self, report11, tmp_path, monkeypatch):
+        fed, real = [], bench._histogram_sink
+
+        def counting(path, n):
+            sink = real(path, n)
+            return lambda lo, text: fed.append((path.name, lo)) or sink(lo, text)
+
+        monkeypatch.setattr(bench, "_histogram_sink", counting)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        emit_report(report11, tmp_path, ("json", "csv"))
+        assert [lo for name, lo in fed if name == "histogram_exact.csv"] == [0, bench.CHUNK]
+
     def test_paths_returned_in_order(self, report11, tmp_path):
         names = [p.name for p in emit_report(report11, tmp_path)]
         assert names == [
@@ -1160,23 +1204,23 @@ class TestHistogramsFromReportText:
         assert names[0] == "table.csv" and names[-1] == "table.md"
 
     @pytest.mark.parametrize("n", [1, 2, 9, 10, 11, 14])
-    def test_bitstrings_equal_bitstring_str(self, n):
+    def test_bitstrings_equal_bitstring_str(self, n, tmp_path):
         # each chunk's text is its own indices, so row k must read "{bitstring of k},k"
-        fh = io.StringIO()
-        sink = bench._histogram_sink(fh, n)
+        path = tmp_path / "histogram.csv"
+        sink = bench._histogram_sink(path, n)
         for lo in range(0, 2**n, bench.CHUNK):
             sink(lo, ", ".join(map(str, range(lo, min(lo + bench.CHUNK, 2**n)))))
-        text = fh.getvalue()
+        text = path.read_bytes().decode("utf-8")
         assert text.endswith("\r\n")
-        assert text[:-2].split("\r\n") == [f"{bench.bitstring_str(k, n)},{k}" for k in range(2**n)]
+        header, *rows = text[:-2].split("\r\n")
+        assert header == "bitstring,probability"
+        assert rows == [f"{bench.bitstring_str(k, n)},{k}" for k in range(2**n)]
 
 
 def array_costs(payload) -> list[int]:
-    """The non-zero count of each array of ``payload``, in the order the
-    indented (pure-Python) encoder writes them."""
-    found = []
-    json.JSONEncoder(indent=2, sort_keys=True, default=bench._noting_arrays(found)).encode(payload)
-    return [int(np.count_nonzero(a)) for a in found]
+    """The non-zero count of each array of ``payload``, in the order
+    report.json's writer writes them."""
+    return [int(np.count_nonzero(a)) for a in bench._pieces(payload)[1]]
 
 
 class TestSplitReport:
@@ -1259,7 +1303,7 @@ class TestSplitReport:
         for least, ranges in [(0, [range(2, 4)]), (6099, [range(2, 4)]), (6100, None)]:
             monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", least)
             spied.clear()
-            bench._dump_split(data, tmp_path / "out.json", {}, [])
+            bench._dump_json(data, tmp_path / "out.json")
             assert spied == ([] if ranges is None else [([0, 1, 2], ranges)]), least
             expected = json.dumps(as_lists(data), indent=2, sort_keys=True) + "\n"
             assert (tmp_path / "out.json").read_text(encoding="utf-8") == expected
@@ -1282,6 +1326,21 @@ class TestSplitReport:
             os.waitpid(-1, os.WNOHANG)
         # pinned to CPU 0 while the writer ran, then restored
         assert [cpus for pid, cpus in pins() if pid == parent] == [{0}, {0, 1}]
+
+    def test_writer_runs_no_encoder(self, report11, tmp_path, monkeypatch, pins):
+        # the pieces are known before the fork: an encoding pass in the writer ends it
+        parent, real = os.getpid(), bench._pieces
+
+        def parent_only(data):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(data)
+
+        one = self.one_process(report11, tmp_path / "one", bench.FORMATS, monkeypatch)
+        monkeypatch.setattr(bench, "_pieces", parent_only)
+        monkeypatch.setattr(bench, "SPLIT_MIN_FLOATS", 0)
+        assert self.files(report11, tmp_path / "split", bench.FORMATS) == one
+        assert self.writers(pins) == [{1}]
 
     def test_error_here_kills_and_reaps_writers(self, report11, tmp_path, monkeypatch, pins):
         parent = os.getpid()

@@ -209,6 +209,16 @@ class TestExitCodes:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, a, b", [("--seeds", "1", "2"), ("--columns", "mpg", "hp"),
+                                            ("--format", "json", "csv")])
+    @pytest.mark.parametrize("shape, position", [("{a},,{b}", 2), ("{a},{b},", 3), (",{a}", 1)])
+    def test_empty_entry_named(self, tmp_path, capsys, flag, a, b, shape, position):
+        # an empty entry used to be dropped: --seeds 1,,2 ran as 1,2 and exited 0
+        value = shape.format(a=a, b=b)
+        assert main(run_args(tmp_path, flag, value)) == 1
+        assert f"error: {flag}: entry {position} of {value!r} is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_seeds_is_validation_error(self, tmp_path, capsys):
         assert main(run_args(tmp_path, "--seeds", "1,x")) == 1
 
