@@ -471,11 +471,6 @@ def run_seeds(
     return runs, [], timings
 
 
-# fork when the lightest share outlasts a fork, pickle and reap (about 11
-# ms): 100,000 units at the 115-150 ns a unit takes on one or two cars seeds
-FORK_MIN_COST = 100_000
-
-
 def _cpus() -> list:
     """The usable CPUs, sorted, or ``[None]`` without Linux's affinity calls
     or ``os.memfd_create`` (on macOS, say), where nothing forks."""
@@ -535,27 +530,22 @@ def _pinned_forks(what: str, cpus: list, tasks: list, work: Callable, here: Call
 def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list[dict[str, list[int]]]]:
     """The usable CPUs, sorted, and each share's jobs as ``{algorithm:
     seeds}``, this process's first.  A job is one algorithm over every seed,
-    or over one seed from 13 qubits (``row_cap`` 1); its cost is the
-    amplitudes its gates update per evaluation (complex ones twice, QAOA's
-    half state once) times its evaluations.  Jobs go longest first to the
-    least loaded of k shares (Graham's LPT rule), for the largest k up to
-    the CPU count whose lightest share clears FORK_MIN_COST.  Where
-    :func:`_cpus` finds no affinity calls the run is one share."""
+    or over one seed from 13 qubits (``row_cap`` 1).  Jobs are weighed only
+    against each other, by their algorithm's gates per evaluation (complex
+    ones twice, QAOA's on half a state once, exact's 0), and go heaviest
+    first to the least loaded of k shares (Graham's LPT rule): one share per
+    usable CPU, up to the number of jobs of nonzero weight, at least one."""
     cpus = _cpus()
     qaoa = config.p * (n + 1)
     gates = {"exact": 0, "vqe": (config.vqe_reps + 1) * n, "qaoa": qaoa, "ws-qaoa": 2 * qaoa}
-    evals = 2 * config.spsa_iters + 2 * optimizer.PROBES + 2
     chunks = [(seed,) for seed in config.seeds] if row_cap(n) == 1 else [config.seeds]
-    jobs = [(gates[a] * 2**n * evals * len(chunk), a, chunk) for a in algorithms for chunk in chunks]
-    jobs.sort(key=lambda job: -job[0])
-    for k in range(min(len(cpus), len(jobs)), 0, -1):
-        loads, shares = [0] * k, [{a: [] for a in algorithms} for _ in range(k)]
-        for cost, a, chunk in jobs:
-            w = loads.index(min(loads))
-            loads[w] += cost
-            shares[w][a] += chunk
-        if min(loads) > FORK_MIN_COST:
-            break
+    jobs = sorted(((gates[a], a, chunk) for a in algorithms for chunk in chunks), key=lambda job: -job[0])
+    k = max(1, min(len(cpus), sum(1 for weight, _, _ in jobs if weight)))
+    loads, shares = [0] * k, [{a: [] for a in algorithms} for _ in range(k)]
+    for weight, a, chunk in jobs:
+        w = loads.index(min(loads))
+        loads[w] += weight
+        shares[w][a] += chunk
     shares.insert(0, shares.pop(loads.index(min(loads))))
     return cpus, [{a: seeds for a, seeds in share.items() if seeds} for share in shares]
 
@@ -563,9 +553,9 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
 def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple:
     """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
     result)`` pairs, and the processes that ran them, this one first.
-    This process, which also merges and emits, runs the lightest share;
-    every other runs in a worker of :func:`_pinned_forks`, which pickles
-    its result with protocol 5, so that arrays keep numpy's read-only flag."""
+    This process, which also merges and emits, runs the lightest share; a
+    worker of :func:`_pinned_forks` runs each other, at any state size, and
+    pickles its result with protocol 5, so that arrays stay read-only."""
     cpus, shares = _plan(config, algorithms, problem.ising.n)
 
     def run_share(jobs):

@@ -54,6 +54,8 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 def _parse_formats(text: str) -> tuple[str, ...]:
     fmts = _split("format", text)
     check_formats(fmts)
+    if len(set(fmts)) < len(fmts):
+        raise ValidationError(f"format {max(fmts, key=fmts.count)!r} appears more than once in --format")
     return fmts
 
 

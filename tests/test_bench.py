@@ -715,7 +715,7 @@ def assert_same_files(report, alone, tmp_path):
 class TestForkedShares:
     """Jobs split across the usable CPUs, each worker pinned to its own.
     Two CPUs are stated here, and pinning is recorded, not done.  From 13
-    qubits a job is one seed; by LPT on the cost proxy, this process runs
+    qubits a job is one seed; by LPT on the gate weights, this process runs
     the lighter share, ``HERE_JOBS``, and one worker ``WORKER_JOBS``."""
 
     HERE_JOBS = {"exact": [1, 2, 3], "vqe": [3], "qaoa": [2], "ws-qaoa": [1, 3]}
@@ -766,7 +766,6 @@ class TestForkedShares:
         # below 13 qubits a job is one algorithm over every seed
         path = write_csv(tmp_path, two_blobs(6))
         cfg = RunConfig(dataset=str(path), seeds=(1, 2, 3), spsa_iters=5)
-        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
         report = run_benchmark(cfg)
         assert [w["jobs"] for w in report.timings["workers"]] == [
             {"exact": [1, 2, 3], "qaoa": [1, 2, 3], "ws-qaoa": [1, 2, 3]}, {"vqe": [1, 2, 3]}
@@ -785,7 +784,6 @@ class TestForkedShares:
         path = write_csv(tmp_path, two_blobs(6))
         cfg = RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1)
         monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {8, 3, 5})
-        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
         report = run_benchmark(cfg)
         workers = report.timings["workers"]
         assert [w["cpu"] for w in workers] == [3, 5, 8]
@@ -870,7 +868,6 @@ class TestForkedShares:
 
         monkeypatch.delattr(bench.os, "sched_getaffinity")
         monkeypatch.setattr(bench.os, "fork", no_fork)
-        monkeypatch.setattr(bench, "FORK_MIN_COST", 0)
         report = run_benchmark(RunConfig(dataset="cars", seeds=(1,), spsa_iters=2))
         assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
             (None, {a: [1] for a in bench.ALGORITHMS})
@@ -878,35 +875,49 @@ class TestForkedShares:
         assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
         assert pins() == []
 
-    def test_twelve_qubits_run_in_one_process(self, tmp_path, monkeypatch, pins):
-        # a run whose lightest share does not clear FORK_MIN_COST never forks
-        def no_fork():
-            raise AssertionError("forked under the threshold")
-
-        real_fork = bench.os.fork
-        monkeypatch.setattr(bench.os, "fork", no_fork)
-        cars = run_benchmark(RunConfig(dataset="cars", seeds=(1, 2), spsa_iters=20))
-        assert [w["jobs"] for w in cars.timings["workers"]] == [{a: [1, 2] for a in bench.ALGORITHMS}]
-        path = write_csv(tmp_path, two_blobs(12))
-        cfg = RunConfig(dataset=str(path), seeds=(1, 2), spsa_iters=3, vqe_reps=1)
-        # the lighter share is ws-QAOA's: (12 + 1) * 2 updates of 2^12
-        # amplitudes per evaluation, 2 * 3 + 2 * PROBES + 2 evaluations, 2 seeds
-        lightest = 13 * 2 * 2**12 * (2 * 3 + 2 * 10 + 2) * 2
-        monkeypatch.setattr(bench, "FORK_MIN_COST", lightest)
+    def test_two_jobs_of_nonzero_weight_fork_at_any_size(self, tmp_path, monkeypatch):
+        # one seed and one SPSA iteration on 5 qubits still splits VQE from the rest
+        cfg = RunConfig(dataset="cars", seeds=(1,), spsa_iters=1)
         report = run_benchmark(cfg)
         assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
-            (None, {a: [1, 2] for a in bench.ALGORITHMS})
+            (0, {"exact": [1], "qaoa": [1], "ws-qaoa": [1]}), (1, {"vqe": [1]})
         ]
-        assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+        alone = run_benchmark(cfg)
+        assert [(w["cpu"], w["jobs"]) for w in alone.timings["workers"]] == [
+            (None, {a: [1] for a in bench.ALGORITHMS})
+        ]
+        assert_same_files(report, alone, tmp_path)
+
+    @pytest.mark.parametrize("rows, algorithm", [(None, "exact"), (None, "qaoa"), (12, "ws-qaoa")],
+                             ids=["cars-exact", "cars-qaoa", "rows12-ws-qaoa"])
+    def test_one_job_of_nonzero_weight_runs_in_one_process(
+        self, tmp_path, monkeypatch, pins, rows, algorithm
+    ):
+        # exact weighs nothing, and below 13 qubits one algorithm is one job
+        def no_fork():
+            raise AssertionError("forked with one job of nonzero weight")
+
+        monkeypatch.setattr(bench.os, "fork", no_fork)
+        dataset = "cars" if rows is None else str(write_csv(tmp_path, two_blobs(rows)))
+        cfg = RunConfig(dataset=dataset, algorithm=algorithm, seeds=(1, 2), spsa_iters=3, vqe_reps=1)
+        report = run_benchmark(cfg)
+        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [(None, {algorithm: [1, 2]})]
+        assert report.payload["algorithms"][algorithm]["failed"] == []
         assert pins() == []
-        # one unit less, and it forks
-        monkeypatch.setattr(bench.os, "fork", real_fork)
-        monkeypatch.setattr(bench, "FORK_MIN_COST", lightest - 1)
-        forked = run_benchmark(cfg)
-        assert [w["jobs"] for w in forked.timings["workers"]] == [
-            {"exact": [1, 2], "ws-qaoa": [1, 2]}, {"vqe": [1, 2], "qaoa": [1, 2]}
-        ]
-        assert_same(forked.payload, report.payload)
+
+    # the perfbench workloads' argvs: cars-default, wine-ws-deep and synth14-kernels
+    @pytest.mark.parametrize("argv, n, shares", [
+        ({}, 5, [{a: list(range(1, 11)) for a in ("exact", "qaoa", "ws-qaoa")}, {"vqe": list(range(1, 11))}]),
+        ({"algorithm": "ws-qaoa", "p": 4}, 6, [{"ws-qaoa": list(range(1, 11))}]),
+        ({"algorithm": "all", "seeds": (1, 2), "spsa_iters": 20}, 14, [
+            {"exact": [1, 2], "vqe": [1], "qaoa": [1], "ws-qaoa": [1]},
+            {"vqe": [2], "qaoa": [2], "ws-qaoa": [2]},
+        ]),
+    ], ids=["cars-default", "wine-ws-deep", "synth14-kernels"])
+    def test_every_workload_keeps_its_plan(self, argv, n, shares):
+        cfg = RunConfig(dataset="cars", **argv)
+        assert bench._plan(cfg, cfg.selected_algorithms(), n) == ([0, 1], shares)
 
 
 class TestEmitReport:

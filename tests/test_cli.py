@@ -234,6 +234,17 @@ class TestExitCodes:
         assert "seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("formats, repeated", [("json,json", "json"), ("csv,md,csv", "csv")])
+    def test_repeated_format_rejected_before_compute(self, tmp_path, capsys, monkeypatch, formats, repeated):
+        # json,json used to run and exit 0
+        def no_compute(config):
+            raise AssertionError("run_benchmark called")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_compute)
+        assert main(run_args(tmp_path, "--format", formats)) == 1
+        assert f"error: format {repeated!r} appears more than once in --format" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_shots_over_int64_rejected_before_load(self, tmp_path, capsys, monkeypatch):
         # it used to run the whole benchmark and then fail every seed in
         # sampling: "Python int too large to convert to C long", exit 2
