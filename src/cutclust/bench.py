@@ -435,7 +435,7 @@ def run_seeds(
     optimization and sampling (building ``problem`` is charged by
     :func:`run_benchmark`).  The optimization stage runs once for the
     batch, so its time is split evenly across ``config.seeds``: under
-    :func:`_run_shares`, the seeds one process runs of ``algorithm``.
+    :func:`_run_shares`, the seeds of one job.
     """
     seeds = config.seeds
     timings = {seed: {"relaxation": 0.0} for seed in seeds}
@@ -527,9 +527,9 @@ def _pinned_forks(what: str, cpus: list, tasks: list, work: Callable, here: Call
     return mine
 
 
-def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list[dict[str, list[int]]]]:
-    """The usable CPUs, sorted, and each share's jobs as ``{algorithm:
-    seeds}``, this process's first.  A job is one algorithm over every seed,
+def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list[list[tuple[str, tuple]]]]:
+    """The usable CPUs, sorted, and each share's ``(algorithm, seeds)`` jobs
+    as dealt, this process's first.  A job is one algorithm over every seed,
     or over one seed from 13 qubits (``row_cap`` 1).  Jobs are weighed only
     against each other, by their algorithm's gates per evaluation (complex
     ones twice, QAOA's on half a state once, exact's 0), and go heaviest
@@ -541,26 +541,25 @@ def _plan(config: RunConfig, algorithms: tuple, n: int) -> tuple[list[int], list
     chunks = [(seed,) for seed in config.seeds] if row_cap(n) == 1 else [config.seeds]
     jobs = sorted(((gates[a], a, chunk) for a in algorithms for chunk in chunks), key=lambda job: -job[0])
     k = max(1, min(len(cpus), sum(1 for weight, _, _ in jobs if weight)))
-    loads, shares = [0] * k, [{a: [] for a in algorithms} for _ in range(k)]
+    loads, shares = [0] * k, [[] for _ in range(k)]
     for weight, a, chunk in jobs:
         w = loads.index(min(loads))
         loads[w] += weight
-        shares[w][a] += chunk
+        shares[w].append((a, chunk))
     shares.insert(0, shares.pop(loads.index(min(loads))))
-    return cpus, [{a: seeds for a, seeds in share.items() if seeds} for share in shares]
+    return cpus, shares
 
 
 def _run_shares(config: RunConfig, algorithms: tuple, problem: Problem) -> tuple:
-    """:func:`run_seeds` of each job of :func:`_plan`, as ``(algorithm,
-    result)`` pairs, and the processes that ran them, this one first.
-    This process, which also merges and emits, runs the lightest share; a
-    worker of :func:`_pinned_forks` runs each other, at any state size, and
-    pickles its result with protocol 5, so that arrays stay read-only."""
+    """One :func:`run_seeds` call per job of :func:`_plan`, as ``(algorithm,
+    result)`` pairs, and the processes that ran them, this one first.  This
+    process, which also merges and emits, runs the lightest share; a worker
+    of :func:`_pinned_forks` runs each other, at any state size, and pickles
+    its results with protocol 5, so that arrays stay read-only."""
     cpus, shares = _plan(config, algorithms, problem.ising.n)
 
     def run_share(jobs):
-        return [(a, run_seeds(replace(config, seeds=tuple(seeds)), a, problem))
-                for a, seeds in jobs.items()]
+        return [(a, run_seeds(replace(config, seeds=seeds), a, problem)) for a, seeds in jobs]
 
     def work(jobs, fd):
         with open(fd, "wb") as fh:
@@ -605,11 +604,11 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     """Run every requested algorithm over every seed and aggregate.
 
     The exhaustive solution is always computed and included for
-    comparison.  A stage that raises fails every seed of its algorithm:
-    each is recorded under ``failed`` with the stage and the error, and
-    the other algorithms' blocks are unaffected.  Jobs may run in forked
+    comparison.  A stage that raises fails every seed of its job (one
+    :func:`run_seeds` call of :func:`_plan`), each recorded under
+    ``failed`` with the stage and the error.  Jobs may run in forked
     workers, each pinned to its own CPU (``RuntimeError`` if one gives no
-    result); runs and timings are merged in ``config.seeds`` order.
+    result); runs, failures and timings are merged in ``config.seeds`` order.
     """
     t_start = time.perf_counter()
     path = resolve_dataset(config.dataset)
@@ -679,14 +678,12 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     results, workers = _run_shares(config, algorithms, problem)
     timings: dict[str, Any] = {"per_run": {}, "workers": workers}
 
+    in_seed_order = partial(sorted, key=lambda record: config.seeds.index(record["seed"]))
     for algorithm in algorithms:
         parts = [result for a, result in results if a == algorithm]
-        # a failure in a split algorithm runs again in one process, for one process's records
-        if len(parts) > 1 and any(failed for _, failed, _ in parts):
-            parts = [run_seeds(config, algorithm, problem)]
-        by_seed = {run["seed"]: run for part_runs, _, _ in parts for run in part_runs}
+        runs = in_seed_order(run for part_runs, _, _ in parts for run in part_runs)
+        failed = in_seed_order(fail for _, part_failed, _ in parts for fail in part_failed)
         times = {seed: t for _, _, part_times in parts for seed, t in part_times.items()}
-        runs, failed = [by_seed[seed] for seed in config.seeds if seed in by_seed], parts[0][1]
         timings["per_run"][algorithm] = {str(seed): {"graph_build": graph_build_s, **times[seed]}
                                          for seed in config.seeds if seed in times}
         block: dict[str, Any] = {"runs": runs, "failed": failed}

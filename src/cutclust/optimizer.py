@@ -216,10 +216,8 @@ def spsa_minimize(
     """
     check_count("max_iters", max_iters, 1)
     check_count("seed", seed, 0)
-    initial = np.asarray(initial, dtype=float)
-    if initial.ndim != 1 or initial.size == 0:
-        raise ValidationError(f"initial params must be a non-empty vector, got shape {initial.shape}")
-    (result,) = spsa_lockstep(_one_seed(objective), initial[None], max_iters, [seed])
+    initial = np.asarray(initial, dtype=float)[None]
+    (result,) = spsa_lockstep(_one_seed(objective), initial, max_iters, [seed])
     return result
 
 

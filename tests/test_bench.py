@@ -716,10 +716,12 @@ class TestForkedShares:
     """Jobs split across the usable CPUs, each worker pinned to its own.
     Two CPUs are stated here, and pinning is recorded, not done.  From 13
     qubits a job is one seed; by LPT on the gate weights, this process runs
-    the lighter share, ``HERE_JOBS``, and one worker ``WORKER_JOBS``."""
+    the lighter share, ``HERE_JOBS``, and one worker ``WORKER_JOBS``, each
+    in the order LPT dealt them."""
 
-    HERE_JOBS = {"exact": [1, 2, 3], "vqe": [3], "qaoa": [2], "ws-qaoa": [1, 3]}
-    WORKER_JOBS = {"vqe": [1, 2], "qaoa": [1, 3], "ws-qaoa": [2]}
+    HERE_JOBS = [("ws-qaoa", (1,)), ("ws-qaoa", (3,)), ("vqe", (3,)), ("qaoa", (2,)),
+                 ("exact", (1,)), ("exact", (2,)), ("exact", (3,))]
+    WORKER_JOBS = [("ws-qaoa", (2,)), ("vqe", (1,)), ("vqe", (2,)), ("qaoa", (1,)), ("qaoa", (3,))]
 
     @pytest.fixture(autouse=True)
     def pins(self, monkeypatch, tmp_path):
@@ -750,7 +752,7 @@ class TestForkedShares:
             (0, self.HERE_JOBS), (1, self.WORKER_JOBS)
         ]
         assert [(w["cpu"], w["jobs"]) for w in alone.timings["workers"]] == [
-            (None, {a: [1, 2, 3] for a in bench.ALGORITHMS})
+            (None, [(a, (seed,)) for a in ("ws-qaoa", "vqe", "qaoa", "exact") for seed in (1, 2, 3)])
         ]
         assert all(w["max_rss_mb"] > 0 for w in report.timings["workers"] + alone.timings["workers"])
         assert_same(report.payload, alone.payload)
@@ -768,7 +770,7 @@ class TestForkedShares:
         cfg = RunConfig(dataset=str(path), seeds=(1, 2, 3), spsa_iters=5)
         report = run_benchmark(cfg)
         assert [w["jobs"] for w in report.timings["workers"]] == [
-            {"exact": [1, 2, 3], "qaoa": [1, 2, 3], "ws-qaoa": [1, 2, 3]}, {"vqe": [1, 2, 3]}
+            [("ws-qaoa", (1, 2, 3)), ("qaoa", (1, 2, 3)), ("exact", (1, 2, 3))], [("vqe", (1, 2, 3))]
         ]
         monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
         alone = run_benchmark(cfg)
@@ -787,7 +789,7 @@ class TestForkedShares:
         report = run_benchmark(cfg)
         workers = report.timings["workers"]
         assert [w["cpu"] for w in workers] == [3, 5, 8]
-        assert sorted(a for w in workers for a in w["jobs"]) == sorted(bench.ALGORITHMS)
+        assert sorted(a for w in workers for a, _ in w["jobs"]) == sorted(bench.ALGORITHMS)
         calls = pins()
         here = [cpus for pid, cpus in calls if pid == os.getpid()]
         assert here == [{3}, {3, 5, 8}]
@@ -804,27 +806,44 @@ class TestForkedShares:
                 (run,) = [r for r in block["runs"] if r["seed"] == seed]
                 assert_same(run, lone[algo]["runs"][0])
 
-    def test_fault_in_one_share_gives_one_process_records(self, thirteen, monkeypatch):
-        # slot 1 is seed 3 in the share (1, 3) and seed 2 in one process:
-        # the failed algorithms run again here, so their records name seed 2
-        cfg, _ = thirteen
-        real = bench.row_energies
+    def test_fault_fails_its_own_job_on_any_cpu_count(self, thirteen, monkeypatch, tmp_path):
+        # from 13 qubits a job is one seed: a fault in seed 2 fails that seed's
+        # job alone, and every (algorithm, seed) runs once, on two CPUs or one
+        cfg, clean = thirteen
+        log, real_run, real_sample = tmp_path / "jobs", bench.run_seeds, bench.sample_run
 
-        def poisoned(prepare, ising, points, owners):
-            values = real(prepare, ising, points, owners)
-            values[owners == 1] = np.nan
-            return values
+        def counted(config, algorithm, problem):
+            with open(log, "a") as fh:  # from this process or a worker
+                fh.write(f"{algorithm} {' '.join(map(str, config.seeds))}\n")
+            return real_run(config, algorithm, problem)
 
-        monkeypatch.setattr(bench, "row_energies", poisoned)
+        def faulty(config, seed, problem, final):
+            if seed == 2:
+                raise RuntimeError("injected fault")
+            return real_sample(config, seed, problem, final)
+
+        def calls():
+            jobs = sorted(map(str.split, log.read_text().splitlines()))
+            log.unlink()
+            return jobs
+
+        monkeypatch.setattr(bench, "run_seeds", counted)
+        monkeypatch.setattr(bench, "sample_run", faulty)
         forked = run_benchmark(cfg)
+        assert len(forked.timings["workers"]) == 2
+        forked_calls = calls()
         monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
         alone = run_benchmark(cfg)
+        assert len(alone.timings["workers"]) == 1
+        assert forked_calls == calls() == sorted([a, str(s)] for a in bench.ALGORITHMS for s in cfg.seeds)
         assert_same(forked.payload, alone.payload)
-        for algo in ("vqe", "qaoa", "ws-qaoa"):
-            failed = forked.payload["algorithms"][algo]["failed"]
-            assert [f["seed"] for f in failed] == [1, 2, 3]
-            assert all(f["error"].endswith("] (seed 2)") for f in failed), failed
-        assert forked.timings["per_run"]["vqe"] == {}
+        for algo, block in forked.payload["algorithms"].items():
+            assert [run["seed"] for run in block["runs"]] == [1, 3]
+            assert_same(block["runs"], [r for r in clean.payload["algorithms"][algo]["runs"] if r["seed"] != 2])
+            assert block["failed"] == [
+                {"seed": 2, "error": f"{algo} run (seed 2) failed during sampling: injected fault"}
+            ]
+            assert list(forked.timings["per_run"][algo]) == ["1", "3"]
 
     def test_worker_without_result_raises_and_is_reaped(self, thirteen, monkeypatch):
         cfg, _ = thirteen
@@ -870,7 +889,7 @@ class TestForkedShares:
         monkeypatch.setattr(bench.os, "fork", no_fork)
         report = run_benchmark(RunConfig(dataset="cars", seeds=(1,), spsa_iters=2))
         assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
-            (None, {a: [1] for a in bench.ALGORITHMS})
+            (None, [(a, (1,)) for a in ("vqe", "ws-qaoa", "qaoa", "exact")])
         ]
         assert all(block["failed"] == [] for block in report.payload["algorithms"].values())
         assert pins() == []
@@ -880,12 +899,12 @@ class TestForkedShares:
         cfg = RunConfig(dataset="cars", seeds=(1,), spsa_iters=1)
         report = run_benchmark(cfg)
         assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [
-            (0, {"exact": [1], "qaoa": [1], "ws-qaoa": [1]}), (1, {"vqe": [1]})
+            (0, [("ws-qaoa", (1,)), ("qaoa", (1,)), ("exact", (1,))]), (1, [("vqe", (1,))])
         ]
         monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
         alone = run_benchmark(cfg)
         assert [(w["cpu"], w["jobs"]) for w in alone.timings["workers"]] == [
-            (None, {a: [1] for a in bench.ALGORITHMS})
+            (None, [(a, (1,)) for a in ("vqe", "ws-qaoa", "qaoa", "exact")])
         ]
         assert_same_files(report, alone, tmp_path)
 
@@ -902,17 +921,18 @@ class TestForkedShares:
         dataset = "cars" if rows is None else str(write_csv(tmp_path, two_blobs(rows)))
         cfg = RunConfig(dataset=dataset, algorithm=algorithm, seeds=(1, 2), spsa_iters=3, vqe_reps=1)
         report = run_benchmark(cfg)
-        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [(None, {algorithm: [1, 2]})]
+        assert [(w["cpu"], w["jobs"]) for w in report.timings["workers"]] == [(None, [(algorithm, (1, 2))])]
         assert report.payload["algorithms"][algorithm]["failed"] == []
         assert pins() == []
 
     # the perfbench workloads' argvs: cars-default, wine-ws-deep and synth14-kernels
     @pytest.mark.parametrize("argv, n, shares", [
-        ({}, 5, [{a: list(range(1, 11)) for a in ("exact", "qaoa", "ws-qaoa")}, {"vqe": list(range(1, 11))}]),
-        ({"algorithm": "ws-qaoa", "p": 4}, 6, [{"ws-qaoa": list(range(1, 11))}]),
+        ({}, 5, [[(a, tuple(range(1, 11))) for a in ("ws-qaoa", "qaoa", "exact")],
+                 [("vqe", tuple(range(1, 11)))]]),
+        ({"algorithm": "ws-qaoa", "p": 4}, 6, [[("ws-qaoa", tuple(range(1, 11)))]]),
         ({"algorithm": "all", "seeds": (1, 2), "spsa_iters": 20}, 14, [
-            {"exact": [1, 2], "vqe": [1], "qaoa": [1], "ws-qaoa": [1]},
-            {"vqe": [2], "qaoa": [2], "ws-qaoa": [2]},
+            [("vqe", (1,)), ("ws-qaoa", (1,)), ("qaoa", (1,)), ("exact", (1,)), ("exact", (2,))],
+            [("vqe", (2,)), ("ws-qaoa", (2,)), ("qaoa", (2,))],
         ]),
     ], ids=["cars-default", "wine-ws-deep", "synth14-kernels"])
     def test_every_workload_keeps_its_plan(self, argv, n, shares):

@@ -11,9 +11,10 @@ Three kinds of check:
     dot per row, and gate stacks filled in place against stacked entries;
   - independent oracles: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
-    which shares no code with the simulator, and a dense np.kron matrix
+    which shares no code with the simulator, a dense np.kron matrix
     for the matrix-product R_y layer, which is checked within KRON_BOUND
-    only, since BLAS sums in its own order.
+    only, since BLAS sums in its own order, and a dense scipy.linalg.expm
+    ws-QAOA state at interior warm starts c != 1/2.
 """
 
 import functools
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import cutclust.optimizer as optimizer
 from cutclust.ansatz import (
@@ -159,6 +161,41 @@ class TestClosedFormOracle:
         for r in range(rows):
             expected = closed_form_p1(graph.weights, betas[r, 0], gammas[r, 0])
             assert abs(energies[r] - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+def dense_ws_qaoa(energies, c, betas, gammas):
+    """ws-QAOA's state from numpy and scipy.linalg.expm alone: the product
+    start (cos theta_q/2, sin theta_q/2) on each qubit q, theta_q =
+    2 arcsin sqrt(c_q), then per layer the phase diag(exp(-i gamma E)) and
+    the mixer expm(-i beta sum_q H_q), where H_q = (2c_q - 1) Z -
+    2 sqrt(c_q (1 - c_q)) X acts on qubit q, bit q of the state index."""
+    n = len(c)
+    psi = np.ones(1)
+    for q in reversed(range(n)):  # np.kron's last factor is the least significant bit
+        theta = 2.0 * np.arcsin(np.sqrt(c[q]))
+        psi = np.kron(psi, [np.cos(theta / 2.0), np.sin(theta / 2.0)])
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    mixer = np.zeros((2**n, 2**n))
+    for q in range(n):
+        h = (2 * c[q] - 1) * z - 2 * np.sqrt(c[q] * (1 - c[q])) * x
+        mixer += np.kron(np.kron(np.eye(2 ** (n - 1 - q)), h), np.eye(2**q))
+    for beta, gamma in zip(betas, gammas):
+        psi = scipy.linalg.expm(-1j * beta * mixer) @ (np.exp(-1j * gamma * energies) * psi)
+    return psi
+
+
+class TestWarmStartOracle:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_state_matches_dense_expm(self, n, p):
+        # interior c != 1/2 and nonzero angles, so every term of each mixer acts
+        rng = np.random.default_rng(60 + 10 * n + p)
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        c = rng.uniform(0.1, 0.9, n)
+        params = rng.uniform(-np.pi, np.pi, 2 * p)
+        expected = np.abs(dense_ws_qaoa(ising.energies, c, params[:p], params[p:])) ** 2
+        probs = state_probabilities("ws-qaoa", ising, params, p=p, warm=WarmStart(c))
+        assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
 def warm_starts(rng, n, count):

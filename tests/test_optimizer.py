@@ -169,6 +169,16 @@ class TestSpsaMinimize:
         with pytest.raises(ValidationError, match="non-empty vector"):
             spsa_minimize(sphere, np.array([]), max_iters=10)
 
+    @pytest.mark.parametrize("shape", [(), (2, 3), (0,), (3, 0)], ids=["scalar", "matrix", "empty", "empty-rows"])
+    def test_start_point_is_a_non_empty_vector(self, shape):
+        # checked once, by spsa_lockstep on the one-row batch; the objective is never called
+        def objective(x):
+            raise AssertionError("evaluated a malformed start")
+
+        message = f"initial params must be a non-empty vector, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            spsa_minimize(objective, np.ones(shape), max_iters=10)
+
     def test_is_a_calibrated_lone_run(self):
         x0 = np.random.default_rng(4).uniform(-1, 1, 6)
         res = spsa_minimize(bumpy, x0, max_iters=70, seed=8)
