@@ -169,19 +169,29 @@ def layer_figures(sides: dict, n: int, loops: int) -> dict:
 
     def kernels(modules: dict) -> dict:
         side = modules["simulator"]
-        own = modules["graph_model"].IsingDiagonal(n, ising.energies)
+        graph_model = modules["graph_model"]
+        own = graph_model.IsingDiagonal(n, ising.energies)
         # the R_y layer vqe_rows applies at n: a side without the constant
         # has no matrix-product layer
         vqe_layer = side.apply_layer_rows
         if n >= getattr(side, "KRON_MIN_QUBITS", n + 1):
             vqe_layer = side.apply_kron_layer_rows
+        # the cost phase as the ansatz forms it: a side with the phase
+        # kernels calls them, a later one forms the phases for its helper
+        if hasattr(side, "apply_diagonal_phase_rows"):
+            cost_phase = lambda: side.apply_diagonal_phase_rows(cplx, gammas, own)
+            half_cost_phase = lambda: side.apply_half_phase_rows(half, gammas, own)
+        else:
+            mirror, half_phases = graph_model.mirror, side._half_phases
+            cost_phase = lambda: side.apply_phase_rows(cplx, mirror(half_phases(gammas, own)), n)
+            half_cost_phase = lambda: side.apply_phase_rows(half, half_phases(gammas, own), n)
         return {
             "ry_layer": lambda: side.apply_layer_rows(real, ry),
             "vqe_ry_layer": lambda: vqe_layer(real, ry),
             "mixer_layer": lambda: side.apply_layer_rows(cplx, mixer),
             "vqe_first_layer": lambda: side.product_rows(ry[..., 0]),
-            "cost_phase": lambda: side.apply_diagonal_phase_rows(cplx, gammas, own),
-            "half_cost_phase": lambda: side.apply_half_phase_rows(half, gammas, own),
+            "cost_phase": cost_phase,
+            "half_cost_phase": half_cost_phase,
             "cnot_gather": lambda: side.gather_rows(real, chain),
             "expectation": lambda: side.expectation_rows(probs, own.energies),
         }

@@ -23,10 +23,10 @@ from .graph_model import IsingDiagonal, mirror
 from .simulator import (
     KRON_MIN_QUBITS,
     _gate,
-    apply_diagonal_phase_rows,
-    apply_half_phase_rows,
+    _half_phases,
     apply_kron_layer_rows,
     apply_layer_rows,
+    apply_phase_rows,
     gather_rows,
     product_rows,
     ry,
@@ -111,7 +111,7 @@ def qaoa_rows(
     ``hams[r]``; a single row of ``hams`` or ``initial`` serves every row."""
     psi = initial
     for layer in range(betas.shape[1]):
-        psi = apply_diagonal_phase_rows(psi, gammas[:, layer], ising)
+        psi = apply_phase_rows(psi, mirror(_half_phases(gammas[:, layer], ising)), ising.n)
         psi = apply_layer_rows(psi, _mixer_unitaries(hams, betas[:, layer, None]))
     return psi
 
@@ -131,7 +131,7 @@ def qaoa_half_rows(ising: IsingDiagonal, betas: np.ndarray, gammas: np.ndarray) 
     half = np.full((1, 2 ** (n - 1)), 2.0 ** (-n / 2.0))
     hams = np.broadcast_to(PAULI_X, (1, n, 2, 2))
     for layer in range(betas.shape[1]):
-        half = apply_half_phase_rows(half, gammas[:, layer], ising)
+        half = apply_phase_rows(half, _half_phases(gammas[:, layer], ising), n)
         gates = _mixer_unitaries(hams, betas[:, layer, None])
         half = apply_layer_rows(half, gates[:, :-1])
         u = gates[:, -1, :, :, None]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph_model import QUBIT_CAP, IsingDiagonal, mirror
+from .graph_model import QUBIT_CAP, IsingDiagonal
 
 RNG_ID = "numpy-pcg64"
 
@@ -53,15 +53,10 @@ def row_cap(n: int) -> int:
     than half a state at the qubit cap (128 KiB complex).  A state at or
     near the cap runs one row at a time.
 
-    The cap keeps batches bit-identical to one-row calls, not only in
-    cache: from ELIDE_BYTES (256 KiB, 2 complex rows at 13 qubits) on,
-    numpy computes ``psi * phase`` in place in the phase temporary with
-    the operands swapped, and its complex multiply rounds a*b and b*a
-    differently.  So under the cap the whole-state product is swapped
-    only for a row of 14 qubits, and the half-state QAOA path, whose
-    product is half as large, writes ``phase * half`` there alone (see
-    :func:`apply_half_phase_rows`).  Past the cap a gate's buffers also
-    fall out of cache and a row costs more batched than alone."""
+    The cap serves cache and memory only: a batch of any size rounds as
+    its rows alone (the cost phase's operand order is set by the state
+    size, see :func:`apply_phase_rows`), but past the cap a gate's
+    buffers fall out of cache and a row costs more batched than alone."""
     return 2 ** max(QUBIT_CAP - 1 - n, 0)
 
 
@@ -167,44 +162,31 @@ def gather_rows(psi: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take(psi, perm, axis=1)
 
 
-# numpy computes a binary operation of this many bytes or more in place in
-# an operand that is a temporary, and for a product it swaps the operands
-# to do so: its complex multiply rounds a*b and b*a differently
+# numpy computes a product of this many bytes or more in place in an
+# operand that is a temporary, swapping the operands to do so, and its
+# complex multiply rounds a*b and b*a differently; apply_phase_rows fixes,
+# for every batch, the order that this gives a single whole state
 ELIDE_BYTES = 256 * 1024
 
 
 def _half_phases(gammas: np.ndarray, ising: IsingDiagonal) -> np.ndarray:
     """exp(-i gammas[r] E(x)) for the first half of the basis, the
-    indices with qubit n-1 at 0."""
+    indices with qubit n-1 at 0; ``mirror`` gives the whole basis."""
     return np.exp(-1j * gammas[:, None] * ising.energies[: ising.energies.size // 2])
 
 
-def apply_diagonal_phase_rows(
-    psi: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
-) -> np.ndarray:
-    """Multiply amplitude[r, x] by exp(-i gammas[r] E(x)).
+def apply_phase_rows(psi: np.ndarray, phase: np.ndarray, n: int) -> np.ndarray:
+    """The cost phase: psi times phase, amplitude by amplitude, on states
+    of n qubits or on their first halves.
 
-    The phases enter the product as a temporary, so from ELIDE_BYTES on
-    numpy computes ``phase * psi``; :func:`apply_half_phase_rows` rounds
-    the same way on half the state."""
-    return psi * mirror(_half_phases(gammas, ising))
-
-
-def apply_half_phase_rows(
-    half: np.ndarray, gammas: np.ndarray, ising: IsingDiagonal
-) -> np.ndarray:
-    """The cost phase on the first halves of states that keep
-    psi[2^n - 1 - k] == psi[k] (the amplitudes with qubit n-1 at 0),
-    bit-identical to the first half of :func:`apply_diagonal_phase_rows`
-    on the whole states.
-
-    The operands go in the order numpy uses for the whole states: from
-    ELIDE_BYTES on, the whole product is computed as ``phase * psi``, and
-    the half product, half that size, must be written that way."""
-    phase = _half_phases(gammas, ising)
-    if 2 * phase.nbytes >= ELIDE_BYTES:
-        return phase * half
-    return half * phase
+    The operand order depends on n alone, so a row rounds alike in every
+    batch and in half and whole states: ``phase`` first when one row of a
+    whole state holds ELIDE_BYTES or more (14 qubits), ``psi`` first
+    below.  ``np.multiply`` never computes in place in a temporary, so
+    numpy keeps that order."""
+    if phase.itemsize * 2**n >= ELIDE_BYTES:
+        return np.multiply(phase, psi)
+    return np.multiply(psi, phase)
 
 
 def probability_rows(psi: np.ndarray) -> np.ndarray:

@@ -23,12 +23,13 @@ from cutclust.bench import (
     emit_report,
     run_benchmark,
 )
-from cutclust.graph_model import WeightedGraph, ising_from_graph, qubo_from_graph
+from cutclust.graph_model import WeightedGraph, ising_from_graph, mirror, qubo_from_graph
 from cutclust.optimizer import exact_solve, make_objective, state_probabilities
 from cutclust.relaxation import clip_cstar, relax_qubo
 from cutclust.simulator import (
-    apply_diagonal_phase_rows,
+    _half_phases,
     apply_layer_rows,
+    apply_phase_rows,
     cnot_perm,
     gather_rows,
     ry,
@@ -200,7 +201,7 @@ class TestAcceptance:
                 state = gather_rows(state, cnot_perm(4, int(q[0]), int(q[1])))
             else:
                 gamma = np.array([rng.uniform(-np.pi, np.pi)])
-                state = apply_diagonal_phase_rows(state, gamma, energies)
+                state = apply_phase_rows(state, mirror(_half_phases(gamma, energies)), 4)
         norm = float(np.abs(state[0]).dot(np.abs(state[0])))
         assert abs(norm - 1.0) < 1e-9
 

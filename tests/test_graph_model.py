@@ -14,9 +14,10 @@ from cutclust.graph_model import (
     cut_value,
     euclidean_weights,
     ising_from_graph,
+    mirror,
     qubo_from_graph,
 )
-from cutclust.simulator import apply_diagonal_phase_rows
+from cutclust.simulator import _half_phases, apply_phase_rows
 
 
 def all_bitstrings(n: int) -> np.ndarray:
@@ -170,17 +171,15 @@ class TestMirrored:
 
     @pytest.mark.parametrize("n", [13, 14])
     def test_single_state_phase_equals_the_phase_of_every_energy(self, n):
-        # at 14 qubits numpy multiplies into the phase temporary with the
-        # operands swapped, so the expression must match the plain one's;
-        # the expected value is computed outside the assert, whose
-        # rewriting would hold a reference to the temporary
+        # the product goes phase first from a 14-qubit row on, psi first below
         rng = np.random.default_rng(n)
         ising = ising_from_graph(random_graph(rng, n))
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         psi /= np.linalg.norm(psi)
         gamma = float(rng.uniform(-np.pi, np.pi))
-        got = apply_diagonal_phase_rows(psi[None], np.array([gamma], dtype=float), ising)
-        expected = psi * np.exp(-1j * gamma * ising.energies)
+        got = apply_phase_rows(psi[None], mirror(_half_phases(np.array([gamma]), ising)), n)
+        phase = np.exp(-1j * gamma * ising.energies)
+        expected = np.multiply(phase, psi) if n == 14 else np.multiply(psi, phase)
         assert got[0].tobytes() == expected.tobytes()
 
 

@@ -2,7 +2,9 @@
 
 Three kinds of check:
   - bit identity: row r of a batch equals the same state prepared on its
-    own (one-row call), for every ansatz and several batch sizes;
+    own (one-row call), for every ansatz and several batch sizes, over
+    the row cap too, and a state keeps its bytes when numpy cannot
+    compute the cost phase in place in its temporary;
   - bit identity of each layer shortcut against the plain computation it
     replaces: the layer kernel against a loop of one-gate calls, the
     product first layer against the gates applied to |0...0>, the
@@ -13,11 +15,13 @@ Three kinds of check:
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
     which shares no code with the simulator, a dense np.kron matrix
     for the matrix-product R_y layer, which is checked within KRON_BOUND
-    only, since BLAS sums in its own order, and a dense scipy.linalg.expm
-    ws-QAOA state at interior warm starts c != 1/2.
+    only, since BLAS sums in its own order, a dense scipy.linalg.expm
+    ws-QAOA state at interior warm starts c != 1/2, and the depth-1 QAOA
+    and ws-QAOA energy from two-qubit marginals, up to the qubit cap.
 """
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -27,6 +31,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import cutclust.graph_model as graph_model
 import cutclust.optimizer as optimizer
 from cutclust.ansatz import (
     WarmStart,
@@ -35,7 +40,7 @@ from cutclust.ansatz import (
     vqe_rows,
     ws_mixer_hamiltonian,
 )
-from cutclust.graph_model import QUBIT_CAP, IsingDiagonal, WeightedGraph, ising_from_graph
+from cutclust.graph_model import QUBIT_CAP, IsingDiagonal, WeightedGraph, ising_from_graph, mirror
 from cutclust.errors import ValidationError
 from cutclust.optimizer import (
     make_ansatz,
@@ -47,9 +52,10 @@ from cutclust.optimizer import (
 from cutclust.simulator import (
     DOT_PIECE,
     KRON_MIN_QUBITS,
-    apply_diagonal_phase_rows,
+    _half_phases,
     apply_kron_layer_rows,
     apply_layer_rows,
+    apply_phase_rows,
     cnot_chain_perm,
     cnot_perm,
     expectation_rows,
@@ -198,6 +204,138 @@ class TestWarmStartOracle:
         assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
+def marginal_energy_p1(weights, starts, hams, beta, gamma):
+    """<E> of depth-1 QAOA or ws-QAOA with E(x) = -cut(x), from two-qubit
+    marginals: the state is exp(-i beta sum_q h_q) exp(-i gamma E) |phi>,
+    |phi> the product of the one-qubit states starts[q], h_q acting on
+    qubit q alone.
+
+    With d(s, t) = [s != t], E = -sum_{u<v} w_uv d(x_u, x_v) and
+    d = (1 - Z_u Z_v) / 2, so <E> = -(W - sum_{u<v} w_uv <Z_u Z_v>) / 2,
+    W the total weight.  The mixer is the product of the one-qubit
+    unitaries m_q = expm(-i beta h_q), so
+        <Z_u Z_v> = Tr[(m_u^+ Z m_u (x) m_v^+ Z m_v) rho_uv],
+    rho_uv the marginal of qubits u and v of psi = exp(-i gamma E)|phi>:
+        rho_uv[ab, a'b'] = sum_y psi(a, b, y) psi(a', b', y)^*
+    over the bits y of the other qubits.  In E(a, b, y) - E(a', b', y)
+    only the edges at u or v are left:
+        -w_uv (d(a, b) - d(a', b'))
+        - sum_k [w_uk (d(a, y_k) - d(a', y_k)) + w_vk (d(b, y_k) - d(b', y_k))],
+    and phi is a product, so the sum over y is a product over the other
+    qubits k:
+        rho_uv[ab, a'b'] = phi_u(a) phi_v(b) phi_u(a')^* phi_v(b')^*
+            exp(i gamma w_uv (d(a, b) - d(a', b')))
+            prod_k sum_t |phi_k(t)|^2
+                exp(i gamma (w_uk (d(a, t) - d(a', t)) + w_vk (d(b, t) - d(b', t)))).
+    Each of the 16 entries is n - 2 two-term factors: O(n^3) work for
+    <E>, and no 2^n vector.
+    """
+    weights = np.asarray(weights)
+    z = np.diag([1.0, -1.0])
+    mixers = [scipy.linalg.expm(-1j * beta * h) for h in hams]
+    zs = [m.conj().T @ z @ m for m in mixers]
+    # the bits a, b, a', b' of rho[a, b, a', b'] along its four axes
+    bit = np.arange(2)
+    a, b, a2, b2 = np.ix_(bit, bit, bit, bit)
+
+    def d(s, t):
+        return np.not_equal(s, t).astype(float)
+
+    correlation = 0.0
+    for u, v in itertools.combinations(range(len(weights)), 2):
+        rho = np.einsum("a,b,c,d->abcd", starts[u], starts[v], starts[u].conj(), starts[v].conj())
+        rho = rho * np.exp(1j * gamma * weights[u, v] * (d(a, b) - d(a2, b2)))
+        for k in range(len(weights)):
+            if k not in (u, v):
+                rho = rho * sum(
+                    abs(starts[k][t]) ** 2
+                    * np.exp(1j * gamma * (weights[u, k] * (d(a, t) - d(a2, t))
+                                           + weights[v, k] * (d(b, t) - d(b2, t))))
+                    for t in (0, 1)
+                )
+        correlation += weights[u, v] * np.einsum("ca,db,abcd->", zs[u], zs[v], rho).real
+    return -(np.triu(weights, k=1).sum() - correlation) / 2.0
+
+
+def transverse_product(n):
+    """QAOA's start |+> and mixer X on each qubit, for marginal_energy_p1."""
+    return [np.full(2, np.sqrt(0.5))] * n, [PAULI_X] * n
+
+
+def warm_product(c):
+    """ws-QAOA's start (sqrt(1 - c_q), sqrt(c_q)) = R_y(theta_q)|0> and
+    mixer (2c_q - 1) Z - 2 sqrt(c_q (1 - c_q)) X on each qubit q, for
+    marginal_energy_p1."""
+    starts = [np.array([np.sqrt(1.0 - cq), np.sqrt(cq)]) for cq in c]
+    off = [-2.0 * np.sqrt(cq * (1.0 - cq)) for cq in c]
+    hams = [np.array([[2.0 * cq - 1.0, o], [o, 1.0 - 2.0 * cq]]) for cq, o in zip(c, off)]
+    return starts, hams
+
+
+class TestMarginalOracle:
+    """Depth-1 energies of marginal_energy_p1, which needs no 2^n vector,
+    against the simulator up to the qubit cap, within 1e-10 relative."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
+    def test_qaoa_rows(self, n):
+        rng = np.random.default_rng(400 + n)
+        graph = random_graph(rng, n)
+        ising = ising_from_graph(graph)
+        prepare, dim = make_ansatz("qaoa", ising)
+        params = rng.uniform(-np.pi, np.pi, size=(3, dim))
+        energies = row_energies(prepare, ising, params, np.zeros(3, dtype=int))
+        for r in range(3):
+            expected = marginal_energy_p1(graph.weights, *transverse_product(n), *params[r])
+            assert abs(energies[r] - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
+    def test_ws_qaoa_rows(self, n):
+        # an interior warm start and a vertex clipped to [eps, 1 - eps],
+        # two angle pairs each
+        rng = np.random.default_rng(500 + n)
+        graph = random_graph(rng, n)
+        ising = ising_from_graph(graph)
+        eps = 0.1
+        cs = [rng.uniform(0.05, 0.95, n), np.where(rng.integers(0, 2, n) == 1, 1.0 - eps, eps)]
+        prepare, dim = make_ansatz("ws-qaoa", ising, warm=[WarmStart(c) for c in cs])
+        owners = np.array([0, 0, 1, 1])
+        params = rng.uniform(-np.pi, np.pi, size=(len(owners), dim))
+        energies = row_energies(prepare, ising, params, owners)
+        for r, owner in enumerate(owners):
+            expected = marginal_energy_p1(graph.weights, *warm_product(cs[owner]), *params[r])
+            assert abs(energies[r] - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_agrees_with_closed_form(self, n):
+        rng = np.random.default_rng(600 + n)
+        graph = random_graph(rng, n)
+        for beta, gamma in rng.uniform(-np.pi, np.pi, size=(3, 2)):
+            expected = closed_form_p1(graph.weights, beta, gamma)
+            got = marginal_energy_p1(graph.weights, *transverse_product(n), beta, gamma)
+            assert abs(got - expected) <= 1e-10 * abs(expected)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.25])
+    @pytest.mark.parametrize("n", [3, 8, 14])
+    def test_start_energy_at_a_clipped_optimal_vertex(self, n, eps):
+        # at beta = gamma = 0 a pair is cut with probability
+        # (1 - eps)^2 + eps^2 across the vertex's cut and 2 eps (1 - eps)
+        # within a side, so <E> / E0 = <cut> / max_cut
+        # = (1 - 2 eps)^2 + 2 eps (1 - eps) W / max_cut
+        rng = np.random.default_rng(700 + n)
+        graph = random_graph(rng, n)
+        ising = ising_from_graph(graph)
+        best = int(np.argmin(ising.energies))
+        max_cut = -ising.energies[best]
+        c = np.where((best >> np.arange(n)) & 1, 1.0 - eps, eps)
+        total = np.triu(graph.weights, k=1).sum()
+        rule = (1 - 2 * eps) ** 2 + 2 * eps * (1 - eps) * total / max_cut
+        oracle = marginal_energy_p1(graph.weights, *warm_product(c), 0.0, 0.0)
+        prepare, dim = make_ansatz("ws-qaoa", ising, warm=[WarmStart(c)])
+        simulated = row_energies(prepare, ising, np.zeros((1, dim)), np.zeros(1, dtype=int))[0]
+        assert abs(oracle / -max_cut - rule) <= 1e-12 * rule
+        assert abs(simulated / -max_cut - rule) <= 1e-10 * rule
+
+
 def warm_starts(rng, n, count):
     return [WarmStart(rng.uniform(0.05, 0.95, n)) for _ in range(count)]
 
@@ -271,6 +409,47 @@ class TestBatchEqualsOneRow:
                 state = gather_rows(state, cnot_perm(n, q, q + 1))
             assert np.array_equal(gathered[r], state[0])
 
+    @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa"])
+    def test_batch_over_the_row_cap(self, kind):
+        # row_cap(13) is 1, and a 3-row batch holds more than ELIDE_BYTES:
+        # the cost phase still multiplies in the order of one row
+        rng = np.random.default_rng(45)
+        n, p, rows = 13, 2, 3
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        warms = warm_starts(rng, n, rows) if kind == "ws-qaoa" else None
+        prepare, dim = make_ansatz(kind, ising, p=p, warm=warms)
+        params = rng.uniform(-np.pi, np.pi, size=(rows, dim))
+        owners = np.arange(rows)
+        batch = prepare(params, owners)
+        for r in range(rows):
+            assert batch[r].tobytes() == prepare(params[r : r + 1], owners[r : r + 1])[0].tobytes()
+
+    def test_ws_qaoa_bytes_hold_without_temporary_elision(self, monkeypatch):
+        # numpy computes a product in place in a temporary operand, with
+        # the operands swapped, only while nothing else refers to it; a
+        # mirror that also stores its result takes that away
+        rng = np.random.default_rng(46)
+        n, p = 14, 2
+        ising = ising_from_graph(random_graph(rng, n, 3.0))
+        prepare, dim = make_ansatz("ws-qaoa", ising, p=p, warm=warm_starts(rng, n, 1))
+        params = rng.uniform(-np.pi, np.pi, size=(1, dim))
+        owners = np.zeros(1, dtype=int)
+        plain = prepare(params, owners)
+        original, stored = graph_model.mirror, []
+
+        def storing_mirror(half):
+            stored.append(original(half))
+            return stored[-1]
+
+        # every module of the package that calls mirror, wherever the
+        # cost phase is formed
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cutclust") and getattr(module, "mirror", None) is original:
+                monkeypatch.setattr(module, "mirror", storing_mirror)
+        held = prepare(params, owners)
+        assert len(stored) == p
+        assert held.tobytes() == plain.tobytes()
+
     @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa", "vqe"])
     def test_energies_equal_one_row_objective(self, kind):
         rng = np.random.default_rng(40)
@@ -332,11 +511,9 @@ class TestRowCap:
         assert np.array_equal(np.concatenate(chunks), whole)
 
     def test_rows_at_13_qubits_equal_one_row_objectives(self):
-        # 2 complex rows at 13 qubits reach 256 KiB, where numpy multiplies
-        # psi * phase in place in the phase temporary with the operands
-        # swapped; the cap runs each row alone, so every row rounds as a
+        # the cap runs each 13-qubit row alone, and every row rounds as a
         # one-row call does.  At p = 1 the phase meets a real start state,
-        # which rounds alike either way, so the test takes p = 2
+        # which rounds alike in either operand order, so the test takes p = 2
         rng = np.random.default_rng(13)
         n, rows, p = 13, 3, 2
         ising = ising_from_graph(random_graph(rng, n, 3.0))
@@ -571,16 +748,16 @@ class TestMirroredPhase:
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 10, 13, 14])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_equals_full_phase(self, n, rows):
-        # at 14 qubits, and at 13 with 3 rows, numpy multiplies into the
-        # phase temporary with the operands swapped, which rounds complex
-        # products differently; both ways must do as the plain expression
+        # complex products round a*b and b*a differently: the phase goes
+        # first from a 14-qubit row on and psi first below, in any batch
         rng = np.random.default_rng(200 + n)
         ising = ising_from_graph(random_graph(rng, n, 3.0))
         psi = random_rows(rng, rows, n)
         gammas = rng.uniform(-np.pi, np.pi, rows)
-        expected = psi * np.exp(-1j * gammas[:, None] * ising.energies)
-        half = apply_diagonal_phase_rows(psi, gammas, ising)
-        assert half.tobytes() == expected.tobytes()
+        phase = np.exp(-1j * gammas[:, None] * ising.energies)
+        expected = np.multiply(phase, psi) if n == 14 else np.multiply(psi, phase)
+        got = apply_phase_rows(psi, mirror(_half_phases(gammas, ising)), n)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 14])
     def test_one_skewed_energy_is_rejected(self, n):
@@ -596,10 +773,11 @@ class TestMirroredPhase:
         ising = ising_from_graph(random_graph(rng, 6))
         psi = np.full((1, 64), 0.125)
         gammas = rng.uniform(-1, 1, 4)
-        half = apply_diagonal_phase_rows(psi, gammas, ising)
-        assert half.shape == (4, 64)
-        expected = psi * np.exp(-1j * gammas[:, None] * ising.energies)
-        assert half.tobytes() == expected.tobytes()
+        got = apply_phase_rows(psi, mirror(_half_phases(gammas, ising)), 6)
+        assert got.shape == (4, 64)
+        # psi first below 14 qubits
+        expected = np.multiply(psi, np.exp(-1j * gammas[:, None] * ising.energies))
+        assert got.tobytes() == expected.tobytes()
 
     def test_diagonal_that_is_not_mirrored_is_rejected(self):
         # random energies: make_ansatz is never reached
@@ -616,8 +794,8 @@ class TestHalfStateQaoa:
     @pytest.mark.parametrize("p", [1, 2, 4])
     @pytest.mark.parametrize("batch", ["one", "cap"])
     def test_equals_whole_state(self, n, p, batch):
-        # at 14 qubits the whole-state phase product is swapped by numpy,
-        # so the half product must be written phase first there alone
+        # both builders take the cost phase's operand order from n, so
+        # they agree at 14 qubits too, where the phase goes first
         rows = 1 if batch == "one" else row_cap(n)
         rng = np.random.default_rng(300 + 10 * n + p)
         ising = ising_from_graph(random_graph(rng, n, 3.0))

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph
+from cutclust.graph_model import IsingDiagonal, WeightedGraph, ising_from_graph, mirror
 from cutclust.optimizer import make_ansatz
 from cutclust.simulator import (
-    apply_diagonal_phase_rows,
+    _half_phases,
     apply_layer_rows,
+    apply_phase_rows,
     cnot_perm,
     draw_counts,
     expectation_rows,
@@ -83,7 +84,7 @@ def apply_cnot(psi: np.ndarray, control: int, target: int) -> np.ndarray:
 
 
 def apply_diagonal_phase(psi: np.ndarray, gamma: float, ising: IsingDiagonal) -> np.ndarray:
-    return apply_diagonal_phase_rows(psi, np.array([gamma], dtype=float), ising)
+    return apply_phase_rows(psi, mirror(_half_phases(np.array([gamma]), ising)), ising.n)
 
 
 def expectation(psi: np.ndarray, ising: IsingDiagonal) -> float:
