@@ -17,11 +17,11 @@ kinds of figure are written:
 - side by side in one process (the before tree imported under another
   package name): microseconds of one call of each layer kernel of an
   evaluation (a real and a complex rotation layer, the R_y layer that
-  VQE applies at that size, VQE's first layer on |0...0>, the cost phase
-  on whole and on half states, the CNOT-chain gather and the
-  expectation) on a batch of min(BATCH_ROWS, row cap) rows, seconds of
-  one ``emit_report`` of a 14-qubit report, microseconds of one
-  exact-energy evaluation of each ansatz, as a
+  VQE applies at that size with its factor build, VQE's first layer on
+  |0...0>, the cost phase on whole and on half states, the CNOT-chain
+  gather and the expectation) on a batch of min(BATCH_ROWS, row cap)
+  rows, seconds of one ``emit_report`` of a 14-qubit report,
+  microseconds of one exact-energy evaluation of each ansatz, as a
   one-row ``make_objective`` call and per row of a lockstep batch of
   BATCH_ROWS rows (split into chunks of the row cap), and milliseconds
   of one ``spsa_lockstep`` run, both sides alternating AB_LOOPS times on
@@ -171,11 +171,14 @@ def layer_figures(sides: dict, n: int, loops: int) -> dict:
         side = modules["simulator"]
         graph_model = modules["graph_model"]
         own = graph_model.IsingDiagonal(n, ising.energies)
-        # the R_y layer vqe_rows applies at n: a side without the constant
-        # has no matrix-product layer
+        # the R_y layer vqe_rows applies at n, factors included: a side
+        # without the constant has no matrix-product layer, and one without
+        # kron_factors builds a layer's factors inside the layer
         vqe_layer = side.apply_layer_rows
         if n >= getattr(side, "KRON_MIN_QUBITS", n + 1):
             vqe_layer = side.apply_kron_layer_rows
+            if hasattr(side, "kron_factors"):
+                vqe_layer = lambda psi, gates: side.apply_kron_layer_rows(psi, side.kron_factors(gates))
         # the cost phase as the ansatz forms it: a side with the phase
         # kernels calls them, a later one forms the phases for its helper
         if hasattr(side, "apply_diagonal_phase_rows"):

@@ -28,6 +28,7 @@ from .simulator import (
     apply_layer_rows,
     apply_phase_rows,
     gather_rows,
+    kron_factors,
     product_rows,
     ry,
 )
@@ -151,7 +152,9 @@ def vqe_rows(angles: np.ndarray, chain: np.ndarray) -> np.ndarray:
     KRON_MIN_QUBITS on, the others are three matrix products each."""
     gates = ry(angles)
     psi = product_rows(gates[:, 0, :, :, 0])
-    apply = apply_kron_layer_rows if angles.shape[2] >= KRON_MIN_QUBITS else apply_layer_rows
-    for layer in range(1, angles.shape[1]):
-        psi = apply(gather_rows(psi, chain), gates[:, layer])
+    apply, layers = apply_layer_rows, gates[:, 1:].swapaxes(0, 1)
+    if angles.shape[2] >= KRON_MIN_QUBITS:
+        apply, layers = apply_kron_layer_rows, zip(*kron_factors(layers))
+    for layer in layers:
+        psi = apply(gather_rows(psi, chain), layer)
     return psi

@@ -312,13 +312,16 @@ def row_energies(
     prepare, ising: IsingDiagonal, params: np.ndarray, owners: np.ndarray
 ) -> np.ndarray:
     """Exact energy of every prepared row: a batch objective once
-    ``prepare`` and ``ising`` are bound."""
-    return np.concatenate(
-        [
-            expectation_rows(probs, ising.energies)
-            for probs in row_probabilities(prepare, params, owners, ising.n)
-        ]
-    )
+    ``prepare`` and ``ising`` are bound.  At ``row_cap`` 1, a row whose
+    owner and parameters repeat an earlier row's bytes takes its energy."""
+    repeats = slice(None)
+    if row_cap(ising.n) == 1:
+        seen: dict = {}
+        repeats = [seen.setdefault((o, x.tobytes()), len(seen)) for o, x in zip(owners.tolist(), params)]
+        firsts = [repeats.index(j) for j in range(len(seen))]
+        params, owners = params[firsts], owners[firsts]
+    chunks = row_probabilities(prepare, params, owners, ising.n)
+    return np.concatenate([expectation_rows(probs, ising.energies) for probs in chunks])[repeats]
 
 
 def _one_row(

@@ -95,35 +95,43 @@ def kron_rows(gates: np.ndarray) -> np.ndarray:
     Built as a running outer product with the new gate as the outer
     factor, so that numpy's inner loop runs over a row of the product so
     far, not over a gate's two entries."""
-    rows = gates.shape[0]
+    rows, _, _, m = gates.shape
     out = gates[:, 0]
     for q in range(1, gates.shape[1]):
-        size = 2 * out.shape[1]
         # entry (b·a + i, c·a + j) holds gates[r, q, b, c] · out[r, i, j]
-        out = (gates[:, q, :, None, :, None] * out[:, None, :, None, :]).reshape(rows, size, -1)
+        out = gates[:, q, :, None, :, None] * out[:, None, :, None, :]
+        out = out.reshape(rows, 2 * out.shape[2], m * out.shape[4])
     return out
 
 
-def apply_kron_layer_rows(psi: np.ndarray, gates: np.ndarray) -> np.ndarray:
+def kron_factors(gates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (..., 2^k, 2^k) Kronecker products of the (..., n, 2, 2) gates on
+    the high a, middle b and low c = n // 3 qubits, b = (n - c) // 2."""
+    c = gates.shape[-3] // 3
+    b = (gates.shape[-3] - c) // 2
+    flat = gates.reshape(-1, *gates.shape[-3:])
+    factors = kron_rows(flat[:, b + c :]), kron_rows(flat[:, c : b + c]), kron_rows(flat[:, :c])
+    return tuple(f.reshape(gates.shape[:-3] + f.shape[1:]) for f in factors)
+
+
+def apply_kron_layer_rows(psi: np.ndarray, factors: tuple[np.ndarray, ...]) -> np.ndarray:
     """The layer of :func:`apply_layer_rows` as three matrix products.
 
     Read as the C-ordered (2^a, 2^b, 2^c) tensor X of its high, middle
-    and low bits (c = n // 3, b = (n - c) // 2), a row meets the layer
-    A ⊗ B ⊗ C, the Kronecker products of the gates on those bits, as one
-    product per axis: A·X over the high bits, X·Cᵀ over the low ones and
-    B·X[i] for each high index i.  This is the identity
-    (A ⊗ B) vec(Y) = vec(B Y Aᵀ) (Van Loan, J. Comput. Appl. Math. 123,
-    85, 2000) taken one axis at a time.  Three factors take
-    2^a + 2^b + 2^c multiply-adds per amplitude, 80 at 14 qubits, where
-    two would take 256.  BLAS sums in another order than the gate loop,
-    so the result matches it within rounding, not bit for bit; each row
-    is its own product, so row r of a batch rounds as the row alone."""
+    and low bits, a row meets the layer A ⊗ B ⊗ C, its ``factors`` from
+    :func:`kron_factors`, as one product per axis: A·X over the high
+    bits, X·Cᵀ over the low ones and B·X[i] for each high index i.  This
+    is the identity (A ⊗ B) vec(Y) = vec(B Y Aᵀ) (Van Loan, J. Comput.
+    Appl. Math. 123, 85, 2000) taken one axis at a time.  Three factors
+    take 2^a + 2^b + 2^c multiply-adds per amplitude, 80 at 14 qubits,
+    where two would take 256.  BLAS sums in another order than the gate
+    loop, so the result matches it within rounding, not bit for bit; each
+    row is its own product, so row r of a batch rounds as the row alone."""
+    high, middle, low = factors
     rows, size = psi.shape
-    c = gates.shape[1] // 3
-    b = (gates.shape[1] - c) // 2
-    x = np.matmul(kron_rows(gates[:, b + c :]), psi.reshape(rows, -1, 1 << (b + c)))
-    x = np.matmul(x.reshape(rows, -1, 1 << c), kron_rows(gates[:, :c]).transpose(0, 2, 1))
-    x = np.matmul(kron_rows(gates[:, c : b + c])[:, None], x.reshape(rows, -1, 1 << b, 1 << c))
+    x = np.matmul(high, psi.reshape(rows, high.shape[-1], -1))
+    x = np.matmul(x.reshape(rows, -1, low.shape[-1]), low.transpose(0, 2, 1))
+    x = np.matmul(middle[:, None], x.reshape(rows, -1, middle.shape[-1], low.shape[-1]))
     return x.reshape(rows, size)
 
 

@@ -10,7 +10,9 @@ Three kinds of check:
     product first layer against the gates applied to |0...0>, the
     mirrored cost phase against the phase of every energy, half-state
     QAOA against the whole state, the stacked expectation against one
-    dot per row, and gate stacks filled in place against stacked entries;
+    dot per row, gate stacks filled in place against stacked entries, and
+    VQE's matrix-product layers, whose factors are built for all layers
+    at once, against layers that build their own;
   - independent oracles: the closed-form depth-1 QAOA energy on
     weighted max-cut (Wang, Hadfield, Jiang & Rieffel, PRA 97, 022304),
     which shares no code with the simulator, a dense np.kron matrix
@@ -60,7 +62,7 @@ from cutclust.simulator import (
     cnot_perm,
     expectation_rows,
     gather_rows,
-    kron_rows,
+    kron_factors,
     probability_rows,
     product_rows,
     row_cap,
@@ -654,9 +656,10 @@ def dense_layer(gates):
 
 
 class TestKronLayer:
-    """apply_kron_layer_rows against a dense Kronecker matrix and against
-    the shuffled layer, within KRON_BOUND: BLAS sums in its own order,
-    which also differs between CPU classes, so no check here is by bytes."""
+    """apply_kron_layer_rows, from the factors of kron_factors, against a
+    dense Kronecker matrix and against the shuffled layer, within
+    KRON_BOUND: BLAS sums in its own order, which also differs between CPU
+    classes, so no check here is by bytes."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_equals_dense_kron_matrix(self, n):
@@ -665,7 +668,7 @@ class TestKronLayer:
         psi = random_rows(rng, rows, n, float)
         gates = random_gates(rng, rows, n, float)
         expected = np.einsum("rij,rj->ri", dense_layer(gates), psi)
-        assert np.abs(apply_kron_layer_rows(psi, gates) - expected).max() <= KRON_BOUND
+        assert np.abs(apply_kron_layer_rows(psi, kron_factors(gates)) - expected).max() <= KRON_BOUND
 
     @pytest.mark.parametrize("n", [KRON_MIN_QUBITS, 14])
     def test_near_shuffled_layer(self, n):
@@ -673,21 +676,78 @@ class TestKronLayer:
         rows = 2
         psi = random_rows(rng, rows, n, float)
         gates = random_gates(rng, rows, n, float)
-        out = apply_kron_layer_rows(psi, gates)
+        out = apply_kron_layer_rows(psi, kron_factors(gates))
         assert out.flags.c_contiguous
         assert out.dtype == np.float64
         assert np.abs(out - apply_layer_rows(psi, gates)).max() <= KRON_BOUND
 
     def test_factors_are_orthogonal(self):
-        # R_y is a rotation, so its Kronecker products are orthogonal
+        # R_y is a rotation, so its Kronecker products are orthogonal; a
+        # stack of (rows, layers) gate layers gives one factor per layer
         rng = np.random.default_rng(4000)
-        gates = random_gates(rng, 2, 7, float)
-        for k in (1, 3, 7):
-            factor = kron_rows(gates[:, :k])
-            assert factor.shape == (2, 2**k, 2**k)
-            eye = np.eye(2**k)
-            assert np.abs(factor @ factor.transpose(0, 2, 1) - eye).max() <= KRON_BOUND
-            assert np.abs(factor.transpose(0, 2, 1) @ factor - eye).max() <= KRON_BOUND
+        for n, bits in [(3, (1, 1, 1)), (7, (3, 2, 2)), (14, (5, 5, 4))]:
+            gates = ry(rng.uniform(-np.pi, np.pi, size=(2, 3, n)))
+            for factor, k in zip(kron_factors(gates), bits, strict=True):
+                assert factor.shape == (2, 3, 2**k, 2**k)
+                eye = np.eye(2**k)
+                assert np.abs(factor @ factor.swapaxes(-1, -2) - eye).max() <= KRON_BOUND
+                assert np.abs(factor.swapaxes(-1, -2) @ factor - eye).max() <= KRON_BOUND
+
+    def test_stacked_factors_equal_each_layer_alone(self):
+        rng = np.random.default_rng(4100)
+        gates = ry(rng.uniform(-np.pi, np.pi, size=(3, 4, 14)))
+        stacked = kron_factors(gates)
+        for layer in range(gates.shape[1]):
+            for factor, alone in zip(stacked, kron_factors(gates[:, layer]), strict=True):
+                assert factor[:, layer].tobytes() == alone.tobytes()
+
+
+def kron_rows_alone(gates):
+    """Kronecker products of one layer's (rows, k, 2, m) gates: the
+    reference for factors built for a stack of layers."""
+    rows = gates.shape[0]
+    out = gates[:, 0]
+    for q in range(1, gates.shape[1]):
+        size = 2 * out.shape[1]
+        out = (gates[:, q, :, None, :, None] * out[:, None, :, None, :]).reshape(rows, size, -1)
+    return out
+
+
+def kron_layer_alone(psi, gates):
+    """The matrix-product layer building its own three factors from one
+    layer's (rows, n, 2, 2) gates: the reference for vqe_rows, which
+    builds the factors of all its layers at once."""
+    rows, size = psi.shape
+    c = gates.shape[1] // 3
+    b = (gates.shape[1] - c) // 2
+    x = np.matmul(kron_rows_alone(gates[:, b + c :]), psi.reshape(rows, -1, 1 << (b + c)))
+    x = np.matmul(x.reshape(rows, -1, 1 << c), kron_rows_alone(gates[:, :c]).transpose(0, 2, 1))
+    x = np.matmul(kron_rows_alone(gates[:, c : b + c])[:, None], x.reshape(rows, -1, 1 << b, 1 << c))
+    return x.reshape(rows, size)
+
+
+class TestStackedVqeFactors:
+    """vqe_rows, which builds the factors of every layer at once, against
+    layers that each build their own: the products are elementwise and
+    each row keeps its own BLAS calls, so the bytes are equal."""
+
+    @staticmethod
+    def layer_by_layer(angles, chain):
+        gates = ry(angles)
+        psi = kron_rows_alone(gates[:, 0, :, :, :1])[..., 0]
+        for layer in range(1, angles.shape[1]):
+            psi = kron_layer_alone(gather_rows(psi, chain), gates[:, layer])
+        return psi
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("reps", [0, 1, 5])
+    @pytest.mark.parametrize("n", [KRON_MIN_QUBITS, 12, 14])
+    def test_equals_one_layer_at_a_time(self, n, reps, rows):
+        rng = np.random.default_rng(100 * n + 10 * reps + rows)
+        angles = rng.uniform(-np.pi, np.pi, size=(rows, reps + 1, n))
+        chain = cnot_chain_perm(n)
+        got = vqe_rows(angles, chain)
+        assert got.tobytes() == self.layer_by_layer(angles, chain).tobytes()
 
 
 class TestProductFirstLayer:

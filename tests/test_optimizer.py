@@ -29,6 +29,7 @@ from cutclust.optimizer import (
     spsa_minimize,
     stability,
 )
+from cutclust.simulator import row_cap
 
 
 def enumerate_max_cut(weights):
@@ -439,6 +440,65 @@ class TestLockstep:
             assert got.best_value == lone.best_value
             assert np.array_equal(got.trace, lone.trace)
             assert got.evaluations == lone.evaluations == 61
+
+
+class TestRepeatedRows:
+    """row_energies at the row cap (row_cap(n) == 1) prepares each distinct
+    (owner, params) row once, told apart by bytes, and gives every repeat
+    that row's energy; below the cap it hands prepare its chunks as they are."""
+
+    def prepared(self, n, kind="ws-qaoa"):
+        rng = np.random.default_rng(n)
+        ising = ising_from_graph(random_graph(rng, n))
+        warms = [WarmStart(rng.uniform(0.1, 0.9, n)) for _ in range(2)]
+        prepare, _ = make_ansatz(kind, ising, warm=warms)
+        calls = []
+
+        def counting(params, owners):
+            calls.append((params.copy(), owners.copy()))
+            return prepare(params, owners)
+
+        return ising, prepare, counting, calls
+
+    @staticmethod
+    def batch():
+        """Rows 0-5 repeat, reversed, as rows 6-11.  Row 1 is row 0 at the
+        other owner, row 2 is row 0 with -0.0 for 0.0, and row 3 is row 2
+        at the other owner."""
+        x = np.array([[0.0, 0.3], [0.0, 0.3], [-0.0, 0.3], [-0.0, 0.3], [0.2, -0.1], [0.2, 0.1]])
+        owners = np.array([0, 1, 0, 1, 1, 1])
+        return np.concatenate([x, x[::-1]]), np.concatenate([owners, owners[::-1]])
+
+    @pytest.mark.parametrize("kind", ["qaoa", "ws-qaoa"])
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_each_distinct_row_prepared_once(self, n, kind):
+        assert row_cap(n) == 1
+        ising, prepare, counting, calls = self.prepared(n, kind)
+        params, owners = self.batch()
+        got = row_energies(counting, ising, params, owners)
+        for r in range(len(params)):
+            lone = row_energies(prepare, ising, params[r : r + 1], owners[r : r + 1])
+            assert got[r].tobytes() == lone[0].tobytes(), r
+        # the first six rows, each alone and in order: owner and the sign
+        # of a zero keep rows apart, and rows 6-11 repeat them
+        if kind == "ws-qaoa":  # the owner picks the warm start
+            assert got[0] != got[1]
+        assert len(calls) == 6
+        for r, (x, o) in enumerate(calls):
+            assert x.tobytes() == params[r : r + 1].tobytes()
+            assert o.tolist() == [owners[r]]
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_below_the_cap_chunks_pass_unchanged(self, n):
+        ising, prepare, counting, calls = self.prepared(n)
+        params, owners = self.batch()
+        row_energies(counting, ising, params, owners)
+        step = row_cap(n)
+        starts = range(0, len(params), step)
+        assert len(calls) == len(starts)
+        for lo, (x, o) in zip(starts, calls):
+            assert x.tobytes() == params[lo : lo + step].tobytes()
+            assert o.tobytes() == owners[lo : lo + step].tobytes()
 
 
 def reference_spsa(objective, initial, max_iters, a, seed):
