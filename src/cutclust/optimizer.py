@@ -311,17 +311,18 @@ def row_probabilities(prepare, params: np.ndarray, owners: np.ndarray, n: int):
 def row_energies(
     prepare, ising: IsingDiagonal, params: np.ndarray, owners: np.ndarray
 ) -> np.ndarray:
-    """Exact energy of every prepared row: a batch objective once
-    ``prepare`` and ``ising`` are bound.  At ``row_cap`` 1, a row whose
-    owner and parameters repeat an earlier row's bytes takes its energy."""
-    repeats = slice(None)
-    if row_cap(ising.n) == 1:
-        seen: dict = {}
-        repeats = [seen.setdefault((o, x.tobytes()), len(seen)) for o, x in zip(owners.tolist(), params)]
-        firsts = [repeats.index(j) for j in range(len(seen))]
+    """Exact energy of every prepared row: a batch objective once ``prepare``
+    and ``ising`` are bound.  At ``row_cap`` 1 a row that repeats an earlier
+    row's owner and bytes takes its energy; below, the look-up costs more."""
+    seen: dict = {}
+    keys = zip(owners.tolist(), (x.tobytes() for x in params)) if row_cap(ising.n) == 1 else ()
+    repeats = [seen.setdefault(key, len(seen)) for key in keys]
+    if len(seen) < len(repeats):
+        firsts = np.unique(repeats, return_index=True)[1]
         params, owners = params[firsts], owners[firsts]
     chunks = row_probabilities(prepare, params, owners, ising.n)
-    return np.concatenate([expectation_rows(probs, ising.energies) for probs in chunks])[repeats]
+    energies = np.concatenate([expectation_rows(probs, ising.energies) for probs in chunks])
+    return energies[repeats] if len(seen) < len(repeats) else energies
 
 
 def _one_row(

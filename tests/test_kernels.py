@@ -685,7 +685,7 @@ class TestKronLayer:
         # R_y is a rotation, so its Kronecker products are orthogonal; a
         # stack of (rows, layers) gate layers gives one factor per layer
         rng = np.random.default_rng(4000)
-        for n, bits in [(3, (1, 1, 1)), (7, (3, 2, 2)), (14, (5, 5, 4))]:
+        for n, bits in [(3, (1, 1, 1)), (7, (3, 2, 2)), (14, (5, 5, 4)), (21, (7, 7, 7))]:
             gates = ry(rng.uniform(-np.pi, np.pi, size=(2, 3, n)))
             for factor, k in zip(kron_factors(gates), bits, strict=True):
                 assert factor.shape == (2, 3, 2**k, 2**k)

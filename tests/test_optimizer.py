@@ -445,7 +445,8 @@ class TestLockstep:
 class TestRepeatedRows:
     """row_energies at the row cap (row_cap(n) == 1) prepares each distinct
     (owner, params) row once, told apart by bytes, and gives every repeat
-    that row's energy; below the cap it hands prepare its chunks as they are."""
+    that row's energy; a batch of distinct rows, and any batch below the
+    cap, reaches prepare as slices of itself in row_cap chunks."""
 
     def prepared(self, n, kind="ws-qaoa"):
         rng = np.random.default_rng(n)
@@ -455,7 +456,7 @@ class TestRepeatedRows:
         calls = []
 
         def counting(params, owners):
-            calls.append((params.copy(), owners.copy()))
+            calls.append((params.copy(), owners.copy(), params.base))
             return prepare(params, owners)
 
         return ising, prepare, counting, calls
@@ -484,21 +485,26 @@ class TestRepeatedRows:
         if kind == "ws-qaoa":  # the owner picks the warm start
             assert got[0] != got[1]
         assert len(calls) == 6
-        for r, (x, o) in enumerate(calls):
+        for r, (x, o, _) in enumerate(calls):
             assert x.tobytes() == params[r : r + 1].tobytes()
             assert o.tolist() == [owners[r]]
 
-    @pytest.mark.parametrize("n", [5, 12])
-    def test_below_the_cap_chunks_pass_unchanged(self, n):
+    @pytest.mark.parametrize("n", [5, 12, 13, 14])
+    def test_chunks_are_slices_of_the_batch(self, n):
+        # below the cap even a batch with repeats, at the cap one whose
+        # rows are all distinct
         ising, prepare, counting, calls = self.prepared(n)
         params, owners = self.batch()
+        if row_cap(n) == 1:
+            params, owners = params[:6].copy(), owners[:6].copy()
         row_energies(counting, ising, params, owners)
         step = row_cap(n)
         starts = range(0, len(params), step)
         assert len(calls) == len(starts)
-        for lo, (x, o) in zip(starts, calls):
+        for lo, (x, o, base) in zip(starts, calls):
             assert x.tobytes() == params[lo : lo + step].tobytes()
             assert o.tobytes() == owners[lo : lo + step].tobytes()
+            assert base is params  # not a gathered copy
 
 
 def reference_spsa(objective, initial, max_iters, a, seed):
