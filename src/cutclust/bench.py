@@ -330,18 +330,24 @@ def bitstring_str(index: int, n: int) -> str:
 @dataclass(frozen=True)
 class Problem:
     """The max-cut instance of a dataset, built once and shared by every
-    run: the distance graph, its Ising diagonal and the exact solution."""
+    run: the distance graph, its Ising diagonal, the exact solution and
+    the read-only probability vector uniform over its ground states."""
 
     dataset: Dataset
     graph: WeightedGraph
     ising: IsingDiagonal
     solution: ExactSolution
+    exact_probabilities: np.ndarray
 
 
 def build_problem(dataset: Dataset) -> Problem:
     graph = euclidean_weights(dataset)
     ising = ising_from_graph(graph)
-    return Problem(dataset=dataset, graph=graph, ising=ising, solution=exact_solve(ising))
+    solution = exact_solve(ising)
+    probs = np.zeros(2**ising.n)
+    probs[list(solution.ground_states)] = 1.0 / len(solution.ground_states)
+    probs.flags.writeable = False
+    return Problem(dataset, graph, ising, solution, probs)
 
 
 def _optimize(
@@ -350,11 +356,11 @@ def _optimize(
     """Optimization stage of every seed at once.
 
     Returns, per seed, the report.json fields this stage sets,
-    ``probabilities`` and ``params`` as read-only float64 arrays (the
-    exact seeds share one).  All seeds of a variational algorithm advance
-    through SPSA together; seed s starts from ``default_rng([s, 1])`` and
-    keeps its own streams, gain and best point, so its result equals a
-    run on its own.  Each seed's gain is calibrated first.  The final
+    ``probabilities`` and ``params`` as read-only float64 arrays (every
+    exact seed holds ``problem.exact_probabilities``).  All seeds of a
+    variational algorithm advance through SPSA together; seed s starts
+    from ``default_rng([s, 1])`` and keeps its own streams, gain and best
+    point, so its result equals a run on its own.  Each seed's gain is calibrated first.  The final
     states are prepared as one batch too; a seed's energy is SPSA's best
     value, that of its best point.  A non-finite objective value raises
     ``EvaluationError``, which ends every seed of the batch.
@@ -363,11 +369,8 @@ def _optimize(
     seeds = config.seeds
     if algorithm == "exact":
         sol = problem.solution
-        probs = np.zeros(2**ising.n)
-        probs[list(sol.ground_states)] = 1.0 / len(sol.ground_states)
-        probs.flags.writeable = False
         exact = {
-            "probabilities": probs,
+            "probabilities": problem.exact_probabilities,
             "energy_expectation": sol.ground_energy,
             "params": None,
             "calibrated_a": None,
@@ -626,7 +629,7 @@ def run_benchmark(config: RunConfig) -> BenchmarkReport:
     # every run shares the one build; each is charged an equal part
     graph_build_s = (time.perf_counter() - t0) / (len(algorithms) * len(config.seeds))
     sol = problem.solution
-    exact_top = most_probable_index(np.isin(np.arange(2**n), sol.ground_states))
+    exact_top = most_probable_index(problem.exact_probabilities)
     exact_labels = assign_clusters(exact_top, n)
 
     payload: dict[str, Any] = {
@@ -831,43 +834,27 @@ def _histogram_sink(path: Path, n: int) -> Callable[[int, str], None]:
     return sink
 
 
-def _table_rows(report: BenchmarkReport) -> tuple[list[str], list[list[str]]]:
+def _table_rows(report: BenchmarkReport, reps: dict[str, dict]) -> tuple[list[str], list[tuple]]:
     """Shared layout for table.csv and table.md: one row per dataset
     item with each algorithm's cluster assignment, then the three
-    summary rows."""
-    payload = report.payload
-    ds = payload["dataset"]
+    summary rows.  Built by columns: an algorithm's is its representative
+    run's in ``reps``, or "-" throughout for an algorithm without runs."""
+    ds = report.payload["dataset"]
     n = ds["n_rows"]
-    algos = [a for a in ALGORITHMS if a in payload["algorithms"]]
-
-    header = ["Item", "Label"] + algos
+    algos = [a for a in ALGORITHMS if a in report.payload["algorithms"]]
     names = ds["names"] if ds["names"] is not None else [f"row {i}" for i in range(n)]
-    truth = ds["labels"]
-
-    columns: dict[str, dict[str, Any]] = {}
+    truth = ds["labels"] if ds["labels"] is not None else [""] * n
+    columns = [[*names, "Energy (Ha)", "Solution Objective", "Process time (s)"],
+               [*map(str, truth), "", "", ""]]
     for a in algos:
-        block = payload["algorithms"][a]
-        if not block["runs"]:
-            columns[a] = {"labels": ["-"] * n, "energy": "-", "objective": "-", "time": "-"}
-            continue
-        rep_seed = block["representative_seed"]
-        rep = next(r for r in block["runs"] if r["seed"] == rep_seed)
-        stage_times = report.timings["per_run"][a].get(str(rep_seed), {})
-        columns[a] = {
-            "labels": [str(v) for v in rep["labels"]],
-            "energy": repr(rep["energy_expectation"]),
-            "objective": repr(rep["solution_objective"]),
-            "time": repr(sum(stage_times.values())) if stage_times else "-",
-        }
-
-    rows = []
-    for i in range(n):
-        truth_cell = str(truth[i]) if truth is not None else ""
-        rows.append([names[i], truth_cell] + [columns[a]["labels"][i] for a in algos])
-    rows.append(["Energy (Ha)", ""] + [columns[a]["energy"] for a in algos])
-    rows.append(["Solution Objective", ""] + [columns[a]["objective"] for a in algos])
-    rows.append(["Process time (s)", ""] + [columns[a]["time"] for a in algos])
-    return header, rows
+        rep = reps.get(a)
+        columns.append(["-"] * (n + 3) if rep is None else [
+            *map(str, rep["labels"]),
+            repr(rep["energy_expectation"]),
+            repr(rep["solution_objective"]),
+            repr(sum(report.timings["per_run"][a][str(rep["seed"])].values())),
+        ])
+    return ["Item", "Label", *algos], list(zip(*columns))
 
 
 def check_formats(formats: tuple[str, ...]) -> None:
@@ -898,15 +885,13 @@ def emit_report(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    histograms: dict[Path, np.ndarray] = {}
-    if "csv" in formats:
-        histograms = {
-            out / f"histogram_{a}.csv": next(
-                r for r in block["runs"] if r["seed"] == block["representative_seed"]
-            )["probabilities"]
-            for a, block in report.payload["algorithms"].items()
-            if block["runs"]
-        }
+    reps = {
+        a: next(r for r in block["runs"] if r["seed"] == block["representative_seed"])
+        for a, block in report.payload["algorithms"].items()
+        if block["runs"]
+    }
+    histograms = ({out / f"histogram_{a}.csv": rep["probabilities"] for a, rep in reps.items()}
+                  if "csv" in formats else {})
 
     n = report.payload["dataset"]["n_rows"]
     if "json" in formats:
@@ -922,7 +907,7 @@ def emit_report(
             for lo in range(0, probs.size, CHUNK):
                 sink(lo, _float_text(probs[lo:lo + CHUNK]))
 
-    header, rows = _table_rows(report)
+    header, rows = _table_rows(report, reps)
 
     if "csv" in formats:
         table = out / "table.csv"

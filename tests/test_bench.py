@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: dataset loading, per-run records,
 aggregation, and report emission."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -685,6 +686,25 @@ class TestRunBenchmark:
                 with pytest.raises(ValueError):
                     params[0] = 0.5
 
+    @pytest.mark.parametrize("algo", ["exact", "all"])
+    def test_exact_seeds_share_one_vector_at_13_rows(self, algo, tmp_path):
+        # from 13 rows each exact seed is its own job; every job holds the
+        # problem's one vector, uniform over the ground states and read-only
+        path = write_csv(tmp_path, two_blobs(13))
+        report = run_benchmark(RunConfig(dataset=str(path), algorithm=algo, seeds=(1, 2, 3), spsa_iters=2))
+        exact = report.payload["exact"]
+        runs = report.payload["algorithms"]["exact"]["runs"]
+        assert [run["seed"] for run in runs] == [1, 2, 3]
+        probs = runs[0]["probabilities"]
+        assert all(run["probabilities"] is probs for run in runs)
+        ground = [int(s, 2) for s in exact["ground_states"]]
+        uniform = np.zeros(2**13)
+        uniform[ground] = 1.0 / len(ground)
+        assert same_array(probs, uniform) and not probs.flags.writeable
+        for run in runs:
+            assert run["bitstring"] == exact["bitstring"]
+            assert run["labels"] == exact["labels"]
+
 
 def two_blobs(rows: int) -> str:
     """A fixed CSV of ``rows`` distinct points in two groups."""
@@ -940,6 +960,35 @@ class TestForkedShares:
         assert bench._plan(cfg, cfg.selected_algorithms(), n) == ([0, 1], shares)
 
 
+def table_csv(report, out) -> list[list[str]]:
+    """The cells of the table.csv that ``report`` writes to ``out``."""
+    emit_report(report, out, ("csv",))
+    with open(out / "table.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def table_reference(report) -> list[list[str]]:
+    """table.csv's cells built row by row: per algorithm its representative
+    run's labels, energy, objective and summed stage times, or "-"."""
+    payload, per_run = report.payload, report.timings["per_run"]
+    ds = payload["dataset"]
+    reps = {
+        a: next((r for r in block["runs"] if r["seed"] == block.get("representative_seed")), None)
+        for a, block in payload["algorithms"].items()
+    }
+    rows = [["Item", "Label", *reps]]
+    for i in range(ds["n_rows"]):
+        name = ds["names"][i] if ds["names"] is not None else f"row {i}"
+        label = str(ds["labels"][i]) if ds["labels"] is not None else ""
+        rows.append([name, label] + [str(r["labels"][i]) if r else "-" for r in reps.values()])
+    rows.append(["Energy (Ha)", ""] + [repr(r["energy_expectation"]) if r else "-" for r in reps.values()])
+    rows.append(["Solution Objective", ""] + [repr(r["solution_objective"]) if r else "-" for r in reps.values()])
+    rows.append(["Process time (s)", ""] + [
+        repr(sum(per_run[a][str(r["seed"])].values())) if r else "-" for a, r in reps.items()
+    ])
+    return rows
+
+
 class TestEmitReport:
     def test_formats_select_files(self, small_report, tmp_path):
         _, report = small_report
@@ -1010,6 +1059,34 @@ class TestEmitReport:
         for col, algo in enumerate(header[2:], start=2):
             bits = np.array([int(row[col]) for row in label_rows])
             assert float(objective_row[col]) == cut_value(graph, bits), algo
+
+    def test_table_cells_are_the_representative_runs(self, small_report, tmp_path):
+        _, report = small_report
+        rows = table_csv(report, tmp_path / "cells")
+        assert rows == table_reference(report)
+        ds = report.payload["dataset"]
+        items = [[name, str(label)] for name, label in zip(ds["names"], ds["labels"])]
+        assert [row[:2] for row in rows[1:6]] == items
+
+    def test_table_column_of_a_failed_algorithm(self, monkeypatch, tmp_path):
+        # no name or label column: items are "row i" and Label cells empty;
+        # exact fails, so its column is "-" throughout
+        real = bench.sample_run
+
+        def failing(config, seed, problem, final):
+            if final["params"] is None:
+                raise RuntimeError("injected failure")
+            return real(config, seed, problem, final)
+
+        monkeypatch.setattr(bench, "sample_run", failing)
+        p = write_csv(tmp_path, "a,b\n0.0,1.0\n2.0,0.5\n1.0,3.0\n")
+        report = run_benchmark(RunConfig(dataset=str(p), seeds=(1, 2), spsa_iters=5))
+        assert report.payload["algorithms"]["exact"]["runs"] == []
+        rows = table_csv(report, tmp_path / "failed")
+        assert rows == table_reference(report)
+        assert rows[0] == ["Item", "Label", "exact", "vqe", "qaoa", "ws-qaoa"]
+        assert [row[:3] for row in rows[1:4]] == [[f"row {i}", "", "-"] for i in range(3)]
+        assert [row[2] for row in rows[4:]] == ["-"] * 3
 
     def test_table_md_cells_escaped(self, tmp_path):
         # a "|" in a name used to add a cell to its row, and a line break
